@@ -19,9 +19,8 @@
 use gc_cache::gc_sim::pool::{self, JobError, PoolOptions};
 use gc_cache::gc_sim::sweep::{run_cell, SweepJob};
 use gc_cache::gc_trace::io::{read_text_with, write_text, IngestOptions, IngestPolicy};
+use gc_cache::gc_types::rng::StdRng;
 use gc_cache::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 /// Which faults to inject into a sweep run.

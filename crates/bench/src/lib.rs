@@ -2,8 +2,8 @@
 //!
 //! The binaries in `src/bin/` regenerate each of the paper's evaluation
 //! artifacts (Tables 1–2, Figures 3 and 6) plus the empirical validations
-//! the brief announcement leaves implicit; the Criterion benches in
-//! `benches/` measure the simulator and policies themselves.
+//! the brief announcement leaves implicit; `perf_report`, `serve_report`
+//! and `mrc_report` measure the simulator, runtime and policies themselves.
 
 use gc_cache::gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
 use gc_cache::prelude::*;

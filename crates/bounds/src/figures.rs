@@ -13,10 +13,9 @@ use crate::competitive::{
     gc_lower_bound, sleator_tarjan, thm2_item_cache_lower, thm3_block_cache_lower,
 };
 use crate::iblp::{iblp_optimal_split, thm7_iblp};
-use serde::Serialize;
 
 /// One point of the Figure 3 series.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Figure3Point {
     /// Offline (optimal) cache size `h`.
     pub h: usize,
@@ -50,7 +49,7 @@ pub fn figure3(k: usize, block_size: usize, h_values: &[usize]) -> Vec<Figure3Po
 }
 
 /// One point of the Figure 6 series.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Figure6Point {
     /// Offline (optimal) cache size `h`.
     pub h: usize,

@@ -13,10 +13,9 @@
 
 use crate::competitive::{gc_lower_bound, sleator_tarjan};
 use crate::iblp::iblp_optimal_split;
-use serde::Serialize;
 
 /// One row of Table 1 for one bound family.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Cell {
     /// Augmentation factor `k/h` at the row's operating point.
     pub augmentation: f64,
@@ -25,7 +24,7 @@ pub struct Table1Cell {
 }
 
 /// All nine cells of Table 1, evaluated at offline size `h`, block size `B`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table1 {
     /// Block size used.
     pub block_size: usize,

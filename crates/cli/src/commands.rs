@@ -223,10 +223,19 @@ fn workload(args: &Args) -> Result<Workload, String> {
     })
 }
 
+/// `--capacity`, refused when zero: every policy constructor asserts a
+/// positive capacity, and an operator typo should not surface as a panic.
+fn positive_capacity(args: &Args) -> Result<usize, String> {
+    match args.require("capacity")? {
+        0 => Err(GcError::InvalidParameter("--capacity must be >= 1".into()).to_string()),
+        capacity => Ok(capacity),
+    }
+}
+
 fn simulate_cmd(args: &Args) -> Result<(), String> {
     let label = args.get_str("policy").unwrap_or("iblp");
     let kind = PolicyKind::parse(label).map_err(|e| e.to_string())?;
-    let capacity: usize = args.require("capacity")?;
+    let capacity = positive_capacity(args)?;
     let warmup: usize = args.get_or("warmup", 0usize)?;
     let Workload { trace, map, .. } = workload(args)?;
 
@@ -272,7 +281,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
 
     let label = args.get_str("policy").unwrap_or("iblp");
     let kind = PolicyKind::parse(label).map_err(|e| e.to_string())?;
-    let capacity: usize = args.require("capacity")?;
+    let capacity = positive_capacity(args)?;
     let shards: usize = args.get_or("shards", 4usize)?;
     let threads: usize = args.get_or("threads", 4usize)?;
     let mode: ExecMode = args
@@ -410,8 +419,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     let s = &report.stats;
 
     if args.switch("json") {
-        // Hand-rolled so the output is real JSON even under the offline
-        // serde_json stub (whose to_string renders null).
+        // Formatted by hand: the report fixes each ratio's and latency's
+        // decimal places, which a generic writer would not.
         let per_shard: Vec<String> = report
             .per_shard
             .iter()

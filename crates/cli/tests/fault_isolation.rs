@@ -12,14 +12,6 @@ fn gc_cache() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gc-cache"))
 }
 
-/// The offline build stubs out serde_json (typecheck-only), which disables
-/// checkpoint files; checkpoint-dependent tests skip there.
-fn serde_json_is_functional() -> bool {
-    serde_json::to_string(&7u32)
-        .map(|s| s == "7")
-        .unwrap_or(false)
-}
-
 fn run(args: &[&str]) -> Output {
     gc_cache()
         .args(args)
@@ -78,10 +70,6 @@ fn wait_for_checkpoint(path: &Path, deadline: Duration) -> bool {
 
 #[test]
 fn sigkill_then_resume_is_bit_identical() {
-    if !serde_json_is_functional() {
-        eprintln!("skipping: serde_json stubbed out offline");
-        return;
-    }
     let dir = temp_dir("sigkill");
     let ckpt = dir.join("sweep.ckpt.json");
 
@@ -131,8 +119,7 @@ fn sigkill_then_resume_is_bit_identical() {
 #[test]
 fn poisoned_cell_under_skip_leaves_survivors_bit_identical() {
     // Capacity 0 panics in every policy's capacity check — a genuinely
-    // poisoned column through the full production path. No checkpoint
-    // file involved, so this runs offline too.
+    // poisoned column through the full production path.
     let reference = stdout_of(&run(&[
         "sweep",
         "--capacities",
@@ -221,10 +208,6 @@ fn poisoned_cell_under_fail_aborts_with_cell_index() {
 
 #[test]
 fn resume_refuses_mismatched_config() {
-    if !serde_json_is_functional() {
-        eprintln!("skipping: serde_json stubbed out offline");
-        return;
-    }
     let dir = temp_dir("mismatch");
     let ckpt = dir.join("sweep.ckpt.json");
 
@@ -251,6 +234,53 @@ fn resume_refuses_mismatched_config() {
         ckpt.to_str().unwrap(),
     ]);
     assert!(!out.status.success(), "mismatched resume must be refused");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("refusing to resume"),
+        "expected a checkpoint-mismatch refusal: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two explicit partitions of the same items with the same largest block:
+/// everything but the grouping is equal, and a checkpoint taken under one
+/// must not seed a resume under the other.
+#[test]
+fn resume_refuses_a_different_partition() {
+    let dir = temp_dir("partition");
+    let ckpt = dir.join("sweep.ckpt.json");
+    let trace_file = |name: &str, groups: &str| {
+        let path = dir.join(name);
+        let requests: Vec<String> = (0..400u32).map(|i| (i * 7 % 6).to_string()).collect();
+        let doc = format!(
+            "{{\"trace\": {{\"name\": \"t\", \"requests\": [{}]}}, \"block_map\": {{\"groups\": {groups}}}}}",
+            requests.join(",")
+        );
+        std::fs::write(&path, doc).unwrap();
+        path
+    };
+    let a = trace_file("a.json", "[[0,1],[2,3],[4,5]]");
+    let b = trace_file("b.json", "[[0,2],[1,3],[4,5]]");
+    let sweep = |trace: &Path, flag: &str| {
+        run(&[
+            "sweep",
+            "--capacities",
+            "4,6",
+            "--trace",
+            trace.to_str().unwrap(),
+            flag,
+            ckpt.to_str().unwrap(),
+        ])
+    };
+
+    stdout_of(&sweep(&a, "--checkpoint"));
+    // Same partition: the checkpoint is accepted.
+    stdout_of(&sweep(&a, "--resume"));
+    let out = sweep(&b, "--resume");
+    assert!(
+        !out.status.success(),
+        "a different partition must be refused"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("refusing to resume"),

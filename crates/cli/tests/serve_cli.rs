@@ -1,8 +1,9 @@
 //! End-to-end tests of the `serve` subcommand against the real binary:
 //! human output carries the conservation-law counters, `--json` emits
-//! parseable JSON (hand-rolled, so it works under the offline serde_json
-//! stub too), and a generated trace file round-trips through `--trace`.
+//! JSON that `gc_types::json` parses, and a generated trace file
+//! round-trips through `--trace`.
 
+use gc_cache::gc_types::json::Json;
 use std::process::{Command, Output};
 
 fn gc_cache() -> Command {
@@ -25,18 +26,13 @@ fn stdout_of(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
 }
 
-/// Pull `"key": <number>` out of the hand-rolled JSON without a parser.
+/// The top-level integer member `key` of `serve --json`'s report.
 fn json_u64(json: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\": ");
-    let at = json
-        .find(&needle)
-        .unwrap_or_else(|| panic!("{key} in {json}"));
-    json[at + needle.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("numeric {key}"))
+    Json::parse(json)
+        .unwrap_or_else(|e| panic!("serve --json must emit valid JSON ({e}): {json}"))
+        .get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("integer {key} in {json}"))
 }
 
 #[test]
@@ -183,6 +179,27 @@ fn serve_rejects_zero_valued_knobs() {
         assert!(
             err.contains("invalid parameter") && err.contains(flag),
             "structured error naming {flag}: {err}"
+        );
+    }
+}
+
+/// A zero capacity used to reach the policies' `check_capacity` assert
+/// and panic; `simulate` and `serve` now refuse it like any other bad
+/// knob. (`sweep --capacities 0,...` stays the documented poisoned cell.)
+#[test]
+fn zero_capacity_is_a_structured_error_not_a_panic() {
+    let reference = run(&["serve", "--capacity", "64", "--batch", "0", "--len", "100"]);
+    for command in ["simulate", "serve"] {
+        let out = run(&[command, "--capacity", "0", "--len", "100"]);
+        assert_eq!(
+            out.status.code(),
+            reference.status.code(),
+            "{command}: same exit code as the other invalid-parameter errors"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("invalid parameter: --capacity") && !err.contains("panicked"),
+            "{command}: {err}"
         );
     }
 }

@@ -1,5 +1,5 @@
-//! Model-aware replacements for the `std::sync` / `parking_lot` primitives
-//! the runtime uses.
+//! Model-aware replacements for the `std::sync` primitives the runtime
+//! uses.
 //!
 //! Inside a [`model`](crate::model) run every acquisition, condvar wait,
 //! channel operation, and atomic access is a scheduler decision point, and
@@ -8,8 +8,9 @@
 //! already unwinding from a model failure — the same types degrade to plain
 //! `std::sync`-backed blocking implementations with identical semantics,
 //! sharing the same ground-truth state (see the crate docs on fallback
-//! mode). The lock API follows `parking_lot`: `lock()` returns the guard
-//! directly and there is no poisoning.
+//! mode). `lock()` returns the guard directly (there is no poisoning) and
+//! `Condvar::wait(guard)` takes and returns it, the shape `gc-runtime`'s
+//! `std`-backed binding of the same facade has.
 
 pub use std::sync::Arc;
 
@@ -32,8 +33,7 @@ fn unpoison<'a, T>(
     }
 }
 
-/// A mutual-exclusion lock with a `parking_lot`-shaped API (guard returned
-/// directly, no poisoning) whose acquisitions are scheduler decision points
+/// A mutual-exclusion lock (guard returned directly, no poisoning) whose acquisitions are scheduler decision points
 /// inside a model run.
 pub struct Mutex<T> {
     /// Ground truth for "is the lock held", shared by the model and
@@ -167,7 +167,7 @@ impl<T: Default> Default for Mutex<T> {
 pub struct MutexGuard<'a, T> {
     lock: &'a Mutex<T>,
     /// Guards must stay on the acquiring thread (`*const` makes this
-    /// `!Send`), matching `std`/`parking_lot`.
+    /// `!Send`), matching `std`.
     _not_send: PhantomData<*const ()>,
 }
 
@@ -193,8 +193,8 @@ impl<T> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// A condition variable with the `parking_lot` API (`wait(&mut guard)`),
-/// scheduler-mediated inside a model run.
+/// A condition variable (`guard = cv.wait(guard)`), scheduler-mediated
+/// inside a model run.
 ///
 /// Lost wakeups are impossible in model mode because execution is
 /// serialized: no other thread can run between the wait's mutex release and
@@ -227,7 +227,7 @@ impl Condvar {
     /// Atomically release `guard`'s mutex and wait for a notification,
     /// re-acquiring before returning. Spurious wakeups are possible (as
     /// with any condvar) — callers loop on their predicate.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let mutex = guard.lock;
         match ctx() {
             Some(c) if !std::thread::panicking() => {
@@ -249,8 +249,8 @@ impl Condvar {
                 })();
                 if let Err(payload) = parked {
                     // The model aborted while we were parked. `guard` is
-                    // still live in the caller and will release on drop, so
-                    // the lock must be held when the panic leaves here.
+                    // still live and releases as the panic unwinds through
+                    // this frame, so the lock must be held again first.
                     mutex.raw_acquire_fallback();
                     resume_unwind(payload);
                 }
@@ -268,6 +268,7 @@ impl Condvar {
                 mutex.raw_acquire_fallback();
             }
         }
+        guard
     }
 
     /// Wake one waiter (the lowest-id one, deterministically, in model
@@ -343,7 +344,7 @@ impl Barrier {
             return BarrierWaitResult { leader: true };
         }
         while st.generation == generation {
-            self.cv.wait(&mut st);
+            st = self.cv.wait(st);
         }
         BarrierWaitResult { leader: false }
     }
@@ -431,7 +432,7 @@ pub mod mpsc {
                     self.chan.not_empty.notify_one();
                     return Ok(());
                 }
-                self.chan.not_full.wait(&mut st);
+                st = self.chan.not_full.wait(st);
             }
         }
     }
@@ -477,7 +478,7 @@ pub mod mpsc {
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
-                self.chan.not_empty.wait(&mut st);
+                st = self.chan.not_empty.wait(st);
             }
         }
 

@@ -97,7 +97,7 @@ fn condvar_handshake_never_loses_wakeup() {
         {
             let mut st = slot.state.lock();
             while !st.0 {
-                slot.cv.wait(&mut st);
+                st = slot.cv.wait(st);
             }
             assert_eq!(st.1, 42);
         }
@@ -225,8 +225,8 @@ fn catches_toctou_condvar_wait() {
         // between the read and the wait, the wakeup is lost forever.
         let ready = { *slot.state.lock() };
         if !ready {
-            let mut st = slot.state.lock();
-            slot.cv.wait(&mut st);
+            let st = slot.state.lock();
+            drop(slot.cv.wait(st));
         }
         producer.join().unwrap();
     });

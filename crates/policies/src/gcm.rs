@@ -15,10 +15,8 @@
 
 use crate::slab::{KeyIndex, KeySet, Universe};
 use crate::GcPolicy;
+use gc_types::rng::SmallRng;
 use gc_types::{AccessKind, AccessScratch, BlockMap, ItemId};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 
 /// The GCM policy. See the module docs.
 #[derive(Clone, Debug)]
@@ -198,7 +196,7 @@ impl GcPolicy for Gcm {
                 .items_of(block)
                 .filter(|&z| z != item && !self.resident(z)),
         );
-        co.shuffle(&mut self.rng);
+        self.rng.shuffle(&mut co);
 
         // Miss: make room for the requested item, insert it marked.
         out.clear();

@@ -9,9 +9,8 @@
 use crate::lru_list::LruList;
 use crate::slab::{KeyIndex, KeySet, KeyTable, Universe};
 use crate::GcPolicy;
+use gc_types::rng::SmallRng;
 use gc_types::{AccessKind, AccessScratch, ItemId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, VecDeque};
 
 fn check_capacity(capacity: usize) -> usize {

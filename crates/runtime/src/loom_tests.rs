@@ -399,7 +399,7 @@ fn seeded_notify_before_publish_deadlocks() {
                 if let Some(v) = *slot {
                     break v;
                 }
-                flight.cv.wait(&mut slot);
+                slot = flight.cv.wait(slot);
             }
         };
         assert_eq!(value, 7);

@@ -85,7 +85,7 @@ impl ReplySlot {
             if let Some(job) = slot.take() {
                 return job;
             }
-            self.cv.wait(&mut slot);
+            slot = self.cv.wait(slot);
         }
     }
 

@@ -220,7 +220,7 @@ impl SingleFlight {
                     if let Some(published) = slot.as_ref() {
                         break published.clone();
                     }
-                    flight.cv.wait(&mut slot);
+                    slot = flight.cv.wait(slot);
                 }
             };
             let wait = t0.elapsed();

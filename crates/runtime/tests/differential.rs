@@ -230,7 +230,7 @@ fn compiled_serving_rejects_mismatched_runtime_map() {
 
 mod randomized {
     use super::*;
-    use proptest::prelude::*;
+    use testkit::prelude::*;
 
     proptest! {
         // A handful of cases is plenty: each case already sweeps the whole
@@ -242,8 +242,8 @@ mod randomized {
         fn roster_matches_engine_across_seeds(
             trace_seed in 0u64..1_000_000,
             roster_seed in 0u64..1_000_000,
-            // Zipf skew in tenths (0.2..=1.1); the offline proptest stub
-            // has no f64 range strategy.
+            // Zipf skew in tenths (0.2..=1.1); testkit has no f64 range
+            // strategy.
             theta_tenths in 2u64..12,
         ) {
             let theta = theta_tenths as f64 / 10.0;

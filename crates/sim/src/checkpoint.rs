@@ -9,9 +9,11 @@
 //! # Format and invariants
 //!
 //! A checkpoint is a single JSON document (written atomically: temp file +
-//! rename, so a kill can never leave a truncated checkpoint behind):
+//! rename, so a kill can never leave a truncated checkpoint behind; the
+//! member-by-member layout is in DESIGN.md, "JSON file formats"):
 //!
-//! * `version` — [`FORMAT_VERSION`]; mismatches refuse to resume.
+//! * `version` — [`FORMAT_VERSION`]; a file of any other version is
+//!   refused when it is loaded, before the rest of it is interpreted.
 //! * `config_hash` — a deterministic 64-bit fingerprint ([`StableHasher`])
 //!   of everything that affects cell results: the job list, the trace
 //!   contents, and the block map. Thread counts and checkpoint cadence are
@@ -27,13 +29,24 @@
 //! end-to-end (including a real `SIGKILL`) in the CLI integration tests.
 
 use crate::stats::SimStats;
-use gc_types::{BlockMap, GcError, Trace};
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
+use gc_types::json::{FromJson, Json, ToJson};
+use gc_types::{BlockId, BlockMap, GcError, Trace};
 use std::path::Path;
 
 /// Current checkpoint format version; bumped on incompatible changes.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2: files are written and read by `gc_types::json`, and
+/// `config_hash` fingerprints the block map's structure
+/// ([`map_fingerprint`]) — version 1 hashed a rendering of the map that
+/// did not tell two explicit partitions apart, so its cells cannot be
+/// trusted to belong to the configuration being resumed.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// `expect` message for the mutex around a checkpoint sink: the pool
+/// forbids `on_complete` callbacks from panicking, and they are the only
+/// code that runs under that lock.
+pub(crate) const SINK_POISONED: &str =
+    "a completion callback panicked while holding the checkpoint sink";
 
 /// A deterministic, platform-independent 64-bit fingerprint builder
 /// (FNV-1a over a canonical byte rendering).
@@ -101,18 +114,32 @@ pub fn trace_fingerprint(trace: &Trace) -> u64 {
     h.finish()
 }
 
-/// Fingerprint a block map via its canonical JSON rendering (strided maps
-/// hash their stride; explicit maps hash the full partition).
+/// Fingerprint a block map's structure: a strided map hashes its stride,
+/// any other map hashes every block's items in block order — so two
+/// partitions fingerprint alike only if they are the same partition.
 pub fn map_fingerprint(map: &BlockMap) -> u64 {
     let mut h = StableHasher::new();
-    let rendered = serde_json::to_string(map).expect("block map serialization cannot fail");
-    h.write_str(&rendered);
-    h.write_usize(map.max_block_size());
+    if let Some(stride) = map.stride() {
+        h.write_str("strided");
+        h.write_u64(stride);
+        return h.finish();
+    }
+    let n_blocks = map.num_blocks().expect("only strided maps are unbounded");
+    h.write_str("groups");
+    h.write_usize(n_blocks);
+    for block in (0..n_blocks as u64).map(BlockId) {
+        // Length-prefixed, so moving an item across a block boundary
+        // changes the hash.
+        h.write_usize(map.block_len(block));
+        for item in map.items_of(block) {
+            h.write_u64(item.0);
+        }
+    }
     h.finish()
 }
 
 /// The recorded outcome of one sweep cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SweepCellOutcome {
     /// The cell completed; its full result is preserved.
     Done {
@@ -129,7 +156,7 @@ pub enum SweepCellOutcome {
 }
 
 /// One checkpointed sweep cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepCellRecord {
     /// Index of the cell in the job list.
     pub index: usize,
@@ -139,7 +166,7 @@ pub struct SweepCellRecord {
 
 /// A sweep checkpoint: the persistent state of a (possibly interrupted)
 /// [`run_sweep_checked`](crate::sweep::run_sweep_checked) invocation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepCheckpoint {
     /// [`FORMAT_VERSION`] at write time.
     pub version: u32,
@@ -170,10 +197,7 @@ impl SweepCheckpoint {
     /// blend results from different experiments.
     pub fn validate(&self, config_hash: u64, total_cells: usize) -> Result<(), GcError> {
         if self.version != FORMAT_VERSION {
-            return Err(GcError::InvalidParameter(format!(
-                "checkpoint format version {} is not the supported {FORMAT_VERSION}",
-                self.version
-            )));
+            return Err(unsupported_version(self.version));
         }
         if self.config_hash != config_hash {
             return Err(GcError::CheckpointMismatch {
@@ -208,7 +232,7 @@ impl SweepCheckpoint {
 }
 
 /// One checkpointed miss-ratio curve of an MRC bundle.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MrcCurveRecord {
     /// Which curve: `0` = item-granular, `1` = block-granular.
     pub index: usize,
@@ -221,7 +245,7 @@ pub struct MrcCurveRecord {
 /// A checkpoint for [`mrc_bundle_checked`](crate::mrc::mrc_bundle_checked):
 /// each completed curve is persisted as soon as its pass finishes, so an
 /// interrupted bundle re-runs only the missing curve.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MrcCheckpoint {
     /// [`FORMAT_VERSION`] at write time.
     pub version: u32,
@@ -245,10 +269,7 @@ impl MrcCheckpoint {
     /// [`SweepCheckpoint::validate`]).
     pub fn validate(&self, config_hash: u64) -> Result<(), GcError> {
         if self.version != FORMAT_VERSION {
-            return Err(GcError::InvalidParameter(format!(
-                "checkpoint format version {} is not the supported {FORMAT_VERSION}",
-                self.version
-            )));
+            return Err(unsupported_version(self.version));
         }
         if self.config_hash != config_hash {
             return Err(GcError::CheckpointMismatch {
@@ -260,46 +281,102 @@ impl MrcCheckpoint {
     }
 }
 
-/// Serialize `value` as pretty JSON to `path`, atomically.
+/// `{"Done": {"policy_name", "stats"}}` or `{"Failed": {"reason"}}`.
+impl ToJson for SweepCellOutcome {
+    fn to_json(&self) -> Json {
+        match self {
+            SweepCellOutcome::Done { policy_name, stats } => Json::object([(
+                "Done",
+                Json::object([
+                    ("policy_name", policy_name.to_json()),
+                    ("stats", stats.to_json()),
+                ]),
+            )]),
+            SweepCellOutcome::Failed { reason } => {
+                Json::object([("Failed", Json::object([("reason", reason.to_json())]))])
+            }
+        }
+    }
+}
+
+impl FromJson for SweepCellOutcome {
+    fn from_json(v: &Json) -> Result<Self, GcError> {
+        match v.variant()? {
+            ("Done", body) => {
+                let [policy_name, stats] = body.fields(["policy_name", "stats"])?;
+                Ok(SweepCellOutcome::Done {
+                    policy_name: String::from_json(policy_name)?,
+                    stats: SimStats::from_json(stats)?,
+                })
+            }
+            ("Failed", body) => {
+                let [reason] = body.fields(["reason"])?;
+                Ok(SweepCellOutcome::Failed {
+                    reason: String::from_json(reason)?,
+                })
+            }
+            (other, body) => Err(body.error(format!(
+                "unknown cell outcome `{other}` (expected `Done` or `Failed`)"
+            ))),
+        }
+    }
+}
+
+gc_types::json_record!(SweepCellRecord { index, outcome });
+gc_types::json_record!(SweepCheckpoint {
+    version,
+    config_hash,
+    total_cells,
+    cells,
+});
+gc_types::json_record!(MrcCurveRecord {
+    index,
+    accesses,
+    misses,
+});
+gc_types::json_record!(MrcCheckpoint {
+    version,
+    config_hash,
+    curves,
+});
+
+fn unsupported_version(found: u32) -> GcError {
+    GcError::InvalidParameter(format!(
+        "checkpoint format version {found} is not the supported {FORMAT_VERSION}"
+    ))
+}
+
+/// Write `value` as pretty JSON to `path`, atomically.
 ///
 /// The document is written to a `.tmp` sibling and renamed into place, so
 /// a kill mid-write leaves either the previous checkpoint or the new one —
 /// never a truncated file.
-pub fn save_json<T: Serialize>(value: &T, path: &Path) -> Result<(), GcError> {
-    let rendered = serde_json::to_string_pretty(value)
-        .map_err(|e| GcError::InvalidParameter(format!("checkpoint serialization: {e}")))?;
+pub fn save_json<T: ToJson>(value: &T, path: &Path) -> Result<(), GcError> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, rendered)?;
+    std::fs::write(&tmp, value.to_json().to_string_pretty())?;
     std::fs::rename(&tmp, path)?;
     Ok(())
 }
 
-/// Load a JSON document written by [`save_json`].
-pub fn load_json<T: DeserializeOwned>(path: &Path) -> Result<T, GcError> {
-    let raw = std::fs::read_to_string(path)?;
-    serde_json::from_str(&raw).map_err(|e| GcError::Parse {
-        line: e.line().max(1),
-        column: Some(e.column().max(1)),
-        byte_offset: None,
-        reason: gc_types::ParseReason::Json {
-            message: e.to_string(),
-        },
-    })
+/// Load a checkpoint written by [`save_json`].
+///
+/// The document's `version` is checked before anything else is decoded, so
+/// a file of another format version is refused, not misread.
+pub fn load_json<T: FromJson>(path: &Path) -> Result<T, GcError> {
+    let doc = Json::parse(&std::fs::read_to_string(path)?)?;
+    let version = doc
+        .get("version")
+        .ok_or_else(|| doc.error("missing field `version`"))?;
+    match u32::from_json(version)? {
+        FORMAT_VERSION => T::from_json(&doc),
+        other => Err(unsupported_version(other)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gc_types::ItemId;
-
-    /// The offline build stubs out serde_json (typecheck-only); JSON
-    /// round-trip assertions are meaningless there. Mirrors the guard used
-    /// by the seed's own serde tests' environment.
-    fn serde_json_is_functional() -> bool {
-        serde_json::to_string(&7u32)
-            .map(|s| s == "7")
-            .unwrap_or(false)
-    }
 
     #[test]
     fn stable_hasher_is_deterministic_and_sensitive() {
@@ -336,11 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn map_fingerprint_tracks_stride() {
-        if !serde_json_is_functional() {
-            eprintln!("skipping: serde_json stubbed out offline");
-            return;
-        }
+    fn map_fingerprint_tracks_structure() {
         assert_eq!(
             map_fingerprint(&BlockMap::strided(8)),
             map_fingerprint(&BlockMap::strided(8))
@@ -355,6 +428,19 @@ mod tests {
             map_fingerprint(&explicit),
             map_fingerprint(&BlockMap::strided(2))
         );
+        // Same items, same largest block, same block count — different
+        // partitions, so cells computed under one must not resume the other.
+        let ids = |groups: &[&[u64]]| {
+            let groups = groups
+                .iter()
+                .map(|g| g.iter().copied().map(ItemId).collect())
+                .collect();
+            map_fingerprint(&BlockMap::from_groups(groups).unwrap())
+        };
+        assert_eq!(ids(&[&[0, 1], &[2]]), map_fingerprint(&explicit));
+        assert_ne!(ids(&[&[0, 1], &[2]]), ids(&[&[0, 2], &[1]]));
+        assert_ne!(ids(&[&[0, 1], &[2]]), ids(&[&[0], &[1, 2]]));
+        assert_ne!(ids(&[&[0, 1], &[2]]), ids(&[&[1, 0], &[2]]));
     }
 
     #[test]
@@ -398,14 +484,11 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip_is_atomic() {
-        if !serde_json_is_functional() {
-            eprintln!("skipping: serde_json stubbed out offline");
-            return;
-        }
         let dir = std::env::temp_dir().join(format!("gc-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.ckpt.json");
-        let mut ckpt = SweepCheckpoint::new(0x1234, 3);
+        // A hash with the top bit set and low bits an f64 would round away.
+        let mut ckpt = SweepCheckpoint::new(0xfedc_ba98_7654_3211, 3);
         ckpt.cells.push(SweepCellRecord {
             index: 1,
             outcome: SweepCellOutcome::Done {
@@ -417,11 +500,61 @@ mod tests {
                 },
             },
         });
+        ckpt.cells.push(SweepCellRecord {
+            index: 2,
+            outcome: SweepCellOutcome::Failed {
+                reason: "assertion failed: \"capacity\" > 0\n".into(),
+            },
+        });
         save_json(&ckpt, &path).unwrap();
         // No temp residue after a successful save.
         assert!(!path.with_extension("tmp").exists());
         let back: SweepCheckpoint = load_json(&path).unwrap();
         assert_eq!(back, ckpt);
+
+        let mrc_path = dir.join("mrc.ckpt.json");
+        let mut mrc = MrcCheckpoint::new(u64::MAX);
+        mrc.curves.push(MrcCurveRecord {
+            index: 1,
+            accesses: 7,
+            misses: vec![7, 5, 3],
+        });
+        save_json(&mrc, &mrc_path).unwrap();
+        assert_eq!(load_json::<MrcCheckpoint>(&mrc_path).unwrap(), mrc);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn other_format_versions_are_refused_not_misread() {
+        let dir = std::env::temp_dir().join(format!("gc-ckpt-version-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.ckpt.json");
+        let mut todays_shape = SweepCheckpoint::new(1, 0);
+        todays_shape.version = 1;
+        // A version-1 file of exactly today's shape, and two of shapes this
+        // reader has never seen: all refused for their version, whichever
+        // checkpoint type is asked for, before any other member is read.
+        for text in [
+            todays_shape.to_json().to_string_pretty(),
+            "{\"version\": 1, \"config_hash\": null, \"cells\": {}}".to_string(),
+            "{\"version\": 3, \"curves\": \"?\"}".to_string(),
+        ] {
+            std::fs::write(&path, &text).unwrap();
+            for err in [
+                load_json::<SweepCheckpoint>(&path).unwrap_err(),
+                load_json::<MrcCheckpoint>(&path).map(|_| ()).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, GcError::InvalidParameter(m) if m.contains("format version")),
+                    "{text}: {err}"
+                );
+            }
+        }
+        std::fs::write(&path, "{\"config_hash\": 7}").unwrap();
+        assert!(matches!(
+            load_json::<MrcCheckpoint>(&path),
+            Err(GcError::Parse { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,7 +10,7 @@
 //! * [`stats`] — the [`SimStats`](stats::SimStats) accumulator.
 //! * [`probe`] — [`ProbeAdapter`](probe::ProbeAdapter), which lets the
 //!   adaptive adversaries of `gc-trace` drive any policy.
-//! * [`pool`] — the shared worker pool: crossbeam scoped threads with an
+//! * [`pool`] — the shared worker pool: std scoped threads with an
 //!   atomic work cursor (Rayon-style dynamic work distribution without
 //!   the dependency), results in job order.
 //! * [`sweep`] — a parallel parameter-sweep harness built on the pool,

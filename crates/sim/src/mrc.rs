@@ -19,12 +19,14 @@
 //! Stack distances are computed with a Fenwick (binary indexed) tree over
 //! access positions — `O(T log T)` total, the standard technique.
 
-use crate::checkpoint::{self, MrcCheckpoint, MrcCurveRecord, StableHasher, FORMAT_VERSION};
+use crate::checkpoint::{
+    self, MrcCheckpoint, MrcCurveRecord, StableHasher, FORMAT_VERSION, SINK_POISONED,
+};
 use crate::pool::{self, JobError, PoolOptions};
 use crate::shards::{sampled_block_mrc, sampled_item_mrc, SamplerConfig};
 use gc_types::{BlockMap, CompiledTrace, FxHashMap, GcError, Trace};
-use parking_lot::Mutex;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// A miss-ratio curve: `misses[k]` is the number of LRU misses at cache
 /// size `k` (index 0 holds the trace length: every access misses in a
@@ -504,7 +506,7 @@ pub fn mrc_bundle_checked(
         let (Some(path), Ok(curve)) = (cfg.checkpoint_path, result) else {
             return;
         };
-        let mut guard = sink.lock();
+        let mut guard = sink.lock().expect(SINK_POISONED);
         let (ckpt, write_error) = &mut *guard;
         ckpt.curves.push(MrcCurveRecord {
             index: pending[slot],
@@ -528,7 +530,7 @@ pub fn mrc_bundle_checked(
             (_, MrcMode::Sampled(sampler)) => sampled_block_mrc(trace, map, capacity / b, sampler),
         }
     });
-    let (_, write_error) = sink.into_inner();
+    let (_, write_error) = sink.into_inner().expect(SINK_POISONED);
     if let Some(e) = write_error {
         return Err(e);
     }

@@ -2,7 +2,7 @@
 //!
 //! Several subsystems fan independent jobs out over threads: the parameter
 //! [`sweep`](crate::sweep), the parallel [MRC bundle](crate::mrc::mrc_bundle),
-//! and the bench harnesses. They all want the same shape — crossbeam scoped
+//! and the bench harnesses. They all want the same shape — std scoped
 //! threads pulling job *indices* off a shared atomic cursor (Rayon-style
 //! dynamic work distribution, without the dependency) with results landing
 //! back in input order. This module is that shape, extracted once.
@@ -302,11 +302,11 @@ where
     // into slots afterwards: contention-free during the run, ordered at
     // the end.
     type WorkerHaul<T> = (Vec<(usize, Result<T, JobError>)>, Vec<Straggler>);
-    let collected: Vec<WorkerHaul<T>> = crossbeam::thread::scope(|scope| {
+    let collected: Vec<WorkerHaul<T>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let cursor = &cursor;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut mine = Vec::new();
                 let mut slow = Vec::new();
                 loop {
@@ -341,8 +341,7 @@ where
             // the PoolOptions contract forbids.
             .map(|h| h.join().expect("pool callback panicked"))
             .collect()
-    })
-    .expect("pool scope panicked");
+    });
 
     let mut slots: Vec<Option<Result<T, JobError>>> = (0..n).map(|_| None).collect();
     let mut stragglers = Vec::new();

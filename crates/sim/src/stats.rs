@@ -1,12 +1,10 @@
 //! Simulation statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated over one simulation run.
 ///
 /// The cost model follows Definition 1: every miss costs one unit no matter
 /// how many items of the block it loads, so `misses` *is* the total cost.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Requests served (after any warm-up exclusion).
     pub accesses: u64,
@@ -79,6 +77,16 @@ impl SimStats {
         self.peak_len = self.peak_len.max(other.peak_len);
     }
 }
+
+gc_types::json_record!(SimStats {
+    accesses,
+    misses,
+    temporal_hits,
+    spatial_hits,
+    items_loaded,
+    items_evicted,
+    peak_len,
+});
 
 #[cfg(test)]
 mod tests {

@@ -2,17 +2,19 @@
 //!
 //! Benchmarks sweep (policy × capacity) grids over a shared read-only
 //! trace. Each job is independent, so the harness fans them out over the
-//! shared [`pool`](crate::pool) — crossbeam scoped threads pulling job
+//! shared [`pool`](crate::pool) — std scoped threads pulling job
 //! indices off an atomic cursor, results returned in job order.
 
-use crate::checkpoint::{self, StableHasher, SweepCellOutcome, SweepCellRecord, SweepCheckpoint};
+use crate::checkpoint::{
+    self, StableHasher, SweepCellOutcome, SweepCellRecord, SweepCheckpoint, SINK_POISONED,
+};
 use crate::engine::{simulate_compiled_with_warmup, simulate_with_warmup};
 use crate::pool::{self, JobError, PoolOptions};
 use crate::stats::SimStats;
 use gc_policies::PolicyKind;
 use gc_types::{BlockMap, CompiledTrace, GcError, Trace};
-use parking_lot::Mutex;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// One cell of a sweep grid.
 #[derive(Clone, Debug)]
@@ -295,7 +297,7 @@ pub fn run_sweep_checked(
                 },
             },
         };
-        sink.lock().record(record);
+        sink.lock().expect(SINK_POISONED).record(record);
     };
     let opts = PoolOptions {
         cancel: None,
@@ -306,7 +308,7 @@ pub fn run_sweep_checked(
         run_cell(&jobs[pending[slot]], trace, map)
     });
 
-    let mut sink = sink.into_inner();
+    let mut sink = sink.into_inner().expect(SINK_POISONED);
     if cfg.checkpoint_path.is_some() {
         sink.flush();
     }

@@ -1,17 +1,20 @@
-//! Offline mini-`proptest` — a functional, deterministic subset.
+//! The workspace's property-test harness (dev-dependency only).
 //!
-//! Implements the surface this workspace uses: `proptest! { #[test] fn
+//! A deterministic subset of the `proptest` crate's surface, which is what
+//! the property files were written against: `proptest! { #[test] fn
 //! name(x in strategy, ...) { ... } }` with an optional
 //! `#![proptest_config(...)]` header, range strategies over integers,
 //! `prop::collection::vec`, `prop_map`, `Just`, `prop_oneof!`, and
-//! `prop_assert!`/`prop_assert_eq!`. Cases are generated from a fixed seed,
-//! so offline runs are deterministic; there is no shrinking — a failing
-//! case reports its inputs' case number only.
+//! `prop_assert!`/`prop_assert_eq!`. Cases are generated from a seed fixed
+//! per property, so every run tests the same cases. There is no shrinking:
+//! a failing case (a failed `prop_assert!` or a panic in the body) reports
+//! the property's seed, the case number and the generated inputs.
 
 use std::fmt;
 use std::ops::Range;
 
 /// Deterministic case-generation RNG (splitmix64).
+#[derive(Clone)]
 pub struct TestRng {
     state: u64,
 }
@@ -51,7 +54,35 @@ impl fmt::Display for TestCaseError {
     }
 }
 
-/// Stand-in for `proptest::test_runner::Config`.
+/// Turn one case's outcome into the test's: return on success, otherwise
+/// panic with everything needed to replay the case. `inputs` re-renders
+/// the generated arguments (the body consumed the originals).
+#[doc(hidden)]
+pub fn check_case(
+    property: &str,
+    seed: u64,
+    case: u32,
+    outcome: std::thread::Result<Result<(), TestCaseError>>,
+    inputs: impl FnOnce() -> String,
+) {
+    let why = match outcome {
+        Ok(Ok(())) => return,
+        Ok(Err(e)) => e.0,
+        Err(payload) => match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => match payload.downcast::<&str>() {
+                Ok(msg) => msg.to_string(),
+                Err(_) => "panicked".to_string(),
+            },
+        },
+    };
+    panic!(
+        "property {property} failed at case {case} (seed {seed:#x}): {why}\n  inputs: {}",
+        inputs()
+    );
+}
+
+/// Per-property settings.
 #[derive(Clone, Debug)]
 pub struct ProptestConfig {
     /// Number of generated cases per property.
@@ -67,7 +98,8 @@ impl ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        // Real proptest defaults to 256; 64 keeps offline runs brisk.
+        // Enough to cover the small input spaces used here while keeping
+        // the whole suite brisk.
         ProptestConfig { cases: 64 }
     }
 }
@@ -150,7 +182,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: Range<usize>,
@@ -173,19 +205,19 @@ pub mod collection {
     }
 }
 
-/// The common imports, mirroring `proptest::prelude`.
+/// The common imports.
 pub mod prelude {
     pub use crate::{
         prop_assert, prop_assert_eq, prop_oneof, proptest, Just, ProptestConfig, Strategy,
     };
 
-    /// Mirrors `proptest::prelude::prop`.
+    /// Namespace for `prop::collection::vec`.
     pub mod prop {
         pub use crate::collection;
     }
 }
 
-/// Property-test harness macro (deterministic, no shrinking).
+/// Define `#[test]` functions that run their body over generated cases.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -209,16 +241,21 @@ macro_rules! __proptest_impl {
         $(#[$meta])*
         fn $name() {
             let __cfg: $crate::ProptestConfig = $cfg;
-            let mut __rng = $crate::TestRng::new(0x5eed ^ stringify!($name).len() as u64);
+            let __seed = 0x5eed ^ stringify!($name).len() as u64;
+            let mut __rng = $crate::TestRng::new(__seed);
             for __case in 0..__cfg.cases {
+                let mut __replay = __rng.clone();
                 $(let $arg = $crate::Strategy::gen_value(&($strat), &mut __rng);)+
-                let __outcome = (|| -> ::std::result::Result<(), $crate::TestCaseError> {
-                    $body
-                    ::std::result::Result::Ok(())
-                })();
-                if let ::std::result::Result::Err(e) = __outcome {
-                    panic!("property {} failed at case {}: {}", stringify!($name), __case, e);
-                }
+                let __outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    || -> ::std::result::Result<(), $crate::TestCaseError> {
+                        $body
+                        ::std::result::Result::Ok(())
+                    },
+                ));
+                $crate::check_case(stringify!($name), __seed, __case, __outcome, || {
+                    $(let $arg = $crate::Strategy::gen_value(&($strat), &mut __replay);)+
+                    [$(format!("{} = {:?}", stringify!($arg), $arg)),+].join(", ")
+                });
             }
         }
         $crate::__proptest_impl!{ ($cfg) $($rest)* }
@@ -229,9 +266,8 @@ macro_rules! __proptest_impl {
 #[macro_export]
 macro_rules! prop_oneof {
     ($($strat:expr),+ $(,)?) => {{
-        let mut __v: ::std::vec::Vec<::std::boxed::Box<dyn $crate::Strategy<Value = _>>> =
-            ::std::vec::Vec::new();
-        $(__v.push(::std::boxed::Box::new($strat));)+
+        let __v: ::std::vec::Vec<::std::boxed::Box<dyn $crate::Strategy<Value = _>>> =
+            ::std::vec![$(::std::boxed::Box::new($strat)),+];
         $crate::Union(__v)
     }};
 }
@@ -272,4 +308,41 @@ macro_rules! prop_assert_eq {
             )));
         }
     }};
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn strategies_respect_their_bounds(
+            x in 3u64..9,
+            v in prop::collection::vec(0usize..4, 1..5),
+            pick in prop_oneof![Just(10u8), (20u8..22).prop_map(|b| b + 1)],
+        ) {
+            prop_assert!((3..9).contains(&x));
+            prop_assert!(!v.is_empty() && v.len() < 5 && v.iter().all(|&e| e < 4));
+            prop_assert!([10, 21, 22].contains(&pick), "pick = {}", pick);
+            prop_assert_eq!(x, x);
+        }
+
+        #[test]
+        #[should_panic(expected = "failed at case 0 (seed 0x5ec2): x < 3\n  inputs: x = 7, v = [")]
+        fn a_failed_assertion_reports_seed_case_and_inputs(
+            x in 7u64..8,
+            v in prop::collection::vec(0u8..2, 1..3),
+        ) {
+            let _moved = v;
+            prop_assert!(x < 3);
+        }
+
+        #[test]
+        #[should_panic(expected = "boom 7\n  inputs: x = 7")]
+        fn a_panicking_body_reports_its_inputs_too(x in 7u64..8) {
+            assert!(x < 3, "boom {x}");
+        }
+    }
 }

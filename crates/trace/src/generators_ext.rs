@@ -1,9 +1,8 @@
 //! Additional workload generators: memory-system access patterns that
 //! stress specific aspects of granularity-change caching.
 
+use gc_types::rng::StdRng;
 use gc_types::{FxHashMap, ItemId, Trace};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Strided accesses — the address pattern of a column-major walk over a
 /// row-major matrix. With `stride` a multiple of the block size, every
@@ -78,7 +77,7 @@ pub fn hotspot(num_items: u64, hot_fraction: f64, hot_weight: f64, len: usize, s
     ));
     t.reserve(len);
     for _ in 0..len {
-        let id = if rng.gen::<f64>() < hot_weight {
+        let id = if rng.gen_f64() < hot_weight {
             rng.gen_range(0..hot_items)
         } else {
             rng.gen_range(0..num_items)

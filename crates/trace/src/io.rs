@@ -2,8 +2,9 @@
 //!
 //! Two formats:
 //!
-//! * **JSON** — the full `(Trace, BlockMap)` pair via serde; lossless and
-//!   self-describing, used by the CLI's `--save`/`--load`.
+//! * **JSON** — the full `(Trace, BlockMap)` pair through `gc_types::json`;
+//!   lossless and self-describing, used by the CLI's `generate --out` and
+//!   `--trace <file>.json` (format: DESIGN.md, "JSON file formats").
 //! * **Plain text** — one item id per line, `#` comments; the least common
 //!   denominator for interoperating with other simulators.
 //!
@@ -15,14 +16,14 @@
 //! error budget so a thoroughly corrupt file aborts instead of silently
 //! yielding a near-empty trace.
 
+use gc_types::json::{FromJson, Json, ToJson};
 use gc_types::{BlockMap, GcError, ItemId, Trace};
-use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// A trace bundled with the block partition it was generated against.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TraceFile {
     /// The request trace.
     pub trace: Trace,
@@ -30,30 +31,28 @@ pub struct TraceFile {
     pub block_map: BlockMap,
 }
 
-/// Serialize a trace + map to pretty JSON.
+/// Serialize a trace + map to pretty JSON:
+/// `{"trace": <Trace>, "block_map": <BlockMap>}`.
 pub fn to_json(trace: &Trace, block_map: &BlockMap) -> String {
-    serde_json::to_string_pretty(&TraceFile {
-        trace: trace.clone(),
-        block_map: block_map.clone(),
-    })
-    .expect("trace serialization cannot fail")
+    Json::object([
+        ("trace", trace.to_json()),
+        ("block_map", block_map.to_json()),
+    ])
+    .to_string_pretty()
 }
 
 /// Parse a JSON trace file produced by [`to_json`].
 ///
-/// Errors preserve the deserializer's line/column position in a structured
-/// [`GcError::Parse`], so a hand-edited trace file that broke reports
-/// exactly where.
+/// Syntax and shape errors carry their line/column position in a
+/// structured [`GcError::Parse`], so a hand-edited trace file that broke
+/// reports exactly where; a partition that is well-formed JSON but not a
+/// partition (an item in two blocks, an empty block) is the model error
+/// [`BlockMap::from_groups`] reports.
 pub fn from_json(json: &str) -> Result<TraceFile, GcError> {
-    serde_json::from_str(json).map_err(|e| GcError::Parse {
-        line: e.line().max(1),
-        column: Some(e.column().max(1)),
-        byte_offset: None,
-        reason: gc_types::ParseReason::Json {
-            message: e.to_string(),
-        },
-    })
+    TraceFile::from_json(&Json::parse(json)?)
 }
+
+gc_types::json_record!(TraceFile { trace, block_map });
 
 /// Write a trace in plain-text format: a header comment, then one decimal
 /// item id per line.
@@ -332,20 +331,8 @@ impl Write for LazyFile {
 mod tests {
     use super::*;
 
-    /// The offline build stubs out serde_json (typecheck-only); JSON
-    /// round-trips are meaningless there and are skipped.
-    fn serde_json_is_functional() -> bool {
-        serde_json::to_string(&7u32)
-            .map(|s| s == "7")
-            .unwrap_or(false)
-    }
-
     #[test]
     fn json_roundtrip() {
-        if !serde_json_is_functional() {
-            eprintln!("skipping: serde_json stubbed out offline");
-            return;
-        }
         let t = Trace::from_ids([1, 2, 3]).named("demo");
         let m = BlockMap::strided(4);
         let json = to_json(&t, &m);
@@ -355,19 +342,88 @@ mod tests {
     }
 
     #[test]
-    fn json_rejects_garbage() {
-        assert!(from_json("{not json").is_err());
+    fn json_ids_are_exact_and_explicit_maps_survive() {
+        let t = Trace::from_ids([u64::MAX, 0, (1 << 53) + 1]);
+        let m = BlockMap::from_groups(vec![
+            vec![ItemId(u64::MAX), ItemId(0)],
+            vec![ItemId((1 << 53) + 1)],
+        ])
+        .unwrap();
+        let back = from_json(&to_json(&t, &m)).unwrap();
+        assert_eq!(back.trace, t);
+        assert_eq!(back.block_map.block_of(ItemId(u64::MAX)).0, 0);
+        assert_eq!(back.block_map.block_of(ItemId((1 << 53) + 1)).0, 1);
+        assert_eq!(back.block_map.max_block_size(), 2);
     }
 
+    /// Files nobody should have written: each is refused with the error
+    /// — and, for parse errors, the 1-based line and column — a person
+    /// fixing the file needs.
     #[test]
-    fn json_errors_carry_position() {
-        let err = from_json("{not json").unwrap_err();
-        match err {
-            GcError::Parse { line, column, .. } => {
-                assert!(line >= 1);
-                assert!(column.unwrap_or(1) >= 1);
-            }
-            other => panic!("expected structured Parse, got {other}"),
+    fn hostile_json_files_are_refused_with_a_location() {
+        let good_trace = "{\"name\": \"t\", \"requests\": [1, 2]}";
+        let file = |trace: &str, map: &str| {
+            format!("{{\n  \"trace\": {trace},\n  \"block_map\": {map}\n}}")
+        };
+        let depth_bomb = "[".repeat(10_000);
+        let at = |line, column, message: &str| GcError::Parse {
+            line,
+            column: Some(column),
+            byte_offset: None,
+            reason: gc_types::ParseReason::Json {
+                message: message.to_string(),
+            },
+        };
+        let cases = [
+            (
+                file(good_trace, "{\"groups\": [[1, 2], [3, 1]]}"),
+                GcError::DuplicateItem { item: ItemId(1) },
+            ),
+            (
+                file(good_trace, "{\"groups\": [[1], []]}"),
+                GcError::EmptyBlock { block: 1 },
+            ),
+            (
+                file(good_trace, "{\"strided\": 0}"),
+                at(3, 28, "block size must be positive"),
+            ),
+            (
+                file(good_trace, "{\"strided\": 4}")[..30].to_string(),
+                at(2, 29, "unexpected end of input"),
+            ),
+            (
+                file(good_trace, "{\"strided\": 4}") + "\ngarbage",
+                at(5, 1, "trailing characters after the document"),
+            ),
+            (
+                file(
+                    "{\"name\": \"t\", \"requests\": [1], \"extra\": true}",
+                    "{\"strided\": 4}",
+                ),
+                at(2, 52, "unknown field `extra`"),
+            ),
+            (
+                file(
+                    "{\"name\": \"t\", \"requests\": [1, -2]}",
+                    "{\"strided\": 4}",
+                ),
+                at(2, 42, "expected a non-negative integer"),
+            ),
+            (
+                file("{\"name\": 7, \"requests\": []}", "{\"strided\": 4}"),
+                at(2, 21, "expected a string"),
+            ),
+            (
+                file(good_trace, &depth_bomb),
+                at(3, 79, "nesting deeper than 64 levels"),
+            ),
+            (
+                "{\"trace\": ".to_string() + good_trace + "}",
+                at(1, 1, "missing field `block_map`"),
+            ),
+        ];
+        for (doc, expected) in cases {
+            assert_eq!(from_json(&doc).expect_err(&doc), expected, "{doc}");
         }
     }
 

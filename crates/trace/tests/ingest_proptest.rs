@@ -4,7 +4,7 @@
 
 use gc_trace::io::{read_text, read_text_with, write_text, IngestOptions, IngestPolicy};
 use gc_types::Trace;
-use proptest::prelude::*;
+use testkit::prelude::*;
 
 /// A palette of lines that can never parse as an item id (non-blank,
 /// non-comment, not a valid `u64`).

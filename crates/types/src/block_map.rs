@@ -19,8 +19,8 @@
 //! remembers the original ids ([`DenseUniverse::decode_item`]) so reports
 //! stay in the caller's key space.
 
+use crate::json::{FromJson, Json, ToJson};
 use crate::{BlockId, FxHashMap, GcError, ItemId};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -37,12 +37,12 @@ use std::sync::Arc;
 /// assert_eq!(map.items_of(BlockId(2)).count(), 8);
 /// assert!(map.same_block(ItemId(16), ItemId(23)));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BlockMap {
     repr: Repr,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 enum Repr {
     /// Item `i` → block `i / block_size`.
     Strided { block_size: u64 },
@@ -52,7 +52,7 @@ enum Repr {
     Dense(Arc<DenseMap>),
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct Explicit {
     item_to_block: FxHashMap<ItemId, BlockId>,
     blocks: Vec<Vec<ItemId>>,
@@ -66,7 +66,7 @@ struct Explicit {
 /// either strided (every block is a full, contiguous `B`-run of dense ids —
 /// always the case when the source map was strided) or a CSR table for
 /// ragged explicit groupings.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DenseMap {
     layout: DenseLayout,
     decode: Arc<Vec<u64>>,
@@ -74,7 +74,7 @@ pub struct DenseMap {
     max_block_size: usize,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 enum DenseLayout {
     /// Dense item `i` → dense block `i / block_size`.
     Strided { block_size: u64 },
@@ -380,6 +380,40 @@ impl BlockMap {
     }
 }
 
+/// `{"strided": <B>}` or `{"groups": [[<item id>, ...], ...]}`. A
+/// compiled (dense) map is written as the partition of its dense ids; the
+/// decode tables are derived data and are not persisted.
+impl ToJson for BlockMap {
+    fn to_json(&self) -> Json {
+        if let Some(stride) = self.stride() {
+            return Json::object([("strided", stride.to_json())]);
+        }
+        let n_blocks = self.num_blocks().expect("only strided maps are unbounded");
+        let groups: Vec<Vec<ItemId>> = (0..n_blocks as u64)
+            .map(|b| self.items_of(BlockId(b)).collect())
+            .collect();
+        Json::object([("groups", groups.to_json())])
+    }
+}
+
+/// Rebuilds the map through [`BlockMap::strided`] / [`BlockMap::from_groups`],
+/// so a file is validated, not trusted: a zero stride, an empty group or an
+/// item listed in two blocks is an error.
+impl FromJson for BlockMap {
+    fn from_json(v: &Json) -> Result<BlockMap, GcError> {
+        match v.variant()? {
+            ("strided", b) => match usize::from_json(b)? {
+                0 => Err(b.error("block size must be positive")),
+                block_size => Ok(BlockMap::strided(block_size)),
+            },
+            ("groups", groups) => BlockMap::from_groups(Vec::from_json(groups)?),
+            (other, payload) => Err(payload.error(format!(
+                "unknown block map kind `{other}` (expected `strided` or `groups`)"
+            ))),
+        }
+    }
+}
+
 /// Iterator over the items of one block. See [`BlockMap::items_of`].
 #[derive(Clone, Debug)]
 pub enum BlockItems<'a> {
@@ -503,29 +537,27 @@ mod tests {
         assert_eq!(m2.block_of(ItemId(2)), BlockId(0));
     }
 
+    fn roundtrip(m: &BlockMap) -> (String, BlockMap) {
+        let json = m.to_json().to_string();
+        let back = BlockMap::from_json(&Json::parse(&json).unwrap()).unwrap();
+        (json, back)
+    }
+
     #[test]
-    fn serde_roundtrip_strided() {
-        if !crate::error::serde_json_is_functional() {
-            eprintln!("skipping: serde_json stubbed out offline");
-            return;
-        }
-        let m = BlockMap::strided(8);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: BlockMap = serde_json::from_str(&json).unwrap();
+    fn json_roundtrip_strided() {
+        let (json, back) = roundtrip(&BlockMap::strided(8));
+        assert_eq!(json, "{\"strided\":8}");
         assert_eq!(back.block_of(ItemId(9)), BlockId(1));
         assert_eq!(back.max_block_size(), 8);
     }
 
     #[test]
-    fn serde_roundtrip_explicit() {
-        if !crate::error::serde_json_is_functional() {
-            eprintln!("skipping: serde_json stubbed out offline");
-            return;
-        }
+    fn json_roundtrip_explicit() {
         let m = BlockMap::from_groups(vec![vec![ItemId(5), ItemId(6)], vec![ItemId(7)]]).unwrap();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: BlockMap = serde_json::from_str(&json).unwrap();
+        let (json, back) = roundtrip(&m);
+        assert_eq!(json, "{\"groups\":[[5,6],[7]]}");
         assert_eq!(back.block_of(ItemId(6)), BlockId(0));
         assert_eq!(back.block_of(ItemId(7)), BlockId(1));
+        assert_eq!(back.max_block_size(), 2);
     }
 }

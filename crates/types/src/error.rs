@@ -128,9 +128,10 @@ pub enum ParseReason {
         /// The integer-parse failure.
         source: std::num::ParseIntError,
     },
-    /// Malformed JSON; the message comes from the deserializer.
+    /// Malformed JSON, or well-formed JSON of the wrong shape; the message
+    /// comes from [`crate::json`].
     Json {
-        /// Rendered deserializer message.
+        /// What the reader or decoder objected to.
         message: String,
     },
     /// Any other malformed record.
@@ -250,17 +251,6 @@ impl std::error::Error for GcError {
             _ => None,
         }
     }
-}
-
-/// `true` when `serde_json` actually serializes (i.e. this is not the
-/// typecheck-only offline stub, which renders everything as `"null"`).
-/// Tests that need real JSON round-trips gate on this so the offline
-/// build stays green.
-#[cfg(test)]
-pub(crate) fn serde_json_is_functional() -> bool {
-    serde_json::to_string(&7u32)
-        .map(|s| s == "7")
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -5,22 +5,21 @@
 //! below, e.g. a 4 KB page). Mixing the two up is the classic bug in
 //! granularity-change code, so both get a newtype.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{FromJson, Json, ToJson};
+use crate::GcError;
 use std::fmt;
 
 /// Identifier of a single cacheable item (the small granularity).
 ///
 /// Items have unit size and are the unit of caching and eviction.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ItemId(pub u64);
 
 /// Identifier of a block (the large granularity of the level below).
 ///
 /// A block groups up to `B` items; on a miss, any subset of the missing
 /// item's block may be loaded for a single unit of cost.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockId(pub u64);
 
 impl ItemId {
@@ -62,6 +61,20 @@ impl From<u64> for BlockId {
     #[inline]
     fn from(v: u64) -> Self {
         BlockId(v)
+    }
+}
+
+/// Item ids are written as bare integers. (Block ids appear in no file:
+/// a block is its position in a `BlockMap`'s group list.)
+impl ToJson for ItemId {
+    fn to_json(&self) -> Json {
+        self.0.to_json()
+    }
+}
+
+impl FromJson for ItemId {
+    fn from_json(v: &Json) -> Result<ItemId, GcError> {
+        u64::from_json(v).map(ItemId)
     }
 }
 

@@ -18,10 +18,15 @@
 //! * [`RuntimeStats`] / [`LatencyHistogram`] — the serving runtime's
 //!   stats shape: the simulator counters plus fetch-path telemetry
 //!   (single-flight coalescing, admitted-vs-fetched, latency buckets),
-//! * [`fxmap`] — a fast, dependency-free hash map for dense integer keys.
+//! * [`fxmap`] — a fast, dependency-free hash map for dense integer keys,
+//! * [`json`] — the JSON value, reader and writer behind trace files and
+//!   checkpoints; [`ItemId`], [`Trace`] and [`BlockMap`] implement its
+//!   [`ToJson`](json::ToJson)/[`FromJson`](json::FromJson),
+//! * [`rng`] — the seeded splitmix64 generator every trace and randomized
+//!   policy draws from.
 //!
 //! Everything heavier (policies, simulation, bounds) lives in downstream
-//! crates; this crate has no dependencies beyond `serde`.
+//! crates; this crate has no dependencies.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,7 +36,9 @@ pub mod compiled;
 pub mod error;
 pub mod fxmap;
 pub mod id;
+pub mod json;
 pub mod outcome;
+pub mod rng;
 pub mod runtime_stats;
 pub mod trace;
 

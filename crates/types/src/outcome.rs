@@ -1,7 +1,6 @@
 //! Per-access outcome vocabulary shared by policies and the simulator.
 
 use crate::ItemId;
-use serde::{Deserialize, Serialize};
 
 /// How a cache hit was earned (§2 of the paper).
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 ///   on a *different* item of the same block co-loaded it. Only the first
 ///   such hit is spatial; once an item has been requested, later hits to it
 ///   are temporal (it "would have been brought in anyway").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum HitKind {
     /// Hit earned by temporal locality.
     Temporal,
@@ -26,7 +25,7 @@ pub enum HitKind {
 /// miss goes into a caller-owned [`AccessScratch`] instead of freshly
 /// allocated `Vec`s, so the hot loop of the simulator performs no heap
 /// allocation per request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// The requested item was resident.
     Hit,
@@ -107,10 +106,10 @@ impl AccessScratch {
 /// model forbids loading a subset that excludes it) and which resident
 /// items it evicted to make room.
 ///
-/// This owned form is the convenience/serialization vocabulary; the
+/// This owned form is the convenience vocabulary; the
 /// simulator's hot path uses [`AccessKind`] + [`AccessScratch`] instead to
 /// avoid the two `Vec` allocations per miss.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AccessResult {
     /// The requested item was resident.
     Hit,

@@ -6,13 +6,11 @@
 //! counters **plus** fetch-path telemetry (how many backend loads actually
 //! happened, how many misses coalesced onto an in-flight load, how many
 //! items the backend returned vs how many the policy admitted) and a fetch
-//! latency histogram. This module is that shape — plain serializable data,
+//! latency histogram. This module is that shape — plain data,
 //! no atomics; the runtime keeps concurrent accumulators internally and
 //! snapshots into these types.
 //!
 //! [`SimStats`]: https://docs.rs/gc-sim
-
-use serde::{Deserialize, Serialize};
 
 /// Number of power-of-two latency buckets: bucket `i` counts samples in
 /// `[2^(i-1), 2^i)` nanoseconds (bucket 0 is `[0, 1)`). 64 buckets cover
@@ -27,7 +25,7 @@ pub const LATENCY_BUCKETS: usize = 64;
 /// bucket `64 - n.leading_zeros()`. Quantiles are answered at bucket
 /// resolution (the upper bound of the containing bucket), which is the
 /// usual accuracy trade for lock-free fixed-footprint histograms.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// Per-bucket sample counts; always [`LATENCY_BUCKETS`] entries.
     buckets: Vec<u64>,
@@ -151,7 +149,7 @@ impl LatencyHistogram {
 /// tier over a disk store, say). One entry per tier, in tier order
 /// (fastest first); `fetches` counts loads *served* by the tier, so a
 /// tiered backend's entries sum to its total backend loads.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Human-readable tier label (e.g. `"mem"`, `"disk"`).
     pub label: String,
@@ -180,7 +178,7 @@ impl TierStats {
 /// exactly that): `admitted_items` corresponds to the simulator's
 /// `items_loaded` — the items the policy *chose to admit*, which under the
 /// GC model may be any subset of what the backend fetched.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Requests served.
     pub accesses: u64,
@@ -214,15 +212,12 @@ pub struct RuntimeStats {
     /// hit nor paid a full fetch, it waited. A subset of
     /// `coalesced_fetches` (same-batch dedup rides along with zero wait
     /// and is not delayed).
-    #[serde(default)]
     pub delayed_hits: u64,
     /// How long delayed hits waited on the in-flight fetch.
-    #[serde(default)]
     pub waiter_wait: LatencyHistogram,
     /// Per-tier fetch telemetry, present when the backend is tiered.
     /// Attached to aggregate snapshots only (tiers are a backend-wide
     /// resource, not a per-shard one).
-    #[serde(default)]
     pub tiers: Vec<TierStats>,
 }
 
@@ -448,19 +443,5 @@ mod tests {
         assert_eq!(a.accesses, 15);
         assert_eq!(a.misses, 5);
         assert_eq!(a.peak_len, 16);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        if !crate::error::serde_json_is_functional() {
-            eprintln!("skipping: serde_json stubbed out offline");
-            return;
-        }
-        let mut s = RuntimeStats::default();
-        s.fetch_latency.record(1234);
-        s.accesses = 7;
-        let json = serde_json::to_string(&s).unwrap();
-        let back: RuntimeStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -5,10 +5,9 @@
 //! generation lives in `gc-trace`, execution in `gc-sim`.
 
 use crate::{BlockMap, FxHashSet, ItemId};
-use serde::{Deserialize, Serialize};
 
 /// A finite sequence of item requests.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Optional label, used in reports and file headers.
     pub name: String,
@@ -101,6 +100,9 @@ impl Trace {
     }
 }
 
+// `{"name": <string>, "requests": [<item id>, ...]}`.
+crate::json_record!(Trace { name, requests });
+
 impl FromIterator<ItemId> for Trace {
     fn from_iter<T: IntoIterator<Item = ItemId>>(iter: T) -> Self {
         Trace::from_requests(iter.into_iter().collect())
@@ -167,15 +169,15 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        if !crate::error::serde_json_is_functional() {
-            eprintln!("skipping: serde_json stubbed out offline");
-            return;
-        }
-        let t = Trace::from_ids([1, 2, 3]).named("x");
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
+    fn json_roundtrip() {
+        use crate::json::{FromJson, Json, ToJson};
+        let t = Trace::from_ids([1, 2, u64::MAX]).named("x");
+        let json = t.to_json().to_string();
+        assert_eq!(
+            json,
+            "{\"name\":\"x\",\"requests\":[1,2,18446744073709551615]}"
+        );
+        assert_eq!(Trace::from_json(&Json::parse(&json).unwrap()).unwrap(), t);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! | rule          | scope                         | requirement |
 //! |---------------|-------------------------------|-------------|
-//! | `sync-import` | `gc-runtime` non-test sources | no direct `std::sync` / `parking_lot` — all synchronization goes through `crate::sync`, so the `loom` feature swaps every primitive at once |
+//! | `sync-import` | `gc-runtime` non-test sources | no direct `std::sync` — all synchronization goes through `crate::sync`, so the `loom` feature swaps every primitive at once |
 //! | `panic`       | `gc-runtime` non-test sources | no `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` without a `// lint: allow(panic): <why>` waiver |
 //! | `hot-alloc`   | `// lint: hot-path` functions | no allocation-prone calls (`Vec::new`, `format!`, `.clone()`, …) without a `// lint: allow(alloc): <why>` waiver |
 //! | `hot-instant` | `// lint: hot-path` functions | no `Instant::now` (timestamps belong outside shard critical sections) |
@@ -166,21 +166,18 @@ pub fn lint_file(path: &Path, src: &str, kind: FileKind) -> Vec<Diagnostic> {
     }
 
     if kind == FileKind::RuntimeSrc {
-        for token in ["std::sync", "parking_lot"] {
-            for line in masked.lines_with_token(token) {
-                if test_lines.contains(&line) {
-                    continue;
-                }
-                out.push(diag(
-                    line,
-                    "sync-import",
-                    format!(
-                        "direct `{token}` use in gc-runtime; import through \
-                         `crate::sync` so the `loom` feature can swap every \
-                         primitive at once"
-                    ),
-                ));
+        for line in masked.lines_with_token("std::sync") {
+            if test_lines.contains(&line) {
+                continue;
             }
+            out.push(diag(
+                line,
+                "sync-import",
+                "direct `std::sync` use in gc-runtime; import through \
+                 `crate::sync` so the `loom` feature can swap every \
+                 primitive at once"
+                    .to_string(),
+            ));
         }
     }
 
@@ -315,7 +312,7 @@ mod tests {
 
     #[test]
     fn flags_direct_sync_imports_outside_facade() {
-        let src = "use std::sync::Arc;\nuse parking_lot::Mutex;\n";
+        let src = "use std::sync::Arc;\nuse std::sync::Mutex;\n";
         let d = lint(src, FileKind::RuntimeSrc);
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].rule, "sync-import");

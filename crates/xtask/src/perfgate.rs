@@ -23,11 +23,9 @@
 //! geomean immediately. Per-row ratios are still printed so a localized
 //! regression is visible in the log even when the gate passes.
 //!
-//! This module deliberately avoids a JSON dependency (`xtask` is
-//! dependency-free so the lint/gate toolchain builds everywhere): a
-//! minimal recursive-descent parser below understands exactly the JSON
-//! subset `perf_report` emits.
+//! Reports are read with the workspace's one JSON layer, `gc_types::json`.
 
+use gc_types::json::Json;
 use std::collections::BTreeMap;
 
 /// One `(trace, policy)` cell extracted from a `perf_report` JSON file.
@@ -76,7 +74,7 @@ impl GateReport {
 
 /// Parses the `results` rows out of a `perf_report` JSON document.
 pub fn parse_rows(json: &str) -> Result<Vec<PerfRow>, String> {
-    let value = Json::parse(json)?;
+    let value = Json::parse(json).map_err(|e| e.to_string())?;
     let results = value
         .get("results")
         .and_then(Json::as_array)
@@ -154,242 +152,6 @@ pub fn compare(baseline: &str, fresh: &str, tolerance: f64) -> Result<GateReport
         geomean,
         tolerance,
     })
-}
-
-/// Minimal JSON value for the subset `perf_report` emits.
-///
-/// Numbers are kept as `f64` (every number in the reports is a count or a
-/// rate; all are exactly representable or only read approximately).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("expected `{word}` at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at offset {}",
-                other.map(|b| b as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("truncated escape at offset {}", self.pos))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        // Report strings are trace/policy labels; exotic
-                        // escapes (\b, \f, \uXXXX) never appear in them.
-                        other => {
-                            return Err(format!(
-                                "unsupported escape `\\{}` at offset {}",
-                                other as char, self.pos
-                            ))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through byte by byte; the
-                    // input slice is a &str so the bytes are valid UTF-8.
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| format!("invalid UTF-8 in string: {e}"))?,
-                    );
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| format!("invalid number bytes: {e}"))?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|e| format!("bad number `{text}` at offset {start}: {e}"))
-    }
 }
 
 #[cfg(test)]
@@ -489,24 +251,5 @@ mod tests {
         let base = report(&[("mixed", "item-lru", 1e7), ("scan", "item-lru", 2e7)]);
         let fresh = report(&[("mixed", "item-lru", 1e7)]);
         assert!(compare(&base, &fresh, 0.15).is_err());
-    }
-
-    #[test]
-    fn parser_handles_nesting_escapes_and_numbers() {
-        let v = Json::parse(
-            "{\"a\": [1, -2.5, 1e3], \"b\": {\"c\": \"x\\\"y\\n\"}, \
-             \"d\": true, \"e\": null}",
-        )
-        .unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(
-            v.get("a").unwrap().as_array().unwrap()[2].as_f64(),
-            Some(1e3)
-        );
-        assert_eq!(
-            v.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\"y\n")
-        );
-        assert!(Json::parse("{\"a\": 1} trailing").is_err());
     }
 }

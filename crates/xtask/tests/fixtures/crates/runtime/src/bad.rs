@@ -1,5 +1,5 @@
 use std::sync::Arc;
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 fn risky(x: Option<u8>) -> u8 {
     x.unwrap()
