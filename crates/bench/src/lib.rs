@@ -2,14 +2,14 @@
 //!
 //! The binaries in `src/bin/` regenerate each of the paper's evaluation
 //! artifacts (Tables 1–2, Figures 3 and 6) plus the empirical validations
-//! the brief announcement leaves implicit; `perf_report`, `serve_report`
-//! and `mrc_report` measure the simulator, runtime and policies themselves.
+//! the brief announcement leaves implicit, and `faultsim` drives the
+//! fault-injection scenarios. Speed is measured elsewhere: `gcbench`
+//! (`crates/benchmark`) is the repository's one benchmark.
 
 use gc_cache::gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
 use gc_cache::prelude::*;
 
 pub mod faultsim;
-pub mod measure;
 
 /// The paper's illustrative parameters (Figure 3 / Figure 6 captions).
 pub const PAPER_K: usize = 1_280_000;

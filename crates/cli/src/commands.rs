@@ -6,8 +6,8 @@ use gc_cache::gc_bounds::iblp_optimal_split;
 use gc_cache::gc_bounds::table1;
 use gc_cache::gc_locality::table2;
 use gc_cache::gc_offline::gc_belady_heuristic;
-use gc_cache::gc_sim::compare::{compare_policies, render_table};
-use gc_cache::gc_sim::sweep::{run_sweep, to_csv, SweepJob};
+use gc_cache::gc_sim::compare::{render_table, ComparisonRow};
+use gc_cache::gc_sim::sweep::{run_sweep, run_sweep_compiled, to_csv, SweepJob};
 use gc_cache::gc_trace::adversary;
 use gc_cache::gc_trace::synthetic::{block_runs, BlockRunConfig};
 use gc_cache::gc_trace::WorkingSetProfile;
@@ -28,7 +28,7 @@ COMMANDS:
   sweep      compare the standard policy roster across capacities
              --capacities a,b,c [workload flags as above] [--csv]
              [--compile] replay through the dense-ID compiled engine
-             (CSV output; bit-identical results, much faster)
+             (bit-identical results)
              fault isolation: [--checkpoint <path> --checkpoint-every N]
              [--resume <path>] [--on-error fail|skip]; any of these
              switches to checked CSV output, isolating panicking cells
@@ -89,7 +89,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         print!("{HELP}");
         return Ok(());
     };
-    let args = Args::parse(rest)?;
+    let args = Args::parse(cmd, rest)?;
     match cmd.as_str() {
         "simulate" => simulate_cmd(&args),
         "sweep" => sweep_cmd(&args),
@@ -106,6 +106,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "generate" => generate_cmd(&args),
         "stats" => stats_cmd(&args),
         "help" | "--help" | "-h" => {
+            args.finish()?;
             print!("{HELP}");
             Ok(())
         }
@@ -120,107 +121,151 @@ struct Workload {
     block_size: usize,
 }
 
-/// Build the workload selected by `--workload` (default `block-runs`):
-/// `block-runs | scan | zipf | chase | walk | hotspot | strided` — or load
-/// a previously generated trace file via `--load <path>`.
-///
-/// Text traces are ingested streaming (bounded memory) under the
-/// `--on-error fail|skip|quarantine` policy; quarantined lines go to
-/// `--quarantine <path>` (default `<load>.quarantine`) and ingest aborts
-/// once more than `--error-budget` lines are malformed.
-fn workload(args: &Args) -> Result<Workload, String> {
-    // `serve` documents the file flag as --trace; it is an alias of --load.
-    if let Some(path) = args.get_str("load").or_else(|| args.get_str("trace")) {
-        if path.ends_with(".json") {
-            let raw = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let file = gc_cache::gc_trace::io::from_json(&raw).map_err(|e| e.to_string())?;
-            let block_size = file.block_map.max_block_size();
+/// Every workload flag, read before any of them is acted on, so a
+/// subcommand can call [`Args::finish`] ahead of generating a trace or
+/// opening a file. A flag only some workloads use is accepted with all of
+/// them.
+struct WorkloadSpec {
+    load: Option<String>,
+    on_error: Option<String>,
+    quarantine: Option<String>,
+    error_budget: usize,
+    kind: String,
+    block_size: usize,
+    len: usize,
+    seed: u64,
+    items: u64,
+    blocks: u64,
+    theta: Option<f64>,
+    spatial: f64,
+    step: u64,
+    hot_fraction: f64,
+    hot_weight: f64,
+    stride: Option<u64>,
+}
+
+impl WorkloadSpec {
+    fn from_args(args: &Args) -> Result<WorkloadSpec, String> {
+        Ok(WorkloadSpec {
+            // `serve` documents the file flag as --trace; it is an alias
+            // of --load.
+            load: args
+                .get_str("load")
+                .or(args.get_str("trace"))
+                .map(String::from),
+            on_error: args.get_str("on-error").map(String::from),
+            quarantine: args.get_str("quarantine").map(String::from),
+            error_budget: args.get_or("error-budget", 1000usize)?,
+            kind: args.get_str("workload").unwrap_or("block-runs").to_string(),
+            block_size: args.get_or("block-size", 16usize)?,
+            len: args.get_or("len", 200_000usize)?,
+            seed: args.get_or("seed", 42u64)?,
+            items: args.get_or("items", 16_384u64)?,
+            blocks: args.get_or("blocks", 1024u64)?,
+            theta: args.get("theta")?,
+            spatial: args.get_or("spatial", 0.5f64)?,
+            step: args.get_or("step", 4u64)?,
+            hot_fraction: args.get_or("hot-fraction", 0.01f64)?,
+            hot_weight: args.get_or("hot-weight", 0.9f64)?,
+            stride: args.get("stride")?,
+        })
+    }
+
+    /// Build the workload selected by `--workload` (default `block-runs`):
+    /// `block-runs | scan | zipf | chase | walk | hotspot | strided` — or
+    /// load a previously generated trace file via `--load <path>`.
+    ///
+    /// Text traces are ingested streaming (bounded memory) under the
+    /// `--on-error fail|skip|quarantine` policy; quarantined lines go to
+    /// `--quarantine <path>` (default `<load>.quarantine`) and ingest
+    /// aborts once more than `--error-budget` lines are malformed.
+    fn build(&self) -> Result<Workload, String> {
+        use gc_cache::gc_trace::{generators_ext, synthetic};
+        let (block_size, len, seed, items) = (self.block_size, self.len, self.seed, self.items);
+        if let Some(path) = self.load.as_deref() {
+            if path.ends_with(".json") {
+                let raw = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                let file = gc_cache::gc_trace::io::from_json(&raw).map_err(|e| e.to_string())?;
+                let block_size = file.block_map.max_block_size();
+                return Ok(Workload {
+                    trace: file.trace,
+                    map: file.block_map,
+                    block_size,
+                });
+            }
+            use gc_cache::gc_trace::io::{read_text_with, IngestOptions, IngestPolicy, LazyFile};
+            let policy: IngestPolicy = self
+                .on_error
+                .as_deref()
+                .unwrap_or("fail")
+                .parse()
+                .map_err(|e: GcError| e.to_string())?;
+            let default_sidecar = format!("{path}.quarantine");
+            let mut sidecar = LazyFile::new(self.quarantine.as_deref().unwrap_or(&default_sidecar));
+            let mut opts = IngestOptions {
+                policy,
+                quarantine: (policy == IngestPolicy::Quarantine)
+                    .then_some(&mut sidecar as &mut dyn std::io::Write),
+                error_budget: self.error_budget,
+            };
+            let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+            let (trace, stats) =
+                read_text_with(file, &mut opts).map_err(|e| format!("{path}: {e}"))?;
+            eprintln!("# ingest {path}: {stats}");
+            if sidecar.created() {
+                eprintln!(
+                    "# quarantined lines written to {}",
+                    sidecar.path().display()
+                );
+            }
             return Ok(Workload {
-                trace: file.trace,
-                map: file.block_map,
+                trace,
+                map: BlockMap::strided(block_size),
                 block_size,
             });
         }
-        use gc_cache::gc_trace::io::{read_text_with, IngestOptions, IngestPolicy, LazyFile};
-        let policy: IngestPolicy = args
-            .get_str("on-error")
-            .unwrap_or("fail")
-            .parse()
-            .map_err(|e: GcError| e.to_string())?;
-        let default_sidecar = format!("{path}.quarantine");
-        let mut sidecar = LazyFile::new(args.get_str("quarantine").unwrap_or(&default_sidecar));
-        let mut opts = IngestOptions {
-            policy,
-            quarantine: (policy == IngestPolicy::Quarantine)
-                .then_some(&mut sidecar as &mut dyn std::io::Write),
-            error_budget: args.get_or("error-budget", 1000usize)?,
+        let trace = match self.kind.as_str() {
+            "block-runs" => {
+                let cfg = BlockRunConfig {
+                    num_blocks: self.blocks,
+                    block_size,
+                    block_theta: self.theta.unwrap_or(0.8),
+                    spatial_locality: self.spatial,
+                    len,
+                    seed,
+                };
+                if !(0.0..=1.0).contains(&cfg.spatial_locality) {
+                    return Err("--spatial must be in [0,1]".into());
+                }
+                block_runs(&cfg)
+            }
+            "scan" => synthetic::scan(items, len),
+            "zipf" => synthetic::zipfian(items, self.theta.unwrap_or(0.9), len, seed),
+            "chase" => generators_ext::pointer_chase(items, len, seed),
+            "walk" => generators_ext::random_walk(items, self.step, len, seed),
+            "hotspot" => {
+                generators_ext::hotspot(items, self.hot_fraction, self.hot_weight, len, seed)
+            }
+            "strided" => {
+                generators_ext::strided(items, self.stride.unwrap_or(block_size as u64), len)
+            }
+            other => return Err(format!("unknown workload {other:?}")),
         };
-        let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        let (trace, stats) = read_text_with(file, &mut opts).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("# ingest {path}: {stats}");
-        if sidecar.created() {
-            eprintln!(
-                "# quarantined lines written to {}",
-                sidecar.path().display()
-            );
-        }
-        let block_size: usize = args.get_or("block-size", 16usize)?;
-        return Ok(Workload {
+        Ok(Workload {
             trace,
             map: BlockMap::strided(block_size),
             block_size,
-        });
+        })
     }
-    let block_size: usize = args.get_or("block-size", 16usize)?;
-    let len: usize = args.get_or("len", 200_000usize)?;
-    let seed: u64 = args.get_or("seed", 42u64)?;
-    let items: u64 = args.get_or("items", 16_384u64)?;
-    let map = BlockMap::strided(block_size);
-    let trace = match args.get_str("workload").unwrap_or("block-runs") {
-        "block-runs" => {
-            let cfg = BlockRunConfig {
-                num_blocks: args.get_or("blocks", 1024u64)?,
-                block_size,
-                block_theta: args.get_or("theta", 0.8f64)?,
-                spatial_locality: args.get_or("spatial", 0.5f64)?,
-                len,
-                seed,
-            };
-            if !(0.0..=1.0).contains(&cfg.spatial_locality) {
-                return Err("--spatial must be in [0,1]".into());
-            }
-            block_runs(&cfg)
-        }
-        "scan" => gc_cache::gc_trace::synthetic::scan(items, len),
-        "zipf" => {
-            gc_cache::gc_trace::synthetic::zipfian(items, args.get_or("theta", 0.9f64)?, len, seed)
-        }
-        "chase" => gc_cache::gc_trace::generators_ext::pointer_chase(items, len, seed),
-        "walk" => gc_cache::gc_trace::generators_ext::random_walk(
-            items,
-            args.get_or("step", 4u64)?,
-            len,
-            seed,
-        ),
-        "hotspot" => gc_cache::gc_trace::generators_ext::hotspot(
-            items,
-            args.get_or("hot-fraction", 0.01f64)?,
-            args.get_or("hot-weight", 0.9f64)?,
-            len,
-            seed,
-        ),
-        "strided" => gc_cache::gc_trace::generators_ext::strided(
-            items,
-            args.get_or("stride", block_size as u64)?,
-            len,
-        ),
-        other => return Err(format!("unknown workload {other:?}")),
-    };
-    Ok(Workload {
-        trace,
-        map,
-        block_size,
-    })
+}
+
+/// The workload the flags select. Reads the workload flags and then
+/// refuses whatever the subcommand has not read ([`Args::finish`]) before
+/// anything is generated or opened — so call it after every other flag.
+fn workload(args: &Args) -> Result<Workload, String> {
+    let spec = WorkloadSpec::from_args(args)?;
+    args.finish()?;
+    spec.build()
 }
 
 /// `--capacity`, refused when zero: every policy constructor asserts a
@@ -237,9 +282,10 @@ fn simulate_cmd(args: &Args) -> Result<(), String> {
     let kind = PolicyKind::parse(label).map_err(|e| e.to_string())?;
     let capacity = positive_capacity(args)?;
     let warmup: usize = args.get_or("warmup", 0usize)?;
+    let compile = args.switch("compile");
     let Workload { trace, map, .. } = workload(args)?;
 
-    let (policy_name, stats) = if args.switch("compile") {
+    let (policy_name, stats) = if compile {
         let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
         let mut policy = kind.build(capacity, compiled.map());
         let stats = gc_cache::gc_sim::simulate_compiled_with_warmup(&mut policy, &compiled, warmup);
@@ -363,8 +409,9 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         }
     };
 
-    let Workload { trace, map, .. } = workload(args)?;
     let compile = args.switch("compile");
+    let json = args.switch("json");
+    let Workload { trace, map, .. } = workload(args)?;
 
     let config = RuntimeConfig::new(shards)
         .with_mode(mode)
@@ -417,61 +464,82 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
     let s = &report.stats;
+    let micros =
+        |h: &gc_cache::gc_types::LatencyHistogram, q: f64| h.quantile_nanos(q) as f64 / 1_000.0;
 
-    if args.switch("json") {
-        // Formatted by hand: the report fixes each ratio's and latency's
-        // decimal places, which a generic writer would not.
-        let per_shard: Vec<String> = report
+    if json {
+        use gc_cache::gc_types::json::{Json, ToJson, Value};
+        // Ratios and latencies keep the decimal places the report has
+        // always had; a float written as is would print all seventeen.
+        let fixed = |x: f64, decimals: i32| -> Json {
+            let scale = 10f64.powi(decimals);
+            Value::Float((x * scale).round() / scale).into()
+        };
+        let us = |h, q| fixed(micros(h, q), 1);
+        let tiers: Vec<Json> = s
+            .tiers
+            .iter()
+            .map(|t| {
+                Json::object([
+                    ("label", t.label.to_json()),
+                    ("fetches", t.fetches.to_json()),
+                    ("stores", t.stores.to_json()),
+                    ("fetch_p50_us", us(&t.latency, 0.50)),
+                    ("fetch_p99_us", us(&t.latency, 0.99)),
+                ])
+            })
+            .collect();
+        let per_shard: Vec<Json> = report
             .per_shard
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                format!(
-                    "    {{\"shard\": {i}, \"accesses\": {}, \"misses\": {}, \"backend_fetches\": {}, \"coalesced_fetches\": {}}}",
-                    p.accesses, p.misses, p.backend_fetches, p.coalesced_fetches
-                )
+                Json::object([
+                    ("shard", i.to_json()),
+                    ("accesses", p.accesses.to_json()),
+                    ("misses", p.misses.to_json()),
+                    ("backend_fetches", p.backend_fetches.to_json()),
+                    ("coalesced_fetches", p.coalesced_fetches.to_json()),
+                ])
             })
             .collect();
-        let tiers: Vec<String> = s
-            .tiers
-            .iter()
-            .map(|t| {
-                format!(
-                    "    {{\"label\": \"{}\", \"fetches\": {}, \"stores\": {}, \"fetch_p50_us\": {:.1}, \"fetch_p99_us\": {:.1}}}",
-                    t.label,
-                    t.fetches,
-                    t.stores,
-                    t.latency.quantile_nanos(0.50) as f64 / 1_000.0,
-                    t.latency.quantile_nanos(0.99) as f64 / 1_000.0
-                )
-            })
-            .collect();
-        println!(
-            "{{\n  \"workload\": \"{}\",\n  \"policy\": \"{}\",\n  \"capacity\": {capacity},\n  \"shards\": {shards},\n  \"threads\": {threads},\n  \"mode\": \"{mode}\",\n  \"batch\": {batch},\n  \"fetch\": \"{fetch}\",\n  \"compiled\": {compile},\n  \"backend\": \"{backend_spec}\",\n  \"backend_latency_us\": {},\n  \"requests\": {},\n  \"wall_seconds\": {:.6},\n  \"throughput_rps\": {:.0},\n  \"hit_rate\": {:.6},\n  \"temporal_hits\": {},\n  \"spatial_hits\": {},\n  \"misses\": {},\n  \"backend_fetches\": {},\n  \"coalesced_fetches\": {},\n  \"coalescing_rate\": {:.6},\n  \"delayed_hits\": {},\n  \"waiter_wait_p50_us\": {:.1},\n  \"waiter_wait_p99_us\": {:.1},\n  \"fetched_items\": {},\n  \"admitted_items\": {},\n  \"admission_ratio\": {:.6},\n  \"fetch_p50_us\": {:.1},\n  \"fetch_p99_us\": {:.1},\n  \"tiers\": [\n{}\n  ],\n  \"per_shard\": [\n{}\n  ]\n}}",
-            trace.name,
-            kind.label(),
-            latency.as_micros(),
-            report.requests,
-            report.wall_seconds,
-            report.throughput_rps,
-            s.hit_rate(),
-            s.temporal_hits,
-            s.spatial_hits,
-            s.misses,
-            s.backend_fetches,
-            s.coalesced_fetches,
-            s.coalescing_rate(),
-            s.delayed_hits,
-            s.waiter_wait.quantile_nanos(0.50) as f64 / 1_000.0,
-            s.waiter_wait.quantile_nanos(0.99) as f64 / 1_000.0,
-            s.fetched_items,
-            s.admitted_items,
-            s.admission_ratio(),
-            s.fetch_latency.quantile_nanos(0.50) as f64 / 1_000.0,
-            s.fetch_latency.quantile_nanos(0.99) as f64 / 1_000.0,
-            tiers.join(",\n"),
-            per_shard.join(",\n"),
-        );
+        let doc = Json::object([
+            ("workload", trace.name.to_json()),
+            ("policy", kind.label().to_json()),
+            ("capacity", capacity.to_json()),
+            ("shards", shards.to_json()),
+            ("threads", threads.to_json()),
+            ("mode", mode.to_string().to_json()),
+            ("batch", batch.to_json()),
+            ("fetch", fetch.to_string().to_json()),
+            ("compiled", Value::Bool(compile).into()),
+            ("backend", backend_spec.to_string().to_json()),
+            ("backend_latency_us", (latency.as_micros() as u64).to_json()),
+            ("requests", report.requests.to_json()),
+            ("wall_seconds", fixed(report.wall_seconds, 6)),
+            (
+                "throughput_rps",
+                (report.throughput_rps.round() as u64).to_json(),
+            ),
+            ("hit_rate", fixed(s.hit_rate(), 6)),
+            ("temporal_hits", s.temporal_hits.to_json()),
+            ("spatial_hits", s.spatial_hits.to_json()),
+            ("misses", s.misses.to_json()),
+            ("backend_fetches", s.backend_fetches.to_json()),
+            ("coalesced_fetches", s.coalesced_fetches.to_json()),
+            ("coalescing_rate", fixed(s.coalescing_rate(), 6)),
+            ("delayed_hits", s.delayed_hits.to_json()),
+            ("waiter_wait_p50_us", us(&s.waiter_wait, 0.50)),
+            ("waiter_wait_p99_us", us(&s.waiter_wait, 0.99)),
+            ("fetched_items", s.fetched_items.to_json()),
+            ("admitted_items", s.admitted_items.to_json()),
+            ("admission_ratio", fixed(s.admission_ratio(), 6)),
+            ("fetch_p50_us", us(&s.fetch_latency, 0.50)),
+            ("fetch_p99_us", us(&s.fetch_latency, 0.99)),
+            ("tiers", Value::Array(tiers).into()),
+            ("per_shard", Value::Array(per_shard).into()),
+        ]);
+        println!("{}", doc.to_string_pretty());
         return Ok(());
     }
 
@@ -500,8 +568,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             "delayed hits     {}  (rate {:.3}; waited p50 {:.1} µs, p99 {:.1} µs)",
             s.delayed_hits,
             s.delayed_hit_rate(),
-            s.waiter_wait.quantile_nanos(0.50) as f64 / 1_000.0,
-            s.waiter_wait.quantile_nanos(0.99) as f64 / 1_000.0
+            micros(&s.waiter_wait, 0.50),
+            micros(&s.waiter_wait, 0.99)
         );
     }
     println!(
@@ -513,8 +581,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     if !s.fetch_latency.is_empty() {
         println!(
             "fetch latency    p50 {:.1} µs, p99 {:.1} µs, max {:.1} µs",
-            s.fetch_latency.quantile_nanos(0.50) as f64 / 1_000.0,
-            s.fetch_latency.quantile_nanos(0.99) as f64 / 1_000.0,
+            micros(&s.fetch_latency, 0.50),
+            micros(&s.fetch_latency, 0.99),
             s.fetch_latency.max_nanos() as f64 / 1_000.0
         );
     }
@@ -524,8 +592,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             t.label,
             t.fetches,
             t.stores,
-            t.latency.quantile_nanos(0.50) as f64 / 1_000.0,
-            t.latency.quantile_nanos(0.99) as f64 / 1_000.0
+            micros(&t.latency, 0.50),
+            micros(&t.latency, 0.99)
         );
     }
     for (i, p) in report.per_shard.iter().enumerate() {
@@ -554,6 +622,7 @@ fn store_cmd(args: &Args) -> Result<(), String> {
     let block_size: usize = args.get_or("block-size", 16usize)?;
     let blocks: u64 = args.get_or("blocks", 1024u64)?;
     let sync_every: u64 = args.get_or("sync-every", 64u64)?;
+    args.finish()?;
     if block_size == 0 {
         return Err(invalid("--block-size must be >= 1".into()));
     }
@@ -598,8 +667,20 @@ fn sweep_cmd(args: &Args) -> Result<(), String> {
         .get_list("capacities")?
         .unwrap_or_else(|| vec![256, 1024, 4096]);
     let warmup: usize = args.get_or("warmup", 0usize)?;
-    let Workload { trace, map, .. } = workload(args)?;
     let kinds = PolicyKind::standard_roster(args.get_or("seed", 42u64)?);
+    let threads: usize = args.get_or("threads", 0usize)?;
+    let checkpoint_path = args.get_str("checkpoint").map(std::path::PathBuf::from);
+    let resume_path = args.get_str("resume").map(std::path::PathBuf::from);
+    let on_error = args.get_str("on-error");
+    let checkpoint_every: usize = args.get_or("checkpoint-every", 25usize)?;
+    let checked = checkpoint_path.is_some() || resume_path.is_some() || on_error.is_some();
+    let compile = args.switch("compile");
+    let csv = args.switch("csv");
+    if compile && checked {
+        return Err("--compile does not combine with checkpointed sweeps".into());
+    }
+
+    let Workload { trace, map, .. } = workload(args)?;
     let jobs: Vec<SweepJob> = capacities
         .iter()
         .flat_map(|&capacity| {
@@ -610,24 +691,10 @@ fn sweep_cmd(args: &Args) -> Result<(), String> {
             })
         })
         .collect();
-    let threads: usize = args.get_or("threads", 0usize)?;
-    let checkpoint_path = args.get_str("checkpoint").map(std::path::PathBuf::from);
-    let resume_path = args.get_str("resume").map(std::path::PathBuf::from);
-    if args.switch("compile") {
-        if checkpoint_path.is_some() || resume_path.is_some() || args.get_str("on-error").is_some()
-        {
-            return Err("--compile does not combine with checkpointed sweeps".into());
-        }
-        use gc_cache::gc_sim::sweep::run_sweep_compiled;
-        let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
-        let results = run_sweep_compiled(&jobs, &compiled, threads);
-        print!("{}", to_csv(&results));
-        return Ok(());
-    }
-    if checkpoint_path.is_some() || resume_path.is_some() || args.get_str("on-error").is_some() {
+    if checked {
         use gc_cache::gc_sim::checkpoint::{load_json, SweepCheckpoint};
         use gc_cache::gc_sim::sweep::{run_sweep_checked, to_csv_checked, OnError, SweepRunConfig};
-        let on_error: OnError = match args.get_str("on-error").unwrap_or("fail") {
+        let on_error: OnError = match on_error.unwrap_or("fail") {
             // The ingest policy name is accepted here too; cells have no
             // sidecar, so it degrades to skip.
             "quarantine" => OnError::Skip,
@@ -651,7 +718,7 @@ fn sweep_cmd(args: &Args) -> Result<(), String> {
             threads,
             on_error,
             checkpoint_path: sink.as_deref(),
-            checkpoint_every: args.get_or("checkpoint-every", 25usize)?,
+            checkpoint_every,
             resume,
         };
         let outcome = run_sweep_checked(&jobs, &trace, &map, &cfg).map_err(|e| e.to_string())?;
@@ -661,16 +728,30 @@ fn sweep_cmd(args: &Args) -> Result<(), String> {
         print!("{}", to_csv_checked(&outcome, &jobs));
         return Ok(());
     }
-    let results = run_sweep(&jobs, &trace, &map, threads);
-    if args.switch("csv") {
-        print!("{}", to_csv(&results));
+    let results = if compile {
+        let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
+        run_sweep_compiled(&jobs, &compiled, threads)
     } else {
-        for &capacity in &capacities {
-            println!("== capacity {capacity} ==");
-            let rows = compare_policies(&kinds, capacity, &trace, &map, warmup);
-            print!("{}", render_table(&rows));
-            println!();
-        }
+        run_sweep(&jobs, &trace, &map, threads)
+    };
+    if csv {
+        print!("{}", to_csv(&results));
+        return Ok(());
+    }
+    // Jobs are capacity-major, so each chunk is one capacity's roster.
+    for cells in results.chunks(kinds.len()) {
+        println!("== capacity {} ==", cells[0].job.capacity);
+        let mut rows: Vec<ComparisonRow> = cells
+            .iter()
+            .map(|r| ComparisonRow {
+                label: r.job.kind.label(),
+                policy_name: r.policy_name.clone(),
+                stats: r.stats.clone(),
+            })
+            .collect();
+        rows.sort_by_key(|r| r.stats.misses);
+        print!("{}", render_table(&rows));
+        println!();
     }
     Ok(())
 }
@@ -681,6 +762,8 @@ fn adversary_cmd(args: &Args) -> Result<(), String> {
     let h: usize = args.require("h")?;
     let b: usize = args.get_or("block-size", 16usize)?;
     let rounds: usize = args.get_or("rounds", 100usize)?;
+    let a: usize = args.get_or("a", 1usize)?;
+    args.finish()?;
     let rep = match which {
         "st" => {
             let mut probe = ProbeAdapter::new(ItemLru::new(k));
@@ -695,7 +778,6 @@ fn adversary_cmd(args: &Args) -> Result<(), String> {
             adversary::block_cache(&mut probe, k, h, b, rounds)
         }
         "thm4" => {
-            let a: usize = args.get_or("a", 1usize)?;
             let mut probe = ProbeAdapter::new(ThresholdLoad::new(k, a, BlockMap::strided(b)));
             adversary::general(&mut probe, k, h, b, rounds)
         }
@@ -719,6 +801,7 @@ fn adversary_cmd(args: &Args) -> Result<(), String> {
 fn figure3_cmd(args: &Args) -> Result<(), String> {
     let k: usize = args.get_or("k", 1_280_000usize)?;
     let b: usize = args.get_or("block-size", 64usize)?;
+    args.finish()?;
     let hs = geometric_h_values(b * 2, k - 1, 6);
     println!("h,sleator_tarjan,gc_lower,iblp_upper,item_cache_lower,block_cache_lower");
     for p in figure3(k, b, &hs) {
@@ -743,6 +826,7 @@ fn figure3_cmd(args: &Args) -> Result<(), String> {
 fn figure6_cmd(args: &Args) -> Result<(), String> {
     let k: usize = args.get_or("k", 1_280_000usize)?;
     let b: usize = args.get_or("block-size", 64usize)?;
+    args.finish()?;
     // Fixed splits tuned for three design points, as in the paper's plot.
     let design_points = [k / 1024, k / 64, k / 8];
     let fixed: Vec<usize> = design_points
@@ -763,6 +847,7 @@ fn figure6_cmd(args: &Args) -> Result<(), String> {
 fn table1_cmd(args: &Args) -> Result<(), String> {
     let h: usize = args.get_or("h", 1usize << 14)?;
     let b: usize = args.get_or("block-size", 64usize)?;
+    args.finish()?;
     print!("{}", table1::render(&table1::table1(h, b)));
     Ok(())
 }
@@ -774,6 +859,7 @@ fn table2_cmd(args: &Args) -> Result<(), String> {
     }
     let b: usize = args.get_or("block-size", 64usize)?;
     let h: usize = args.get_or("h", 1usize << 20)?;
+    args.finish()?;
     println!(
         "Table 2 (f(n) = n^(1/p), i = b = h = {h}, B = {b}; rows 1-3: p = 2, rows 4-6: p = {p}):"
     );
@@ -798,17 +884,13 @@ fn mrc_cmd(args: &Args) -> Result<(), String> {
     };
     let capacity: usize = args.require("capacity")?;
     let threads: usize = args.get_or("threads", 0usize)?;
-    let sample_rate: Option<f64> = args
-        .get_str("sample-rate")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e| format!("--sample-rate: {e}"))?;
-    let s_max: Option<usize> = args
-        .get_str("smax")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e| format!("--smax: {e}"))?;
+    let sample_rate: Option<f64> = args.get("sample-rate")?;
+    let s_max: Option<usize> = args.get("smax")?;
     let exact = args.switch("exact") || (sample_rate.is_none() && s_max.is_none());
+    let sample_seed: u64 = args.get_or("sample-seed", 0u64)?;
+    let checkpoint_path = args.get_str("checkpoint").map(std::path::PathBuf::from);
+    let resume_path = args.get_str("resume").map(std::path::PathBuf::from);
+    let compile = args.switch("compile");
     let Workload {
         trace,
         map,
@@ -828,13 +910,10 @@ fn mrc_cmd(args: &Args) -> Result<(), String> {
                 SamplerConfig::fixed(rate)
             }
         }
-        .with_seed(args.get_or("sample-seed", 0u64)?);
+        .with_seed(sample_seed);
         MrcMode::Sampled(cfg)
     };
 
-    let checkpoint_path = args.get_str("checkpoint").map(std::path::PathBuf::from);
-    let resume_path = args.get_str("resume").map(std::path::PathBuf::from);
-    let compile = args.switch("compile");
     if compile && (checkpoint_path.is_some() || resume_path.is_some()) {
         return Err("--compile does not combine with checkpointed MRC bundles".into());
     }
@@ -942,8 +1021,9 @@ fn generate_cmd(args: &Args) -> Result<(), String> {
         .get_str("out")
         .ok_or("missing required flag --out <path>")?
         .to_string();
+    let format = args.get_str("format").unwrap_or("json");
     let Workload { trace, map, .. } = workload(args)?;
-    match args.get_str("format").unwrap_or("json") {
+    match format {
         "json" => {
             std::fs::write(&out, gc_cache::gc_trace::io::to_json(&trace, &map))
                 .map_err(|e| format!("{out}: {e}"))?;

@@ -429,8 +429,8 @@ mod tests {
         // below the sampled-id count SHARDS assumes; the realized sample
         // weight alone swings by ±15% at rate 0.5. Use a generous rate —
         // the point here is that *block-granular* hashing converges like
-        // item hashing does, not low-rate accuracy (that is exercised at
-        // scale by the `mrc_report` bench).
+        // item hashing does, not low-rate accuracy (that is checked at
+        // scale by `tests/shards_at_scale.rs`).
         let approx = sampled_block_mrc(&trace, &map, 128, &SamplerConfig::fixed(0.9).with_seed(2));
         let max_err = (0..=128)
             .map(|k| (exact.miss_ratio(k) - approx.miss_ratio(k)).abs())

@@ -255,7 +255,7 @@ mod tests {
     use super::*;
     use gc_types::FxHashSet;
 
-    /// Every tracked `fault_rate` (BENCH_*.json, `gcbench`) comes from
+    /// Every tracked `fault_rate` (`BENCH_gcbench.json`) comes from
     /// these seeded streams, and `gcbench` stamps its reports by this very
     /// prefix: an edit to `gc_types::rng` that moves them must fail here
     /// first.

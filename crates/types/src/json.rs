@@ -2,8 +2,9 @@
 //!
 //! Trace files (`gc_trace::io`) and sweep/MRC checkpoints
 //! (`gc_sim::checkpoint`) are the only documents this workspace writes and
-//! reads back; `xtask perf-gate` reads the tracked `BENCH_engine.json`.
-//! All three go through this module.
+//! reads back; `xtask perf-gate` reads `BENCHMARK.json` and the tracked
+//! `BENCH_gcbench.json`, and `gc-cache serve --json` writes its report.
+//! All of them go through this module.
 //!
 //! * **Integers are exact.** A number without fraction or exponent is kept
 //!   as [`Value::UInt`] (`u64`) or [`Value::Int`] (negative `i64`), never

@@ -2,10 +2,10 @@
 //! randomized policies and the fault simulator.
 //!
 //! Every tracked number in this repository — the fault rates in
-//! `BENCH_*.json`, the `gcbench` workloads, the seeded test expectations —
-//! was produced from these exact streams, so the generator, the seeding
-//! step and the range reduction below are **frozen**: changing any of them
-//! moves every seeded trace. `gc-trace` pins a prefix of
+//! `BENCH_gcbench.json`, the seeded test expectations — was produced from
+//! these exact streams, so the generator, the seeding step and the range
+//! reduction below are **frozen**: changing any of them moves every
+//! seeded trace. `gc-trace` pins a prefix of
 //! `synthetic::uniform(1_000_000, _, 42)` so such an edit fails a test
 //! before it silently moves a `fault_rate`.
 //!

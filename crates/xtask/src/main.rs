@@ -2,23 +2,22 @@
 //!
 //! ```sh
 //! cargo run -p xtask -- lint [--root <path>]
-//! cargo run -p xtask -- perf-gate --fresh <report.json> \
-//!     [--baseline <report.json>] [--tolerance <frac>]
+//! cargo run -p xtask -- perf-gate --fresh <report.json> [--baseline <report.json>]
 //! ```
 //!
 //! `lint` runs the workspace lint pass and prints one
 //! `path:line: [rule] message` diagnostic per violation.
 //!
-//! `perf-gate` compares a fresh `perf_report` run (normally `--quick`)
-//! against the committed `BENCH_engine.json` and fails when the geometric
-//! mean of per-cell `requests_per_sec` ratios drops below
-//! `1 - tolerance` (default tolerance 0.15; see `xtask::perfgate` for why
-//! the geomean, not a per-row check, is the gating statistic).
+//! `perf-gate` compares a fresh `gcbench --all --out` report against the
+//! committed `BENCH_gcbench.json`, every end-to-end metric on every
+//! workload, under the `better`/`bound` of `BENCHMARK.json` (see
+//! `xtask::perfgate`).
 //!
 //! Exit codes (machine-readable; CI gates on them):
 //! - `0` — clean tree / gate passed
 //! - `1` — violations found / gate failed (details on stdout)
-//! - `2` — usage or I/O error (message on stderr)
+//! - `2` — usage or I/O error, or reports that cannot be compared (message
+//!   on stderr)
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -39,7 +38,7 @@ fn usage() {
     eprintln!(
         "usage: cargo run -p xtask -- lint [--root <path>]\n       \
          cargo run -p xtask -- perf-gate --fresh <report.json> \
-         [--baseline <report.json>] [--tolerance <frac>]"
+         [--baseline <report.json>]"
     );
 }
 
@@ -83,26 +82,15 @@ fn lint(args: &[String]) -> ExitCode {
 fn perf_gate(args: &[String]) -> ExitCode {
     let mut fresh: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
-    let mut tolerance = 0.15;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let value = match it.next() {
-            Some(v) => v,
-            None => {
-                eprintln!("xtask perf-gate: `{flag}` needs a value");
-                return ExitCode::from(2);
-            }
+        let Some(value) = it.next() else {
+            eprintln!("xtask perf-gate: `{flag}` needs a value");
+            return ExitCode::from(2);
         };
         match flag.as_str() {
             "--fresh" => fresh = Some(PathBuf::from(value)),
             "--baseline" => baseline = Some(PathBuf::from(value)),
-            "--tolerance" => match value.parse::<f64>() {
-                Ok(t) if t > 0.0 && t < 1.0 => tolerance = t,
-                _ => {
-                    eprintln!("xtask perf-gate: tolerance must be in (0, 1), got `{value}`");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
                 eprintln!("xtask perf-gate: unknown flag `{other}`");
                 usage();
@@ -114,13 +102,18 @@ fn perf_gate(args: &[String]) -> ExitCode {
         eprintln!("xtask perf-gate: --fresh <report.json> is required");
         return ExitCode::from(2);
     };
-    let baseline = baseline.unwrap_or_else(|| workspace_root().join("BENCH_engine.json"));
+    let root = workspace_root();
+    let baseline = baseline.unwrap_or_else(|| root.join("BENCH_gcbench.json"));
     let read = |path: &PathBuf| {
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))
     };
-    let gate = read(&baseline)
-        .and_then(|b| read(&fresh).map(|f| (b, f)))
-        .and_then(|(b, f)| xtask::perfgate::compare(&b, &f, tolerance));
+    let gate = (|| {
+        xtask::perfgate::compare(
+            &read(&root.join("BENCHMARK.json"))?,
+            &read(&baseline)?,
+            &read(&fresh)?,
+        )
+    })();
     let gate = match gate {
         Ok(g) => g,
         Err(e) => {
@@ -128,24 +121,17 @@ fn perf_gate(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    for row in &gate.rows {
-        println!(
-            "{:>8} {:<16} {:>12.0} -> {:>12.0} req/s  {:>5.2}x",
-            row.trace, row.policy, row.baseline, row.fresh, row.ratio
-        );
+    for line in &gate.lines {
+        println!("{line}");
     }
-    println!(
-        "xtask perf-gate: geomean {:.3}x over {} cells (floor {:.3}x, tolerance {:.0}%)",
-        gate.geomean,
-        gate.rows.len(),
-        1.0 - gate.tolerance,
-        gate.tolerance * 100.0
-    );
+    for workload in &gate.incorrect {
+        println!("not correct: {workload}");
+    }
     if gate.passed() {
         println!("xtask perf-gate: PASS");
         ExitCode::SUCCESS
     } else {
-        println!("xtask perf-gate: FAIL — throughput regressed beyond tolerance");
+        println!("xtask perf-gate: FAIL");
         ExitCode::from(1)
     }
 }

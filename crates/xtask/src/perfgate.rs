@@ -1,255 +1,440 @@
-//! Perf-regression smoke gate (`cargo run -p xtask -- perf-gate`).
+//! Perf-regression gate (`cargo run -p xtask -- perf-gate`).
 //!
-//! Compares a freshly measured `perf_report` run (normally `--quick`, so CI
-//! can afford it) against the committed `BENCH_engine.json` baseline and
-//! fails if throughput regressed. Matching is by `(trace, policy)` row;
-//! every baseline row must exist in the fresh report.
+//! Compares a fresh `gcbench --all --out` report against the committed
+//! `BENCH_gcbench.json`, metric by metric on every workload. What counts
+//! as a regression is defined once, in `BENCHMARK.json`: each end-to-end
+//! metric there carries the direction that is `better` and the `bound` by
+//! which its median may worsen. The gate adds no statistic of its own.
 //!
-//! ## Gate semantics and tolerance
+//! A metric × workload is `ok` when the fresh median is no worse than the
+//! baseline's by more than the bound; `unresolved` when it is, but the two
+//! `[q1, q3]` ranges overlap — the runs spread too widely to tell, which
+//! is reported and does not fail the gate; and `FAIL` when it is and the
+//! ranges are disjoint.
 //!
-//! The gate computes the per-row ratio `fresh / baseline` of
-//! `requests_per_sec` and fails when the **geometric mean** over all rows
-//! drops below `1 - tolerance` (default tolerance: 0.15, i.e. a >15% drop).
-//! The geomean — not a per-row check — is the gating statistic on purpose:
+//! Two checks are exact. A workload that is not `correct`, or counts a
+//! `failed` operation, fails the gate whatever its numbers are. And on
+//! the workloads driven by one thread `fault_rate` is a property of the
+//! seeded input, so any difference from the baseline fails: either the
+//! policy changed behaviour or the generator moved.
 //!
-//! - Quick mode replays 20 K requests per cell with one timed rep, while
-//!   the committed baseline is 200 K × best-of-3, so individual cells
-//!   legitimately wobble in either direction.
-//! - Shared CI runners add scheduling noise that a single cell cannot
-//!   absorb; averaged over the full 39-cell matrix it cancels.
-//!
-//! A real regression in the compiled data layer (an extra hash on the hot
-//! path, a slab turned back into a map) slows *every* cell and moves the
-//! geomean immediately. Per-row ratios are still printed so a localized
-//! regression is visible in the log even when the gate passes.
-//!
-//! Reports are read with the workspace's one JSON layer, `gc_types::json`.
+//! Reports that cannot be compared are errors, not verdicts: a workload
+//! or metric named in `BENCHMARK.json` but absent from a report, and
+//! headers that differ in `seed`, `seconds` or `quick`.
 
-use gc_types::json::Json;
-use std::collections::BTreeMap;
+use gc_types::json::{Json, Value};
+use std::fmt;
 
-/// One `(trace, policy)` cell extracted from a `perf_report` JSON file.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PerfRow {
-    /// Trace name (e.g. `mixed`).
-    pub trace: String,
-    /// Policy label (e.g. `item-lru`).
-    pub policy: String,
-    /// Best-of-reps steady-state throughput for the cell.
-    pub requests_per_sec: f64,
+/// Workloads whose `fault_rate` repeats exactly for a given seed (one
+/// driver thread; see `crates/benchmark/README.md`, "End-to-end metrics").
+const EXACT_FAULT_RATE: [&str; 4] = [
+    "sim-roster",
+    "serve-hot-1t",
+    "serve-tiered-read",
+    "serve-disk-cold",
+];
+
+/// What the gate concluded about one metric on one workload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// Within the bound.
+    Ok,
+    /// Worse by more than the bound, quartile ranges overlap.
+    Unresolved,
+    /// Worse by more than the bound, quartile ranges disjoint.
+    Regressed,
+    /// `fault_rate` moved on a workload where it is exact.
+    Differs,
 }
 
-/// Per-row comparison in a [`GateReport`].
+/// One metric × workload comparison.
 #[derive(Clone, Debug)]
-pub struct GateRow {
-    /// Trace name of the compared cell.
-    pub trace: String,
-    /// Policy label of the compared cell.
-    pub policy: String,
-    /// Baseline throughput (committed report).
+pub struct Line {
+    /// Workload name.
+    pub workload: String,
+    /// Metric name.
+    pub metric: String,
+    /// The committed report's median.
     pub baseline: f64,
-    /// Fresh throughput (this run).
+    /// The fresh report's median.
     pub fresh: f64,
-    /// `fresh / baseline`.
-    pub ratio: f64,
+    /// Fraction by which the fresh median is worse (negative: better).
+    pub worse_by: f64,
+    /// The metric's bound from `BENCHMARK.json`.
+    pub bound: f64,
+    /// The conclusion.
+    pub verdict: Verdict,
+}
+
+impl fmt::Display for Line {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = match self.verdict {
+            Verdict::Ok => "ok",
+            Verdict::Unresolved => "unresolved",
+            Verdict::Regressed => "FAIL",
+            Verdict::Differs => "FAIL (must be exact)",
+        };
+        write!(
+            f,
+            "{:<18} {:<15} {:>14.6} -> {:>14.6}  worse by {:>+7.3} (bound {:.2})  {verdict}",
+            self.workload, self.metric, self.baseline, self.fresh, self.worse_by, self.bound
+        )
+    }
 }
 
 /// Outcome of comparing a fresh report against the baseline.
-#[derive(Clone, Debug)]
-pub struct GateReport {
-    /// One entry per baseline row, in baseline order.
-    pub rows: Vec<GateRow>,
-    /// Geometric mean of all row ratios.
-    pub geomean: f64,
-    /// Allowed fractional drop before the gate fails.
-    pub tolerance: f64,
+#[derive(Clone, Debug, Default)]
+pub struct Gate {
+    /// One entry per workload × end-to-end metric, in `BENCHMARK.json`
+    /// order.
+    pub lines: Vec<Line>,
+    /// Fresh workloads that are not `correct` or count `failed`
+    /// operations, with the reason.
+    pub incorrect: Vec<String>,
 }
 
-impl GateReport {
-    /// Whether the run stays within tolerance.
+impl Gate {
+    /// Whether nothing failed (`unresolved` lines do not fail).
     pub fn passed(&self) -> bool {
-        self.geomean >= 1.0 - self.tolerance
+        self.incorrect.is_empty()
+            && self
+                .lines
+                .iter()
+                .all(|l| matches!(l.verdict, Verdict::Ok | Verdict::Unresolved))
     }
 }
 
-/// Parses the `results` rows out of a `perf_report` JSON document.
-pub fn parse_rows(json: &str) -> Result<Vec<PerfRow>, String> {
-    let value = Json::parse(json).map_err(|e| e.to_string())?;
-    let results = value
-        .get("results")
-        .and_then(Json::as_array)
-        .ok_or("report has no `results` array")?;
-    let mut rows = Vec::with_capacity(results.len());
-    for (i, cell) in results.iter().enumerate() {
-        let field = |name: &str| {
-            cell.get(name)
-                .ok_or_else(|| format!("results[{i}] missing `{name}`"))
-        };
-        let string = |name: &str| {
-            field(name)?
-                .as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| format!("results[{i}].{name} is not a string"))
-        };
-        let rps = field("requests_per_sec")?
-            .as_f64()
-            .ok_or_else(|| format!("results[{i}].requests_per_sec is not a number"))?;
-        rows.push(PerfRow {
-            trace: string("trace")?,
-            policy: string("policy")?,
-            requests_per_sec: rps,
-        });
+/// `[value, q1, q3]` of `metric` on `workload` in a `gcbench --all --out`
+/// document.
+fn sample(report: &Json, workload: &str, metric: &str) -> Result<[f64; 3], String> {
+    let m = report
+        .get("workloads")
+        .and_then(|w| w.get(workload))
+        .ok_or_else(|| format!("workload `{workload}` is missing"))?
+        .get("metrics")
+        .and_then(|m| m.get(metric))
+        .ok_or_else(|| format!("metric `{metric}` is missing on `{workload}`"))?;
+    let mut sample = [0.0; 3];
+    for (slot, key) in sample.iter_mut().zip(["value", "q1", "q3"]) {
+        *slot = m
+            .get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("`{metric}` on `{workload}` has no `{key}`"))?;
     }
-    if rows.is_empty() {
-        return Err("report has an empty `results` array".into());
-    }
-    Ok(rows)
+    Ok(sample)
 }
 
-/// Compares `fresh` against `baseline` (both `perf_report` JSON documents).
+/// String member `key` of a `BENCHMARK.json` entry.
+fn text<'a>(entry: &'a Json, key: &str) -> Result<&'a str, String> {
+    entry
+        .get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("BENCHMARK.json: an entry has no `{key}`"))
+}
+
+/// Compares `fresh` against `baseline` (both `gcbench --all --out`
+/// documents) under the names and bounds of `benchmark_json`.
 ///
-/// Errors when a baseline row is missing from the fresh report or a
-/// throughput is non-positive — those are measurement bugs, not
-/// regressions, and must not pass silently.
-pub fn compare(baseline: &str, fresh: &str, tolerance: f64) -> Result<GateReport, String> {
-    let base_rows = parse_rows(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let fresh_rows = parse_rows(fresh).map_err(|e| format!("fresh report: {e}"))?;
-    let fresh_by_key: BTreeMap<(&str, &str), f64> = fresh_rows
-        .iter()
-        .map(|r| ((r.trace.as_str(), r.policy.as_str()), r.requests_per_sec))
-        .collect();
-    let mut rows = Vec::with_capacity(base_rows.len());
-    let mut log_sum = 0.0;
-    for b in &base_rows {
-        let key = (b.trace.as_str(), b.policy.as_str());
-        let fresh_rps = *fresh_by_key.get(&key).ok_or_else(|| {
-            format!(
-                "fresh report is missing baseline cell ({}, {})",
-                b.trace, b.policy
-            )
-        })?;
-        // Rejects NaN as well: a NaN throughput fails `x > 0.0`.
-        let positive = |x: f64| x > 0.0;
-        if !positive(b.requests_per_sec) || !positive(fresh_rps) {
+/// Errors when the two cannot be compared: unreadable input, a workload
+/// or metric missing from either report, a non-positive baseline median,
+/// or headers that differ in `seed`, `seconds` or `quick`.
+pub fn compare(benchmark_json: &str, baseline: &str, fresh: &str) -> Result<Gate, String> {
+    let parse = |what: &str, doc| Json::parse(doc).map_err(|e| format!("{what}: {e}"));
+    let names = parse("BENCHMARK.json", benchmark_json)?;
+    let base = parse("baseline", baseline)?;
+    let new = parse("fresh report", fresh)?;
+    for key in ["seed", "seconds", "quick"] {
+        let header = |what: &str, report: &Json| {
+            report
+                .get("env")
+                .and_then(|env| env.get(key))
+                .map(|v| v.value.clone())
+                .ok_or_else(|| format!("{what}: header has no `{key}`"))
+        };
+        let (b, f) = (header("baseline", &base)?, header("fresh report", &new)?);
+        if b != f {
             return Err(format!(
-                "non-positive throughput for ({}, {}): baseline {} fresh {}",
-                b.trace, b.policy, b.requests_per_sec, fresh_rps
+                "headers differ in `{key}` (baseline {b:?}, fresh {f:?}); the reports are not comparable"
             ));
         }
-        let ratio = fresh_rps / b.requests_per_sec;
-        log_sum += ratio.ln();
-        rows.push(GateRow {
-            trace: b.trace.clone(),
-            policy: b.policy.clone(),
-            baseline: b.requests_per_sec,
-            fresh: fresh_rps,
-            ratio,
-        });
     }
-    let geomean = (log_sum / rows.len() as f64).exp();
-    Ok(GateReport {
-        rows,
-        geomean,
-        tolerance,
-    })
+
+    let list = |key: &str| {
+        names
+            .get(key)
+            .and_then(Json::as_array)
+            .filter(|l| !l.is_empty())
+            .ok_or_else(|| format!("BENCHMARK.json: no `{key}` list"))
+    };
+    let mut gate = Gate::default();
+    for w in list("workloads")? {
+        let workload = text(w, "name")?;
+        for m in list("end_to_end")? {
+            let metric = text(m, "name")?;
+            let lower_is_better = match text(m, "better")? {
+                "lower" => true,
+                "higher" => false,
+                other => return Err(format!("BENCHMARK.json: `better` is {other:?}")),
+            };
+            let bound = m
+                .get("bound")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("BENCHMARK.json: `{metric}` has no `bound`"))?;
+            let [b, b_q1, b_q3] =
+                sample(&base, workload, metric).map_err(|e| format!("baseline: {e}"))?;
+            let [f, f_q1, f_q3] =
+                sample(&new, workload, metric).map_err(|e| format!("fresh report: {e}"))?;
+            if b.is_nan() || b <= 0.0 {
+                return Err(format!(
+                    "baseline: `{metric}` on `{workload}` is {b}, not a positive measurement"
+                ));
+            }
+            let worse_by = if lower_is_better {
+                f / b - 1.0
+            } else {
+                1.0 - f / b
+            };
+            let verdict = if metric == "fault_rate" && EXACT_FAULT_RATE.contains(&workload) {
+                if f == b {
+                    Verdict::Ok
+                } else {
+                    Verdict::Differs
+                }
+            } else if worse_by <= bound {
+                Verdict::Ok
+            } else if b_q1 <= f_q3 && f_q1 <= b_q3 {
+                Verdict::Unresolved
+            } else {
+                // Also where `worse_by` is NaN: not shown to be within the bound.
+                Verdict::Regressed
+            };
+            gate.lines.push(Line {
+                workload: workload.to_string(),
+                metric: metric.to_string(),
+                baseline: b,
+                fresh: f,
+                worse_by,
+                bound,
+                verdict,
+            });
+        }
+        let report = new
+            .get("workloads")
+            .and_then(|all| all.get(workload))
+            .expect("its metrics were just read");
+        let correct = report.get("correct").map(|c| &c.value) == Some(&Value::Bool(true));
+        let failed = report.get("failed").and_then(Json::as_u64);
+        if !correct || failed != Some(0) {
+            gate.incorrect
+                .push(format!("{workload}: correct={correct} failed={failed:?}"));
+        }
+    }
+    Ok(gate)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(cells: &[(&str, &str, f64)]) -> String {
-        let rows: Vec<String> = cells
+    const BENCHMARK: &str = r#"{
+        "workloads": [{"name": "sim-roster"}, {"name": "serve-hot-2t"}],
+        "end_to_end": [
+            {"name": "throughput_rps", "better": "higher", "bound": 0.25},
+            {"name": "fault_rate", "better": "lower", "bound": 0.12},
+            {"name": "req_p50_us", "better": "lower", "bound": 0.25}
+        ]
+    }"#;
+
+    /// `(value, q1, q3)` of the three metrics above on one workload.
+    type Cells = [(f64, f64, f64); 3];
+
+    const SIM: Cells = [(6.0e6, 5.9e6, 6.1e6), (0.5, 0.5, 0.5), (40.0, 39.0, 41.0)];
+    const HOT: Cells = [(7.0e6, 6.8e6, 7.2e6), (0.36, 0.35, 0.37), (9.0, 8.5, 9.5)];
+
+    fn workload(name: &str, correct: bool, failed: u64, cells: &Cells) -> String {
+        let metrics: Vec<String> = ["throughput_rps", "fault_rate", "req_p50_us"]
             .iter()
-            .map(|(t, p, r)| {
-                format!(
-                    "{{\"trace\": \"{t}\", \"policy\": \"{p}\", \
-                     \"requests_per_sec\": {r}, \"misses\": 10, \
-                     \"fault_rate\": 0.5}}"
-                )
+            .zip(cells)
+            .map(|(m, (v, q1, q3))| {
+                format!("\"{m}\":{{\"value\":{v:?},\"unit\":\"x\",\"q1\":{q1:?},\"q3\":{q3:?},\"n\":9}}")
             })
             .collect();
         format!(
-            "{{\"schema\": \"gc-bench/perf_report/v2\", \"quick\": false, \
-             \"results\": [{}]}}\n",
-            rows.join(", ")
+            "\"{name}\":{{\"correct\":{correct},\"attempted\":100,\"failed\":{failed},\
+             \"failed_share\":0.0,\"metrics\":{{{}}}}}",
+            metrics.join(",")
         )
     }
 
-    #[test]
-    fn parses_rows_out_of_a_report() {
-        let rows = parse_rows(&report(&[
-            ("mixed", "item-lru", 1.5e7),
-            ("scan", "block-lru", 2e6),
-        ]))
-        .unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].trace, "mixed");
-        assert_eq!(rows[0].policy, "item-lru");
-        assert_eq!(rows[0].requests_per_sec, 1.5e7);
-        assert_eq!(rows[1].policy, "block-lru");
+    fn report_with(env: &str, workloads: &[String]) -> String {
+        format!(
+            "{{\"gcbench\":1,\"claim\":null,\"env\":{{{env}}},\"workloads\":{{{}}}}}\n",
+            workloads.join(",")
+        )
+    }
+
+    fn report(sim: &Cells, hot: &Cells) -> String {
+        report_with(
+            "\"seed\":1,\"seconds\":60,\"quick\":false",
+            &[
+                workload("sim-roster", true, 0, sim),
+                workload("serve-hot-2t", true, 0, hot),
+            ],
+        )
+    }
+
+    fn verdict(gate: &Gate, workload: &str, metric: &str) -> Verdict {
+        gate.lines
+            .iter()
+            .find(|l| l.workload == workload && l.metric == metric)
+            .expect("line present")
+            .verdict
     }
 
     #[test]
-    fn field_order_inside_a_cell_does_not_matter() {
-        let json = "{\"results\": [{\"requests_per_sec\": 5.0, \
-                     \"policy\": \"p\", \"trace\": \"t\"}]}";
-        let rows = parse_rows(json).unwrap();
-        assert_eq!(rows[0].requests_per_sec, 5.0);
-    }
-
-    #[test]
-    fn missing_results_and_missing_fields_are_errors() {
-        assert!(parse_rows("{}").is_err());
-        assert!(parse_rows("{\"results\": []}").is_err());
-        assert!(parse_rows("{\"results\": [{\"trace\": \"t\"}]}").is_err());
-        assert!(parse_rows("not json").is_err());
-    }
-
-    #[test]
-    fn identical_reports_pass_with_unit_geomean() {
-        let r = report(&[("mixed", "item-lru", 1e7), ("scan", "item-lru", 2e7)]);
-        let gate = compare(&r, &r, 0.15).unwrap();
+    fn a_report_passes_against_itself() {
+        let r = report(&SIM, &HOT);
+        let gate = compare(BENCHMARK, &r, &r).unwrap();
         assert!(gate.passed());
-        assert!((gate.geomean - 1.0).abs() < 1e-12);
-        assert_eq!(gate.rows.len(), 2);
+        assert_eq!(gate.lines.len(), 6, "every metric on every workload");
+        assert!(gate.lines.iter().all(|l| l.verdict == Verdict::Ok));
+        assert!(gate.lines.iter().all(|l| l.worse_by == 0.0));
     }
 
     #[test]
-    fn uniform_twenty_percent_drop_fails_at_fifteen_tolerance() {
-        let base = report(&[("mixed", "item-lru", 1e7), ("scan", "item-lru", 2e7)]);
-        let fresh = report(&[("mixed", "item-lru", 0.8e7), ("scan", "item-lru", 1.6e7)]);
-        let gate = compare(&base, &fresh, 0.15).unwrap();
+    fn an_incorrect_workload_fails_whatever_its_numbers() {
+        let base = report(&SIM, &HOT);
+        for (correct, failed) in [(false, 0), (true, 3), (false, 3)] {
+            let fresh = report_with(
+                "\"seed\":1,\"seconds\":60,\"quick\":false",
+                &[
+                    workload("sim-roster", correct, failed, &SIM),
+                    workload("serve-hot-2t", true, 0, &HOT),
+                ],
+            );
+            let gate = compare(BENCHMARK, &base, &fresh).unwrap();
+            assert!(!gate.passed(), "correct={correct} failed={failed}");
+            assert_eq!(gate.incorrect.len(), 1);
+            assert!(gate.incorrect[0].starts_with("sim-roster"));
+            assert!(gate.lines.iter().all(|l| l.verdict == Verdict::Ok));
+        }
+    }
+
+    #[test]
+    fn fault_rate_must_be_exact_on_one_thread_and_bounded_on_two() {
+        let base = report(&SIM, &HOT);
+        // 0.2 % better — still a difference where the value is exact.
+        let mut sim = SIM;
+        sim[1] = (0.499, 0.499, 0.499);
+        let gate = compare(BENCHMARK, &base, &report(&sim, &HOT)).unwrap();
+        assert_eq!(verdict(&gate, "sim-roster", "fault_rate"), Verdict::Differs);
         assert!(!gate.passed());
-        assert!((gate.geomean - 0.8).abs() < 1e-9);
+        // Two threads interleave: 5 % worse is inside the 12 % bound.
+        let mut hot = HOT;
+        hot[1] = (0.378, 0.37, 0.385);
+        let gate = compare(BENCHMARK, &base, &report(&SIM, &hot)).unwrap();
+        assert_eq!(verdict(&gate, "serve-hot-2t", "fault_rate"), Verdict::Ok);
+        assert!(gate.passed());
     }
 
     #[test]
-    fn one_slow_cell_among_many_fast_ones_still_passes() {
-        // A single noisy cell must not flap the gate: 10 cells, one at
-        // 0.5×, nine at 1.0× → geomean ≈ 0.933 > 0.85.
-        let cells: Vec<(String, f64)> = (0..10).map(|i| (format!("p{i}"), 1e7)).collect();
-        let base = report(
-            &cells
-                .iter()
-                .map(|(p, r)| ("mixed", p.as_str(), *r))
-                .collect::<Vec<_>>(),
+    fn beyond_the_bound_with_disjoint_quartiles_fails() {
+        let base = report(&SIM, &HOT);
+        let mut sim = SIM;
+        sim[0] = (4.0e6, 3.9e6, 4.1e6); // higher is better: 33 % worse
+        let gate = compare(BENCHMARK, &base, &report(&sim, &HOT)).unwrap();
+        assert_eq!(
+            verdict(&gate, "sim-roster", "throughput_rps"),
+            Verdict::Regressed
         );
-        let fresh = report(
-            &cells
-                .iter()
-                .enumerate()
-                .map(|(i, (p, r))| ("mixed", p.as_str(), if i == 0 { r * 0.5 } else { *r }))
-                .collect::<Vec<_>>(),
+        assert!(!gate.passed());
+        let mut hot = HOT;
+        hot[2] = (12.0, 11.5, 12.5); // lower is better: 33 % worse
+        let gate = compare(BENCHMARK, &base, &report(&SIM, &hot)).unwrap();
+        assert_eq!(
+            verdict(&gate, "serve-hot-2t", "req_p50_us"),
+            Verdict::Regressed
         );
-        let gate = compare(&base, &fresh, 0.15).unwrap();
-        assert!(gate.passed(), "geomean {} should pass", gate.geomean);
+        assert!(!gate.passed());
+    }
+
+    #[test]
+    fn beyond_the_bound_with_overlapping_quartiles_is_unresolved_and_passes() {
+        let base = report(&SIM, &HOT);
+        let mut hot = HOT;
+        hot[0] = (5.0e6, 4.0e6, 6.9e6); // 29 % worse, q3 reaches the baseline's q1
+        let gate = compare(BENCHMARK, &base, &report(&SIM, &hot)).unwrap();
+        assert_eq!(
+            verdict(&gate, "serve-hot-2t", "throughput_rps"),
+            Verdict::Unresolved
+        );
+        assert!(gate.passed());
+        assert!(gate
+            .lines
+            .iter()
+            .any(|l| l.to_string().contains("unresolved")));
+    }
+
+    #[test]
+    fn within_the_bound_or_better_is_ok() {
+        let base = report(&SIM, &HOT);
+        let mut sim = SIM;
+        sim[0] = (4.6e6, 4.5e6, 4.7e6); // 23 % worse, bound 25 %
+        sim[2] = (20.0, 19.0, 21.0); // twice as fast
+        let gate = compare(BENCHMARK, &base, &report(&sim, &HOT)).unwrap();
+        assert!(gate.passed());
+        assert!(gate.lines.iter().all(|l| l.verdict == Verdict::Ok));
     }
 
     #[test]
     fn missing_fresh_cell_is_an_error_not_a_pass() {
-        let base = report(&[("mixed", "item-lru", 1e7), ("scan", "item-lru", 2e7)]);
-        let fresh = report(&[("mixed", "item-lru", 1e7)]);
-        assert!(compare(&base, &fresh, 0.15).is_err());
+        let full = report(&SIM, &HOT);
+        let env = "\"seed\":1,\"seconds\":60,\"quick\":false";
+        let one = report_with(env, &[workload("sim-roster", true, 0, &SIM)]);
+        let err = compare(BENCHMARK, &full, &one).unwrap_err();
+        assert!(
+            err.contains("fresh report") && err.contains("serve-hot-2t"),
+            "{err}"
+        );
+        let err = compare(BENCHMARK, &one, &full).unwrap_err();
+        assert!(err.contains("baseline"), "{err}");
+        let renamed = full.replace("req_p50_us", "req_p51_us");
+        let err = compare(BENCHMARK, &full, &renamed).unwrap_err();
+        assert!(err.contains("req_p50_us"), "{err}");
+    }
+
+    #[test]
+    fn missing_results_and_missing_fields_are_errors() {
+        let full = report(&SIM, &HOT);
+        assert!(compare(BENCHMARK, &full, "{}").is_err());
+        assert!(compare(BENCHMARK, &full, "not json").is_err());
+        let no_workloads = "{\"env\":{\"seed\":1,\"seconds\":60,\"quick\":false}}";
+        assert!(compare(BENCHMARK, &full, no_workloads).is_err());
+        let no_quartile = full.replacen("\"q1\":", "\"q0\":", 1);
+        let err = compare(BENCHMARK, &full, &no_quartile).unwrap_err();
+        assert!(err.contains("has no `q1`"), "{err}");
+        assert!(compare("{}", &full, &full).is_err());
+        let no_bound = BENCHMARK.replacen("\"bound\": 0.25", "\"limit\": 0.25", 1);
+        assert!(compare(&no_bound, &full, &full).is_err());
+    }
+
+    #[test]
+    fn reports_from_different_settings_are_not_comparable() {
+        let base = report(&SIM, &HOT);
+        for env in [
+            "\"seed\":2,\"seconds\":60,\"quick\":false",
+            "\"seed\":1,\"seconds\":15,\"quick\":false",
+            "\"seed\":1,\"seconds\":60,\"quick\":true",
+        ] {
+            let fresh = report_with(
+                env,
+                &[
+                    workload("sim-roster", true, 0, &SIM),
+                    workload("serve-hot-2t", true, 0, &HOT),
+                ],
+            );
+            let err = compare(BENCHMARK, &base, &fresh).unwrap_err();
+            assert!(err.contains("headers differ"), "{env}: {err}");
+        }
     }
 }

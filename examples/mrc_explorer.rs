@@ -7,7 +7,7 @@
 //! 2. compare the sampled curves (a tenth of the work — SHARDS accuracy
 //!    scales with the *sampled distinct-id count*, so this small demo
 //!    workload uses 10 %; multi-million-id production traces run at 1 %
-//!    or below, see the `mrc_report` bench);
+//!    or below, see `crates/sim/tests/shards_at_scale.rs`);
 //! 3. derive the IBLP split grid, shortlist the best split, and verify it
 //!    by simulation — including an [`AdaptiveIblp`] *seeded* at the
 //!    MRC-chosen split via [`AdaptiveIblp::with_split`].
@@ -54,7 +54,8 @@ fn main() {
     // Pick the rate for the universe: ~31 K distinct items means 10 %
     // still samples ~3 K ids — enough support for a tight curve. At 1 %
     // (≈ 300 ids) the curve visibly wobbles; production-scale traces with
-    // millions of ids are where 1 % shines (measured in `mrc_report`).
+    // millions of ids are where 1 % shines (`shards_at_scale.rs` holds it
+    // to a 0.02 sup-error there).
     let sampler = SamplerConfig::fixed(0.1).with_seed(7);
     let t1 = Instant::now();
     let sampled = mrc_bundle(
