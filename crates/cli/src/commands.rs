@@ -509,6 +509,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             ("capacity", capacity.to_json()),
             ("shards", shards.to_json()),
             ("threads", threads.to_json()),
+            ("workers", report.workers.to_json()),
             ("mode", mode.to_string().to_json()),
             ("batch", batch.to_json()),
             ("fetch", fetch.to_string().to_json()),
@@ -545,8 +546,9 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
 
     println!("workload: {} ({} requests)", trace.name, trace.len());
     println!(
-        "runtime:  {} | capacity {capacity} | {shards} shard(s) | {threads} thread(s) | mode {mode} | batch {batch} | fetch {fetch}{} | backend {backend_spec}",
+        "runtime:  {} | capacity {capacity} | {shards} shard(s) | {threads} thread(s), {} worker(s) | mode {mode} | batch {batch} | fetch {fetch}{} | backend {backend_spec}",
         kind.label(),
+        report.workers,
         if compile { " | compiled" } else { "" },
     );
     println!(

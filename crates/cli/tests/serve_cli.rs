@@ -94,6 +94,45 @@ fn serve_json_satisfies_conservation_laws() {
     assert_eq!(led + coalesced, misses, "every miss pays exactly once");
 }
 
+/// Workers are shard-affine, so threads beyond the shard count idle: the
+/// report names the workers that actually ran, and the run still conserves.
+#[test]
+fn serve_reports_one_worker_per_shard_at_most() {
+    let args = [
+        "serve",
+        "--policy",
+        "iblp",
+        "--capacity",
+        "256",
+        "--shards",
+        "1",
+        "--threads",
+        "8",
+        "--workload",
+        "zipf",
+        "--items",
+        "2048",
+        "--len",
+        "5000",
+    ];
+    let json = stdout_of(&run(&[&args[..], &["--json"]].concat()));
+    assert_eq!(json_u64(&json, "threads"), 8, "{json}");
+    assert_eq!(json_u64(&json, "workers"), 1, "{json}");
+    let misses = json_u64(&json, "misses");
+    assert_eq!(
+        json_u64(&json, "temporal_hits") + json_u64(&json, "spatial_hits") + misses,
+        5000,
+        "{json}"
+    );
+    assert_eq!(
+        json_u64(&json, "backend_fetches") + json_u64(&json, "coalesced_fetches"),
+        misses,
+        "{json}"
+    );
+    let human = stdout_of(&run(&args));
+    assert!(human.contains("8 thread(s), 1 worker(s)"), "{human}");
+}
+
 #[test]
 fn serve_replays_a_generated_trace_file() {
     let dir = std::env::temp_dir().join(format!("gc-serve-cli-{}", std::process::id()));

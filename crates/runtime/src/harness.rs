@@ -1,16 +1,26 @@
 //! Closed-loop load harness: replay a trace against a [`GcRuntime`] from
-//! `T` concurrent workers and report wall-clock throughput.
+//! concurrent workers and report wall-clock throughput.
 //!
-//! Worker `w` replays requests `w, w+T, w+2T, …` of the trace (a strided
-//! partition) through its own batched [`Session`](crate::Session), issuing
-//! the next request as soon as the previous batch completes — a *closed
+//! The split is **shard-affine**. For `T` threads over `S` shards the
+//! harness starts `W = min(T, S)` workers, and worker `w` owns the shards
+//! `s` with `s % W == w`. It replays, in trace order, exactly the requests
+//! routed to its shards through its own batched [`Session`], issuing the
+//! next request as soon as the previous batch completes — a *closed
 //! loop*: offered load adapts to service rate, so the numbers measure
-//! capacity, not queueing under a fixed arrival rate. With `threads == 1`
-//! the replay order is exactly the trace order, which is what the
-//! differential tests rely on (per-shard order is preserved at every batch
-//! size, so batching never changes single-threaded results).
+//! capacity, not queueing under a fixed arrival rate. No two
+//! workers touch the same shard, and every shard sees its subsequence of
+//! the trace in trace order at every `T` and every batch size, so
+//! per-shard counters equal `gc_sim::simulate` on that subsequence and do
+//! not depend on the thread count or on scheduling.
+//!
+//! The trade: threads beyond `S` add nothing, and because a shard belongs
+//! to one worker, misses on one shard never overlap across callers — with
+//! a blocking backend, one shard's fetches run one after another. Callers
+//! that want overlapping misses drive [`GcRuntime::get`] from their own
+//! threads.
 
 use crate::runtime::GcRuntime;
+use crate::session::Session;
 use gc_types::{CompiledTrace, GcError, RuntimeStats, Trace};
 use std::time::Instant;
 
@@ -23,20 +33,24 @@ pub struct ServeReport {
     pub requests: u64,
     /// Requests per second of wall-clock time.
     pub throughput_rps: f64,
+    /// Workers the replay started: `min(threads, shards)`.
+    pub workers: usize,
     /// Aggregate runtime counters after the replay.
     pub stats: RuntimeStats,
     /// Per-shard counters after the replay, in shard order.
     pub per_shard: Vec<RuntimeStats>,
 }
 
-/// Replay `trace` against `runtime` from `threads` closed-loop workers,
-/// each batching through a [`Session`](crate::Session) sized by the
-/// runtime's [`RuntimeConfig::batch`](crate::RuntimeConfig).
+/// Replay `trace` against `runtime` from `min(threads, shards)`
+/// shard-affine closed-loop workers, each batching through a [`Session`]
+/// sized by the runtime's [`RuntimeConfig::batch`](crate::RuntimeConfig).
+/// An item outside the block map belongs to worker 0, whose session
+/// reports it.
 ///
 /// Counters accumulate in the runtime (call [`GcRuntime::reset`] between
 /// runs to measure each independently). The first error any worker hits is
-/// returned; remaining workers finish their strides first, so the runtime
-/// is quiescent on return either way.
+/// returned; the other workers finish their own shards first, so the
+/// runtime is quiescent on return either way.
 ///
 /// # Errors
 ///
@@ -47,51 +61,25 @@ pub fn serve_trace(
     trace: &Trace,
     threads: usize,
 ) -> Result<ServeReport, GcError> {
-    let threads = threads.max(1);
-    let t0 = Instant::now();
-    let worker_results: Vec<Result<(), GcError>> =
-        gc_sim::pool::run_indexed(threads, threads, |w| {
-            let mut session = runtime.session();
-            if threads == 1 {
-                // Skip the `step_by` adapter's per-item stride bookkeeping
-                // when the single worker replays the whole trace.
-                session.run(trace.iter())?;
-            } else {
-                session.run(trace.iter().skip(w).step_by(threads))?;
-            }
-            session.finish()
-        });
-    let wall = t0.elapsed();
-    for r in worker_results {
-        r?;
-    }
-
-    let stats = runtime.aggregate_stats();
-    let wall_seconds = wall.as_secs_f64();
-    let requests = trace.len() as u64;
-    Ok(ServeReport {
-        wall_seconds,
-        requests,
-        throughput_rps: if wall_seconds > 0.0 {
-            requests as f64 / wall_seconds
-        } else {
-            0.0
-        },
-        stats,
-        per_shard: runtime.per_shard_stats(),
+    replay(runtime, trace.len(), threads, |session, w, workers| {
+        if workers == 1 {
+            // The one worker owns every shard: skip the filter's lookup.
+            return session.run(trace.iter());
+        }
+        let owner = |item| runtime.shard_of(item).map_or(0, |s| s % workers);
+        session.run(trace.iter().filter(|&item| owner(item) == w))
     })
 }
 
-/// Replay a compiled trace against `runtime` from `threads` closed-loop
-/// workers — the dense-ID counterpart of [`serve_trace`]. Each worker
-/// streams its strided partition of the precompiled `(item, block)` array
-/// through [`Session::run_compiled_strided`](crate::Session), skipping the
-/// per-request block lookup and shard hash entirely.
+/// Replay a compiled trace against `runtime` from `min(threads, shards)`
+/// shard-affine closed-loop workers — the dense-ID counterpart of
+/// [`serve_trace`]. Each worker scans the precompiled `(item, block)` array
+/// and serves the accesses its shards own, skipping the per-request block
+/// lookup and shard hash entirely.
 ///
 /// The runtime must have been built against the trace's dense map (see
-/// [`Session::run_compiled`](crate::Session::run_compiled)); with
-/// `threads == 1` on one shard, counters are bit-identical to
-/// [`serve_trace`] over the decoded trace.
+/// [`Session::run_compiled`](crate::Session::run_compiled)); on one shard,
+/// counters are bit-identical to [`serve_trace`] over the decoded trace.
 ///
 /// # Errors
 ///
@@ -102,26 +90,34 @@ pub fn serve_trace_compiled(
     compiled: &CompiledTrace,
     threads: usize,
 ) -> Result<ServeReport, GcError> {
-    let threads = threads.max(1);
+    replay(runtime, compiled.len(), threads, |session, w, workers| {
+        session.run_compiled_owned(compiled, w, workers)
+    })
+}
+
+/// Run `work(session, w, workers)` on each of `min(threads, shards)`
+/// workers, then report the replay of `requests` requests.
+fn replay<F>(
+    runtime: &GcRuntime,
+    requests: usize,
+    threads: usize,
+    work: F,
+) -> Result<ServeReport, GcError>
+where
+    F: Fn(&mut Session<'_>, usize, usize) -> Result<u64, GcError> + Sync,
+{
+    let workers = threads.min(runtime.shards()).max(1);
     let t0 = Instant::now();
-    let worker_results: Vec<Result<(), GcError>> =
-        gc_sim::pool::run_indexed(threads, threads, |w| {
-            let mut session = runtime.session();
-            if threads == 1 {
-                session.run_compiled(compiled)?;
-            } else {
-                session.run_compiled_strided(compiled, w, threads)?;
-            }
-            session.finish()
-        });
-    let wall = t0.elapsed();
+    let worker_results = gc_sim::pool::run_indexed(workers, workers, |w| {
+        let mut session = runtime.session();
+        work(&mut session, w, workers)?;
+        session.finish()
+    });
+    let wall_seconds = t0.elapsed().as_secs_f64();
     for r in worker_results {
         r?;
     }
-
-    let stats = runtime.aggregate_stats();
-    let wall_seconds = wall.as_secs_f64();
-    let requests = compiled.len() as u64;
+    let requests = requests as u64;
     Ok(ServeReport {
         wall_seconds,
         requests,
@@ -130,7 +126,8 @@ pub fn serve_trace_compiled(
         } else {
             0.0
         },
-        stats,
+        workers,
+        stats: runtime.aggregate_stats(),
         per_shard: runtime.per_shard_stats(),
     })
 }
@@ -171,6 +168,7 @@ mod tests {
         let ids: Vec<u64> = (0..10_000u64).map(|i| i % 512).collect();
         let trace = Trace::from_ids(ids);
         let report = serve_trace(&rt, &trace, 8).unwrap();
+        assert_eq!(report.workers, 4, "threads beyond the shard count idle");
         assert_eq!(report.stats.accesses, 10_000);
         assert_eq!(
             report.stats.hits() + report.stats.misses,
@@ -242,10 +240,11 @@ mod tests {
 
     #[test]
     fn worker_errors_propagate() {
-        let map = BlockMap::from_groups(vec![vec![ItemId(0), ItemId(1)]]).unwrap();
+        let map = BlockMap::from_groups(vec![vec![ItemId(0), ItemId(1)], vec![ItemId(2)]]).unwrap();
         let backend = Arc::new(SyntheticBackend::new(map.clone()));
-        let rt = GcRuntime::new(&PolicyKind::ItemLru, 8, map, 1, backend).unwrap();
-        let trace = Trace::from_ids([0u64, 77]); // 77 is not in the map
+        let rt = GcRuntime::new(&PolicyKind::ItemLru, 8, map, 2, backend).unwrap();
+        // 77 is not in the map: it belongs to worker 0, which reports it.
+        let trace = Trace::from_ids([0u64, 2, 77]);
         assert!(serve_trace(&rt, &trace, 2).is_err());
     }
 }

@@ -25,8 +25,9 @@
 //!   observes the same fetched block.
 //! - [`BlockBackend`] — the storage layer that materializes whole blocks;
 //!   [`SyntheticBackend`] emulates device latency and jitter so the
-//!   closed-loop harness ([`serve_trace`]) can explore lock-bound and
-//!   latency-bound regimes without real devices.
+//!   closed-loop harness ([`serve_trace`], one worker per disjoint shard
+//!   set) can explore lock-bound and latency-bound regimes without real
+//!   devices.
 //! - [`store`] — physical storage tiers behind the backend trait: a
 //!   persistent crash-safe [`DiskBackend`], a bounded in-RAM
 //!   [`MemBackend`], the [`TieredBackend`] L1/L2 combinator with per-tier

@@ -207,6 +207,10 @@ impl ShardRoute {
     }
 }
 
+/// Route-table entry of a block whose shard the replaying worker does not
+/// own; see `GcRuntime::owned_block_routes`.
+pub(crate) const NOT_OWNED: u32 = u32::MAX;
+
 /// Split `capacity` lines over `shards` shards as evenly as possible
 /// (first `capacity % shards` shards get one extra line).
 pub fn shard_capacities(capacity: usize, shards: usize) -> Vec<usize> {
@@ -321,10 +325,20 @@ impl GcRuntime {
 
     /// Precompute the shard route of every dense block id `0..n_blocks` —
     /// the compiled serving path replaces the per-request `mix64` +
-    /// mask/mod with one flat table load.
-    pub(crate) fn block_routes(&self, n_blocks: usize) -> Vec<u32> {
+    /// mask/mod with one flat table load. Blocks on shards that worker
+    /// `worker` of `workers` does not own (`shard % workers != worker`)
+    /// route to [`NOT_OWNED`].
+    pub(crate) fn owned_block_routes(
+        &self,
+        n_blocks: usize,
+        worker: usize,
+        workers: usize,
+    ) -> Vec<u32> {
         (0..n_blocks as u64)
-            .map(|b| self.shard_index(BlockId(b)) as u32)
+            .map(|b| match self.shard_index(BlockId(b)) {
+                s if s % workers == worker => s as u32,
+                _ => NOT_OWNED,
+            })
             .collect()
     }
 

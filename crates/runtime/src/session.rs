@@ -6,8 +6,9 @@
 //! per-request cost of coordination falls roughly linearly in the batch
 //! window. Per-shard request order is exactly arrival order (groups are
 //! built by appending and executed front to back), which is why batching
-//! is invisible to single-threaded results: the policy sees the same
-//! access sequence per shard no matter the window size.
+//! is invisible whenever one session drives each shard — one thread, or
+//! the harness's shard-affine workers: the policy sees the same access
+//! sequence per shard no matter the window size.
 //!
 //! Coalesced-path misses are *deferred*: the shard critical section only
 //! classifies the access and runs the policy; the fetches happen after the
@@ -26,7 +27,7 @@
 
 use crate::config::FetchPath;
 use crate::owner::{BatchJob, BatchReply, Msg, ReplySlot};
-use crate::runtime::{FetchStats, GcRuntime};
+use crate::runtime::{FetchStats, GcRuntime, NOT_OWNED};
 use crate::sync::Arc;
 use gc_types::{BlockId, CompiledTrace, FxHashMap, GcError, ItemId};
 
@@ -307,35 +308,49 @@ impl<'rt> Session<'rt> {
     /// [`GcError::InvalidParameter`] if the runtime's block map is not
     /// the trace's dense map, or any error surfaced by a flush.
     pub fn run_compiled(&mut self, compiled: &CompiledTrace) -> Result<u64, GcError> {
-        self.run_compiled_strided(compiled, 0, 1)
+        self.run_compiled_owned(compiled, 0, 1)
     }
 
-    /// Serve every `step`-th access of `compiled` starting at `skip` —
-    /// the worker partition behind `serve_trace_compiled`. `skip == 0`,
-    /// `step == 1` replays the whole trace in order.
-    pub(crate) fn run_compiled_strided(
+    /// Serve, in trace order, exactly the accesses of `compiled` routed to
+    /// the shards worker `worker` of `workers` owns (shard `s` belongs to
+    /// worker `s % workers`) — one worker's share in
+    /// `serve_trace_compiled`. Every shard sees the same subsequence at
+    /// any `workers`; `worker == 0`, `workers == 1` replays everything.
+    pub(crate) fn run_compiled_owned(
         &mut self,
         compiled: &CompiledTrace,
-        skip: usize,
-        step: usize,
+        worker: usize,
+        workers: usize,
     ) -> Result<u64, GcError> {
-        debug_assert!(step >= 1, "stride step must be at least 1");
         if !self.rt.same_dense_map(compiled.map()) {
             return Err(GcError::InvalidParameter(
                 "compiled trace and runtime were built against different block maps".into(),
             ));
         }
-        // Whole-trace replay of a single locked shard runs unbuffered —
-        // same fast path (and flush cadence) as the sparse `run`, but
-        // available for *any* lookup kind since blocks are precomputed.
-        if skip == 0 && step == 1 && self.rt.shards() == 1 && self.rt.engine_locked().is_some() {
+        // A single locked shard (always worker 0's) runs unbuffered — same
+        // fast path (and flush cadence) as the sparse `run`, but available
+        // for *any* lookup kind since blocks are precomputed.
+        if self.rt.shards() == 1 && self.rt.engine_locked().is_some() {
             return self.run_single_compiled(compiled);
         }
-        let routes = self.rt.block_routes(compiled.n_blocks() as usize);
+        let routes = self
+            .rt
+            .owned_block_routes(compiled.n_blocks() as usize, worker, workers);
+        self.run_routed(compiled, &routes)
+    }
+
+    /// The buffered loop behind [`Session::run_compiled_owned`]: one table
+    /// load routes each access, and [`NOT_OWNED`] routes are skipped.
+    // lint: hot-path
+    fn run_routed(&mut self, compiled: &CompiledTrace, routes: &[u32]) -> Result<u64, GcError> {
         let buffer_blocks = matches!(self.lookup, BlockLookup::Map);
         let mut served = 0u64;
-        for a in compiled.accesses().iter().skip(skip).step_by(step) {
-            let shard = routes[a.block as usize] as usize;
+        for a in compiled.accesses() {
+            let shard = routes[a.block as usize];
+            if shard == NOT_OWNED {
+                continue;
+            }
+            let shard = shard as usize;
             self.items[shard].push(ItemId(u64::from(a.item)));
             if buffer_blocks {
                 self.blocks[shard].push(BlockId(u64::from(a.block)));

@@ -10,15 +10,19 @@
 //! because per-shard request order is arrival order no matter the window;
 //! owner mode must be invisible because the owner thread runs the same
 //! `ShardCore::access` body the locked path runs.
+//!
+//! The harness's workers are shard-affine, so the anchor extends to every
+//! shard and thread count: shard `s` of an `S`-shard runtime is the engine
+//! run on the trace's subsequence routed to `s`, at `T` = 1, 2, 3 or 8.
 
 use gc_policies::PolicyKind;
 use gc_runtime::{
-    serve_trace, serve_trace_compiled, ExecMode, FetchPath, GcRuntime, RuntimeConfig,
-    SyntheticBackend,
+    serve_trace, serve_trace_compiled, shard_capacities, ExecMode, FetchPath, GcRuntime,
+    RuntimeConfig, SyntheticBackend,
 };
 use gc_sim::SimStats;
 use gc_trace::synthetic;
-use gc_types::{BlockMap, CompiledTrace, Trace};
+use gc_types::{BlockMap, CompiledTrace, RuntimeStats, Trace};
 use std::sync::Arc;
 
 const CAPACITY: usize = 96;
@@ -226,6 +230,115 @@ fn compiled_serving_rejects_mismatched_runtime_map() {
     )
     .unwrap();
     assert!(serve_trace_compiled(&rt, &compiled, 1).is_err());
+}
+
+/// The policy-visible counters of one shard, in a shape both sides share.
+fn shard_shape(s: &RuntimeStats) -> [u64; 6] {
+    [
+        s.accesses,
+        s.misses,
+        s.temporal_hits,
+        s.spatial_hits,
+        s.admitted_items,
+        s.evicted_items,
+    ]
+}
+
+fn sim_shape(s: &SimStats) -> [u64; 6] {
+    [
+        s.accesses,
+        s.misses,
+        s.temporal_hits,
+        s.spatial_hits,
+        s.items_loaded,
+        s.items_evicted,
+    ]
+}
+
+/// Aggregate counters minus the wall-clock fetch latencies.
+fn aggregate_counters(rt: &GcRuntime) -> RuntimeStats {
+    let mut s = rt.aggregate_stats();
+    s.fetch_latency = Default::default();
+    s
+}
+
+#[test]
+fn every_shard_matches_engine_on_its_subsequence_at_any_thread_count() {
+    // Shard-affine workers: whatever the thread count, shard `s` serves
+    // exactly the trace's requests routed to it, in trace order, at its
+    // share of the capacity — so it must count what the offline engine
+    // counts on that subsequence, in every execution variant, through both
+    // the sparse and the compiled harness.
+    const CAP: usize = 512;
+    let map = BlockMap::strided(BLOCK_SIZE);
+    let trace = Trace::from_ids(
+        synthetic::zipfian(4096, 0.8, 3_000, 5)
+            .iter()
+            .map(|item| item.0 * 7_919),
+    );
+    let compiled = CompiledTrace::compile(&trace, &map).unwrap();
+    let build = |kind: &PolicyKind, map: &BlockMap, cfg: RuntimeConfig| {
+        let backend = Arc::new(SyntheticBackend::new(map.clone()));
+        GcRuntime::with_config(kind, CAP, map.clone(), cfg, backend).unwrap()
+    };
+    for kind in [PolicyKind::BlockLru, PolicyKind::IblpBalanced] {
+        for shards in [1usize, 3, 8] {
+            for compiled_path in [false, true] {
+                let (map, trace) = if compiled_path {
+                    (compiled.map().clone(), compiled.iter_items().collect())
+                } else {
+                    (map.clone(), trace.clone())
+                };
+                let router = build(&kind, &map, RuntimeConfig::new(shards));
+                let capacities = shard_capacities(CAP, shards);
+                let expect: Vec<[u64; 6]> = (0..shards)
+                    .map(|s| {
+                        let mine: Trace = trace
+                            .iter()
+                            .filter(|&i| router.shard_of(i) == Some(s))
+                            .collect();
+                        let mut policy = kind.build(capacities[s], &map);
+                        sim_shape(&gc_sim::simulate(&mut policy, &mine))
+                    })
+                    .collect();
+                let serve = |cfg: &RuntimeConfig, threads: usize| {
+                    let rt = build(&kind, &map, cfg.clone());
+                    let report = if compiled_path {
+                        serve_trace_compiled(&rt, &compiled, threads)
+                    } else {
+                        serve_trace(&rt, &trace, threads)
+                    }
+                    .unwrap();
+                    assert_eq!(report.workers, threads.min(shards), "{cfg:?}");
+                    rt
+                };
+                for mode in [ExecMode::Locked, ExecMode::Owner] {
+                    for fetch in [FetchPath::Inline, FetchPath::Coalesced] {
+                        for batch in [1usize, 64] {
+                            let cfg = RuntimeConfig::new(shards)
+                                .with_mode(mode)
+                                .with_fetch(fetch)
+                                .with_batch(batch);
+                            for threads in [1usize, 2, 3, 8] {
+                                let rt = serve(&cfg, threads);
+                                let got: Vec<[u64; 6]> =
+                                    rt.per_shard_stats().iter().map(shard_shape).collect();
+                                assert_eq!(
+                                    got, expect,
+                                    "{kind:?} compiled={compiled_path} T={threads} {cfg:?}"
+                                );
+                            }
+                            assert_eq!(
+                                aggregate_counters(&serve(&cfg, 8)),
+                                aggregate_counters(&serve(&cfg, 8)),
+                                "two T=8 runs differ: {kind:?} compiled={compiled_path} {cfg:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 mod randomized {
