@@ -9,7 +9,7 @@
 //! larger block layer would have caught votes to grow `b`. At the end of
 //! each epoch the boundary moves one block-width toward the winner.
 //!
-//! Evaluated in the `adaptive_split` example and the ablation bench: on
+//! Evaluated by the tests below and `tests/extensions.rs`: on
 //! phase-changing workloads the adaptive split tracks the better static
 //! split without knowing it in advance.
 
@@ -180,6 +180,7 @@ impl GcPolicy for AdaptiveIblp {
                 .is_some_and(|b| self.block_layer.contains(b.0))
     }
 
+    // lint: hot-path
     fn access_into(&mut self, item: ItemId, out: &mut AccessScratch) -> AccessKind {
         let block = self.map.block_of(item);
         // Epoch-boundary evictions accumulate in the policy-owned `pending`
@@ -219,6 +220,7 @@ impl GcPolicy for AdaptiveIblp {
                 out.loaded.push(z);
             }
         }
+        let had_pending = !pending.is_empty();
         out.evicted.append(&mut pending);
         self.pending = pending;
         self.block_layer.touch(block.0);
@@ -237,10 +239,18 @@ impl GcPolicy for AdaptiveIblp {
         self.enforce_item_overflow(&mut out.evicted);
         // Epoch-boundary evictions may have been undone by this access
         // reloading the same block; report only what is really gone, once.
-        out.evicted.sort_unstable();
-        out.evicted.dedup();
+        // This access's own evictions are distinct and non-resident: the
+        // block victim is never `block` and reports only items outside the
+        // item layer, and an item-layer victim is reported only when its
+        // block is not cached. With nothing pending there is nothing to
+        // clean.
         let this: &Self = self;
-        out.evicted.retain(|e| !this.contains(*e));
+        if had_pending {
+            out.evicted.sort_unstable();
+            out.evicted.dedup();
+            out.evicted.retain(|e| !this.contains(*e));
+        }
+        debug_assert!(out.evicted.iter().all(|e| !this.contains(*e)));
         AccessKind::Miss
     }
 

@@ -7,11 +7,11 @@
 //! point (§4.4).
 
 use crate::lru_list::LruList;
-use crate::slab::{KeyIndex, KeySet, KeyTable, Universe};
+use crate::slab::{KeyIndex, KeySet, Universe};
 use crate::GcPolicy;
 use gc_types::rng::SmallRng;
 use gc_types::{AccessKind, AccessScratch, ItemId};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 fn check_capacity(capacity: usize) -> usize {
     assert!(capacity > 0, "cache capacity must be positive");
@@ -227,14 +227,49 @@ impl GcPolicy for ItemClock {
 /// Least-Frequently-Used item cache with LRU tie-breaking.
 ///
 /// Frequencies persist only while the item is resident (no ghost history).
+/// The order is the classic O(1) frequency-bucket structure: one bucket
+/// per frequency present, linked in increasing frequency, each a FIFO of
+/// its items. An access moves an item to the tail of the next bucket, so
+/// entry order into a bucket is last-access order, and the victim — least
+/// frequent, then least recent — is the head of the first bucket.
+///
+/// Buckets come from a pool of at most `capacity + 1` nodes (one per
+/// nonempty bucket, plus the one a hit creates before its old bucket
+/// empties), never from a table indexed by frequency: a hot item's
+/// frequency is unbounded.
 #[derive(Clone, Debug)]
 pub struct ItemLfu {
     capacity: usize,
-    /// (frequency, last-access sequence, item) — the `BTreeSet` minimum is
-    /// the eviction victim.
-    order: BTreeSet<(u64, u64, ItemId)>,
-    entries: KeyTable<(u64, u64)>,
-    clock: u64,
+    /// Item → its node in `nodes`.
+    index: KeyIndex,
+    nodes: Vec<LfuNode>,
+    buckets: Vec<Bucket>,
+    /// Head of the free list of `buckets`, chained through `next`.
+    free_bucket: u32,
+    /// The lowest-frequency bucket (`NIL` when empty).
+    min_bucket: u32,
+}
+
+const NIL: u32 = u32::MAX;
+
+/// One resident item: its bucket and its neighbours in that bucket's FIFO.
+#[derive(Clone, Copy, Debug)]
+struct LfuNode {
+    item: u64,
+    bucket: u32,
+    prev: u32,
+    next: u32,
+}
+
+/// The items of one frequency, oldest access at `head`, and the buckets of
+/// the next lower (`prev`) and higher (`next`) frequency present.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    freq: u64,
+    head: u32,
+    tail: u32,
+    prev: u32,
+    next: u32,
 }
 
 impl ItemLfu {
@@ -243,13 +278,88 @@ impl ItemLfu {
         Self::with_universe(capacity, &Universe::sparse())
     }
 
-    /// An LFU cache whose frequency table is backed by `universe`.
+    /// An LFU cache whose item index is backed by `universe`.
     pub fn with_universe(capacity: usize, universe: &Universe) -> Self {
         ItemLfu {
             capacity: check_capacity(capacity),
-            order: BTreeSet::new(),
-            entries: universe.item_table(),
-            clock: 0,
+            index: universe.item_index(),
+            nodes: Vec::with_capacity(capacity),
+            buckets: Vec::with_capacity(capacity + 1),
+            free_bucket: NIL,
+            min_bucket: NIL,
+        }
+    }
+
+    /// A new empty bucket of `freq` linked between `prev` and `next`.
+    fn new_bucket(&mut self, freq: u64, prev: u32, next: u32) -> u32 {
+        let bucket = Bucket {
+            freq,
+            head: NIL,
+            tail: NIL,
+            prev,
+            next,
+        };
+        let b = if self.free_bucket != NIL {
+            let b = self.free_bucket;
+            self.free_bucket = self.buckets[b as usize].next;
+            self.buckets[b as usize] = bucket;
+            b
+        } else {
+            self.buckets.push(bucket);
+            (self.buckets.len() - 1) as u32
+        };
+        if prev != NIL {
+            self.buckets[prev as usize].next = b;
+        } else {
+            self.min_bucket = b;
+        }
+        if next != NIL {
+            self.buckets[next as usize].prev = b;
+        }
+        b
+    }
+
+    /// Append node `n` at the tail of bucket `b`.
+    fn push_back(&mut self, n: u32, b: u32) {
+        let tail = self.buckets[b as usize].tail;
+        self.nodes[n as usize].bucket = b;
+        self.nodes[n as usize].prev = tail;
+        self.nodes[n as usize].next = NIL;
+        if tail != NIL {
+            self.nodes[tail as usize].next = n;
+        } else {
+            self.buckets[b as usize].head = n;
+        }
+        self.buckets[b as usize].tail = n;
+    }
+
+    /// Take node `n` out of its bucket, releasing the bucket if it empties.
+    fn unlink(&mut self, n: u32) {
+        let LfuNode {
+            bucket, prev, next, ..
+        } = self.nodes[n as usize];
+        if prev != NIL {
+            self.nodes[prev as usize].next = next;
+        } else {
+            self.buckets[bucket as usize].head = next;
+        }
+        if next != NIL {
+            self.nodes[next as usize].prev = prev;
+        } else {
+            self.buckets[bucket as usize].tail = prev;
+        }
+        if self.buckets[bucket as usize].head == NIL {
+            let Bucket { prev, next, .. } = self.buckets[bucket as usize];
+            if prev != NIL {
+                self.buckets[prev as usize].next = next;
+            } else {
+                self.min_bucket = next;
+            }
+            if next != NIL {
+                self.buckets[next as usize].prev = prev;
+            }
+            self.buckets[bucket as usize].next = self.free_bucket;
+            self.free_bucket = bucket;
         }
     }
 }
@@ -264,38 +374,67 @@ impl GcPolicy for ItemLfu {
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     fn contains(&self, item: ItemId) -> bool {
-        self.entries.contains(item.0)
+        self.index.contains(item.0)
     }
 
+    // lint: hot-path
     fn access_into(&mut self, item: ItemId, out: &mut AccessScratch) -> AccessKind {
-        self.clock += 1;
-        if let Some(&(freq, seq)) = self.entries.get(item.0) {
-            self.order.remove(&(freq, seq, item));
-            self.order.insert((freq + 1, self.clock, item));
-            self.entries.insert(item.0, (freq + 1, self.clock));
+        if let Some(n) = self.index.get(item.0) {
+            // Move to the tail of the next frequency's bucket, creating it
+            // before the old bucket can empty so the link position holds.
+            let b = self.nodes[n as usize].bucket;
+            let Bucket { freq, next, .. } = self.buckets[b as usize];
+            let up = if next != NIL && self.buckets[next as usize].freq == freq + 1 {
+                next
+            } else {
+                self.new_bucket(freq + 1, b, next)
+            };
+            self.unlink(n);
+            self.push_back(n, up);
             return AccessKind::Hit;
         }
         out.clear();
         out.loaded.push(item);
-        if self.entries.len() == self.capacity {
-            let &(freq, seq, victim) = self.order.iter().next().expect("nonempty at capacity");
-            self.order.remove(&(freq, seq, victim));
-            self.entries.remove(victim.0);
-            out.evicted.push(victim);
-        }
-        self.order.insert((1, self.clock, item));
-        self.entries.insert(item.0, (1, self.clock));
+        // A full cache hands the victim's node to the new item, so `nodes`
+        // never outgrows `capacity` and needs no free list.
+        let n = if self.nodes.len() == self.capacity {
+            let n = self.buckets[self.min_bucket as usize].head;
+            self.unlink(n);
+            let victim = self.nodes[n as usize].item;
+            self.index.remove(victim);
+            out.evicted.push(ItemId(victim));
+            self.nodes[n as usize].item = item.0;
+            n
+        } else {
+            self.nodes.push(LfuNode {
+                item: item.0,
+                bucket: NIL,
+                prev: NIL,
+                next: NIL,
+            });
+            (self.nodes.len() - 1) as u32
+        };
+        self.index.insert(item.0, n);
+        let first = self.min_bucket;
+        let ones = if first != NIL && self.buckets[first as usize].freq == 1 {
+            first
+        } else {
+            self.new_bucket(1, NIL, first)
+        };
+        self.push_back(n, ones);
         AccessKind::Miss
     }
 
     fn reset(&mut self) {
-        self.order.clear();
-        self.entries.clear();
-        self.clock = 0;
+        self.index.clear();
+        self.nodes.clear();
+        self.buckets.clear();
+        self.free_bucket = NIL;
+        self.min_bucket = NIL;
     }
 }
 
@@ -496,7 +635,9 @@ impl GcPolicy for ItemMarking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::both_universes;
     use gc_types::AccessResult;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn drive(policy: &mut impl GcPolicy, ids: &[u64]) -> (u64, u64) {
         let mut hits = 0;
@@ -696,6 +837,79 @@ mod tests {
         let (fifo_hits, _) = drive(&mut ItemFifo::new(64), &ids);
         assert_eq!(lru_hits, 9_999, "LRU never evicts the hot item");
         assert!(fifo_hits < lru_hits, "lru={lru_hits} fifo={fifo_hits}");
+    }
+
+    /// Reference model: LFU's total order as a `BTreeSet` of
+    /// `(freq, seq, item)`, where `seq` is the last-access clock.
+    #[derive(Default)]
+    struct LfuModel {
+        clock: u64,
+        entries: BTreeMap<u64, (u64, u64)>,
+        order: BTreeSet<(u64, u64, u64)>,
+    }
+
+    impl LfuModel {
+        /// `None` on a hit, the evicted items on a miss.
+        fn access(&mut self, item: u64, capacity: usize) -> Option<Vec<u64>> {
+            self.clock += 1;
+            if let Some(&(freq, seq)) = self.entries.get(&item) {
+                self.order.remove(&(freq, seq, item));
+                self.order.insert((freq + 1, self.clock, item));
+                self.entries.insert(item, (freq + 1, self.clock));
+                return None;
+            }
+            let mut evicted = Vec::new();
+            if self.entries.len() == capacity {
+                let (_, _, victim) = self.order.pop_first().unwrap();
+                self.entries.remove(&victim);
+                evicted.push(victim);
+            }
+            self.order.insert((1, self.clock, item));
+            self.entries.insert(item, (1, self.clock));
+            Some(evicted)
+        }
+    }
+
+    #[test]
+    fn lfu_stress_against_reference_model() {
+        for universe in both_universes(30) {
+            let mut fast = ItemLfu::with_universe(8, &universe);
+            let mut slow = LfuModel::default();
+            let mut out = AccessScratch::new();
+            let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+            for step in 0..20_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x % 997 == 0 {
+                    fast.reset();
+                    slow = LfuModel::default();
+                    continue;
+                }
+                // Skewed keys, so frequencies spread over many buckets.
+                let key = if x % 3 == 0 { x % 6 } else { x % 30 };
+                let ctx = format!("dense={} step {step}", universe.is_dense());
+                assert_eq!(
+                    fast.contains(ItemId(key)),
+                    slow.entries.contains_key(&key),
+                    "{ctx}"
+                );
+                let kind = fast.access_into(ItemId(key), &mut out);
+                match slow.access(key, 8) {
+                    None => assert!(kind.is_hit(), "{ctx}"),
+                    Some(evicted) => {
+                        assert!(kind.is_miss(), "{ctx}");
+                        let evicted: Vec<ItemId> = evicted.into_iter().map(ItemId).collect();
+                        assert_eq!(out.evicted, evicted, "{ctx}");
+                    }
+                }
+                assert_eq!(fast.len(), slow.entries.len(), "{ctx}");
+                assert!(
+                    fast.buckets.len() <= 9,
+                    "{ctx}: bucket pool outgrew capacity + 1"
+                );
+            }
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use item::{ItemClock, ItemFifo, ItemLfu, ItemLru, ItemMarking, ItemRandom};
 pub use loadk::ThresholdLoad;
 pub use lruk::LruK;
 pub use sketch::CountMinSketch;
-pub use slab::{KeyIndex, KeySet, KeyTable, Universe};
+pub use slab::{KeyIndex, KeySet, Universe};
 pub use slru::Slru;
 pub use tinylfu::WTinyLfu;
 pub use twoq::TwoQ;

@@ -1,19 +1,17 @@
-//! Slab-backed key state: dense `Vec`-indexed indices, sets, and tables
-//! with generation checks, plus the sparse hash-map fallbacks.
+//! Slab-backed key state: dense `Vec`-indexed indices and sets with
+//! generation checks, plus the sparse hash-map fallbacks.
 //!
 //! Every policy in this crate keys its replacement state by raw `u64` ids
 //! (items or blocks). Against an arbitrary trace those keys are sparse and
 //! a hash map is the only option — but when the trace has been *compiled*
 //! ([`gc_types::CompiledTrace`]) the keys are dense `0..n`, and the map
-//! collapses to a direct array load. The three structures here make that
+//! collapses to a direct array load. The two structures here make that
 //! switch a construction-time decision instead of a per-policy rewrite:
 //!
 //! * [`KeyIndex`] — `key → u32` position map (the `FxHashMap<u64, u32>`
 //!   shape used by [`LruList`](crate::lru_list::LruList) and the item
 //!   policies' position indices).
 //! * [`KeySet`] — membership set (FIFO presence, marking sets).
-//! * [`KeyTable`] — `key → V` map for fatter per-key state (LFU counters,
-//!   LRU-K histories).
 //!
 //! The dense variants are **generation-stamped**: each slot carries the
 //! epoch at which it was written, and `clear()` simply bumps the epoch —
@@ -108,14 +106,6 @@ impl Universe {
         match &self.dense {
             Some(d) => KeySet::dense(d.n_blocks),
             None => KeySet::sparse(),
-        }
-    }
-
-    /// A value table keyed by item ids.
-    pub fn item_table<V>(&self) -> KeyTable<V> {
-        match &self.dense {
-            Some(d) => KeyTable::dense(d.n_items),
-            None => KeyTable::sparse(),
         }
     }
 
@@ -404,181 +394,14 @@ impl KeySet {
     }
 }
 
-/// `key → V` table for fatter per-key state: hash-backed or a flat
-/// generation-stamped `Vec<Option<V>>`.
-///
-/// Dense slots are *retained* across [`clear`](KeyTable::clear) (the
-/// generation bump makes them unreadable); their allocations are reused by
-/// later inserts, arena-style.
-#[derive(Clone, Debug)]
-pub enum KeyTable<V> {
-    /// Open key space.
-    Sparse(FxHashMap<u64, V>),
-    /// Dense `0..n` key space.
-    Dense {
-        /// Per-key generation stamps; the value is live iff its stamp
-        /// matches the current generation.
-        stamps: Vec<u32>,
-        /// Per-key values (stale ones linger until overwritten).
-        values: Vec<Option<V>>,
-        /// Current generation.
-        generation: u32,
-        /// Live entries.
-        len: usize,
-    },
-}
-
-impl<V> KeyTable<V> {
-    /// An empty hash-backed table.
-    pub fn sparse() -> Self {
-        KeyTable::Sparse(FxHashMap::default())
-    }
-
-    /// An empty dense table over keys `0..n`.
-    pub fn dense(n: usize) -> Self {
-        let mut values = Vec::new();
-        values.resize_with(n, || None);
-        KeyTable::Dense {
-            stamps: vec![0; n],
-            values,
-            generation: GEN_FIRST,
-            len: 0,
-        }
-    }
-
-    /// The value stored for `key`, if present.
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<&V> {
-        match self {
-            KeyTable::Sparse(map) => map.get(&key),
-            KeyTable::Dense {
-                stamps,
-                values,
-                generation,
-                ..
-            } => {
-                if stamps.get(key as usize) == Some(generation) {
-                    values[key as usize].as_ref()
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Mutable access to the value stored for `key`, if present.
-    #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        match self {
-            KeyTable::Sparse(map) => map.get_mut(&key),
-            KeyTable::Dense {
-                stamps,
-                values,
-                generation,
-                ..
-            } => {
-                if stamps.get(key as usize) == Some(generation) {
-                    values[key as usize].as_mut()
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Whether `key` is present.
-    #[inline]
-    pub fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Store `value` for `key`, returning the previous value if any.
-    #[inline]
-    pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        match self {
-            KeyTable::Sparse(map) => map.insert(key, value),
-            KeyTable::Dense {
-                stamps,
-                values,
-                generation,
-                len,
-            } => {
-                debug_assert!(
-                    (key as usize) < stamps.len(),
-                    "key {key} outside dense universe of {}",
-                    stamps.len()
-                );
-                let live = stamps[key as usize] == *generation;
-                stamps[key as usize] = *generation;
-                let old = values[key as usize].replace(value);
-                if live {
-                    old
-                } else {
-                    *len += 1;
-                    None
-                }
-            }
-        }
-    }
-
-    /// Remove `key`, returning its value if it was present.
-    #[inline]
-    pub fn remove(&mut self, key: u64) -> Option<V> {
-        match self {
-            KeyTable::Sparse(map) => map.remove(&key),
-            KeyTable::Dense {
-                stamps,
-                values,
-                generation,
-                len,
-            } => match stamps.get_mut(key as usize) {
-                Some(stamp) if *stamp == *generation => {
-                    *stamp = 0;
-                    *len -= 1;
-                    values[key as usize].take()
-                }
-                _ => None,
-            },
-        }
-    }
-
-    /// Live entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            KeyTable::Sparse(map) => map.len(),
-            KeyTable::Dense { len, .. } => *len,
-        }
-    }
-
-    /// Whether no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all entries. O(1) for dense tables (generation bump; stale
-    /// values linger until their slot is reused).
-    pub fn clear(&mut self) {
-        match self {
-            KeyTable::Sparse(map) => map.clear(),
-            KeyTable::Dense {
-                stamps,
-                values,
-                generation,
-                len,
-            } => {
-                *generation = match generation.checked_add(1) {
-                    Some(g) => g,
-                    None => {
-                        stamps.fill(0);
-                        values.iter_mut().for_each(|v| *v = None);
-                        GEN_FIRST
-                    }
-                };
-                *len = 0;
-            }
-        }
-    }
+/// The sparse universe and a dense one over item keys `0..n`, for tests
+/// that run a policy over both [`KeyIndex`] backings.
+#[cfg(test)]
+pub(crate) fn both_universes(n: u64) -> [Universe; 2] {
+    let ct =
+        gc_types::CompiledTrace::compile(&gc_types::Trace::from_ids(0..n), &BlockMap::strided(1))
+            .expect("identity trace compiles");
+    [Universe::sparse(), Universe::of(ct.map())]
 }
 
 #[cfg(test)]
@@ -636,36 +459,11 @@ mod tests {
     }
 
     #[test]
-    fn table_basic_both_backings() {
-        for mut t in [KeyTable::<String>::sparse(), KeyTable::<String>::dense(16)] {
-            assert_eq!(t.insert(2, "a".into()), None);
-            assert_eq!(t.insert(2, "b".into()), Some("a".into()));
-            assert_eq!(t.get(2).map(String::as_str), Some("b"));
-            t.get_mut(2).unwrap().push('!');
-            assert_eq!(t.remove(2).as_deref(), Some("b!"));
-            assert_eq!(t.remove(2), None);
-            assert!(t.is_empty());
-        }
-    }
-
-    #[test]
-    fn table_clear_hides_stale_values() {
-        let mut t = KeyTable::<u32>::dense(4);
-        t.insert(0, 11);
-        t.clear();
-        assert_eq!(t.get(0), None);
-        assert_eq!(t.insert(0, 22), None, "stale value must not resurface");
-        assert_eq!(t.get(0), Some(&22));
-    }
-
-    #[test]
     fn dense_out_of_range_reads_are_absent() {
         let idx = KeyIndex::dense(4);
         assert_eq!(idx.get(100), None);
         let set = KeySet::dense(4);
         assert!(!set.contains(100));
-        let t = KeyTable::<u8>::dense(4);
-        assert_eq!(t.get(100), None);
     }
 
     #[test]

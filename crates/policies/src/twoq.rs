@@ -23,8 +23,10 @@ pub struct TwoQ {
     kout: usize,
     a1in: VecDeque<ItemId>,
     a1in_set: KeySet,
-    a1out: VecDeque<ItemId>,
-    a1out_set: KeySet,
+    /// The ghost queue as a FIFO: a key is never re-touched while it sits
+    /// here (it enters only on a spill from `A1in` and leaves on a ghost
+    /// hit), so its LRU order is insertion order.
+    a1out: LruList,
     am: LruList,
 }
 
@@ -47,8 +49,7 @@ impl TwoQ {
             kout: capacity,
             a1in: VecDeque::new(),
             a1in_set: universe.item_set(),
-            a1out: VecDeque::new(),
-            a1out_set: universe.item_set(),
+            a1out: LruList::with_index(capacity + 1, universe.item_index()),
             am: LruList::with_index(capacity, universe.item_index()),
         }
     }
@@ -57,11 +58,9 @@ impl TwoQ {
     fn spill_a1in(&mut self) -> ItemId {
         let victim = self.a1in.pop_front().expect("spill on nonempty A1in");
         self.a1in_set.remove(victim.0);
-        self.a1out.push_back(victim);
-        self.a1out_set.insert(victim.0);
+        self.a1out.touch(victim.0);
         if self.a1out.len() > self.kout {
-            let gone = self.a1out.pop_front().expect("ghost nonempty");
-            self.a1out_set.remove(gone.0);
+            self.a1out.evict_lru();
         }
         victim
     }
@@ -92,6 +91,7 @@ impl GcPolicy for TwoQ {
         self.a1in_set.contains(item.0) || self.am.contains(item.0)
     }
 
+    // lint: hot-path
     fn access_into(&mut self, item: ItemId, out: &mut AccessScratch) -> AccessKind {
         if self.am.contains(item.0) {
             self.am.touch(item.0);
@@ -107,10 +107,7 @@ impl GcPolicy for TwoQ {
         // residency never exceeds capacity.
         out.clear();
         out.loaded.push(item);
-        let ghost_hit = self.a1out_set.remove(item.0);
-        if ghost_hit {
-            self.a1out.retain(|&g| g != item);
-        }
+        let ghost_hit = self.a1out.remove(item.0);
         if ghost_hit && self.am_cap() > 0 {
             // Ghost hit: this item has real reuse — promote to Am.
             if self.am.len() == self.am_cap() {
@@ -135,7 +132,6 @@ impl GcPolicy for TwoQ {
         self.a1in.clear();
         self.a1in_set.clear();
         self.a1out.clear();
-        self.a1out_set.clear();
         self.am.clear();
     }
 }

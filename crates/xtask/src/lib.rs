@@ -9,7 +9,7 @@
 //! | `panic`       | `gc-runtime` non-test sources | no `.unwrap()` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` without a `// lint: allow(panic): <why>` waiver |
 //! | `hot-alloc`   | `// lint: hot-path` functions | no allocation-prone calls (`Vec::new`, `format!`, `.clone()`, …) without a `// lint: allow(alloc): <why>` waiver |
 //! | `hot-instant` | `// lint: hot-path` functions | no `Instant::now` (timestamps belong outside shard critical sections) |
-//! | `hot-map`     | `// lint: hot-path` functions, **every** workspace crate | no `HashMap`/`FxHashMap` lookups — hot loops index dense slabs and compiled-trace arrays; waive with `// lint: allow(map): <why>` |
+//! | `hot-map`     | `// lint: hot-path` functions, **every** workspace crate | no `HashMap`/`FxHashMap` lookups — hot loops index dense slabs and compiled-trace arrays — and no `BTreeMap`/`BTreeSet`, whose O(log n) node churn an O(1) order structure replaces; waive with `// lint: allow(map): <why>` |
 //! | `unsafe-doc`  | every workspace source        | every `unsafe` is preceded by a `// SAFETY:` comment |
 //!
 //! Waivers must sit on the violating line or in the contiguous comment
@@ -104,6 +104,15 @@ const ALLOC_TOKENS: &[&str] = &[
     "HashSet::new",
 ];
 
+const HOT_MAP_TOKENS: &[&str] = &[
+    "HashMap",
+    "FxHashMap",
+    "HashSet",
+    "FxHashSet",
+    "BTreeMap",
+    "BTreeSet",
+];
+
 /// Lint one file's contents under its [`FileKind`] rule set.
 pub fn lint_file(path: &Path, src: &str, kind: FileKind) -> Vec<Diagnostic> {
     let masked = lexer::mask(src);
@@ -136,8 +145,11 @@ pub fn lint_file(path: &Path, src: &str, kind: FileKind) -> Vec<Diagnostic> {
     // workspace (not just gc-runtime): the compiled data layer exists
     // precisely so hot loops index flat arrays instead of hashing, so a
     // `HashMap`/`FxHashMap` lookup inside one is a regression by default.
+    // An ordered tree is the same regression for eviction order: it
+    // allocates a node per insert and pays O(log n) where the policies
+    // keep O(1) lists, buckets or an indexed heap.
     for extent in masked.hot_path_extents() {
-        for token in ["HashMap", "FxHashMap", "HashSet", "FxHashSet"] {
+        for token in HOT_MAP_TOKENS {
             for line in masked.lines_with_token_in(token, extent.clone()) {
                 if test_lines.contains(&line) {
                     continue;
@@ -150,9 +162,9 @@ pub fn lint_file(path: &Path, src: &str, kind: FileKind) -> Vec<Diagnostic> {
                     "hot-map",
                     format!(
                         "`{token}` inside a `// lint: hot-path` function; \
-                         index a dense slab or compiled-trace array instead, \
-                         or waive with `// lint: allow(map): <why a hash is \
-                         required>`"
+                         index a dense slab or compiled-trace array, or keep \
+                         an O(1) order structure, instead, or waive with \
+                         `// lint: allow(map): <why the map is required>`"
                     ),
                 ));
             }
@@ -422,6 +434,21 @@ fn hot(index: &FxHashMap<u64, u32>, k: u64) -> Option<u32> {
         assert!(lint(waived, FileKind::Other).is_empty());
         let cold = "fn cold(index: &FxHashMap<u64, u32>) -> usize { index.len() }\n";
         assert!(lint(cold, FileKind::Other).is_empty());
+    }
+
+    #[test]
+    fn hot_map_flags_ordered_trees() {
+        let src = "\
+use std::collections::BTreeSet;
+// lint: hot-path
+fn evict(order: &mut BTreeSet<(u64, u64)>) -> Option<(u64, u64)> {
+    let _ = std::collections::BTreeMap::<u64, u64>::new();
+    order.pop_first()
+}
+";
+        let d = lint(src, FileKind::Other);
+        let rules: Vec<_> = d.iter().map(|d| (d.rule, d.line)).collect();
+        assert_eq!(rules, vec![("hot-map", 3), ("hot-map", 4)], "{d:?}");
     }
 
     #[test]

@@ -25,6 +25,7 @@ fn fixture_violations_are_reported_with_file_and_line() {
         .map(|d| (d.path.to_string_lossy().replace('\\', "/"), d.line, d.rule))
         .collect();
     let expected: Vec<(String, usize, &str)> = vec![
+        ("crates/policies/src/bad_order.rs".into(), 4, "hot-map"),
         ("crates/runtime/src/bad.rs".into(), 1, "sync-import"),
         ("crates/runtime/src/bad.rs".into(), 2, "sync-import"),
         ("crates/runtime/src/bad.rs".into(), 5, "panic"),

@@ -10,10 +10,9 @@
 //! engine tracks spatial candidacy in a dense bitmap, so a steady-state
 //! access touches no allocator at all.
 //!
-//! The window check covers the deterministic, list-backed policies
-//! (ItemLru, BlockLru, Iblp). BTreeSet-backed policies (ItemLfu, LruK)
-//! inherently allocate tree nodes on insert and are exempt — their misses
-//! still report through the shared scratch without `Vec` churn.
+//! The window check covers the list-backed policies (ItemLru, BlockLru,
+//! Iblp, AdaptiveIblp, 2Q) and the pooled order structures of ItemLfu
+//! (frequency buckets) and LruK (history arena and heap).
 
 use gc_cache::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -144,6 +143,37 @@ fn iblp_steady_state_is_alloc_free() {
     let trace = thrash_trace(50_000, 2048);
     let map = BlockMap::strided(8);
     let mut policy = Iblp::balanced(256, map);
+    assert_steady_state_alloc_free(&mut policy, &trace);
+}
+
+#[test]
+fn item_lfu_steady_state_is_alloc_free() {
+    let trace = thrash_trace(50_000, 2048);
+    let mut policy = ItemLfu::new(256);
+    assert_steady_state_alloc_free(&mut policy, &trace);
+}
+
+#[test]
+fn lru_k_steady_state_is_alloc_free() {
+    let trace = thrash_trace(50_000, 2048);
+    for k in [2, 3] {
+        let mut policy = LruK::new(256, k);
+        assert_steady_state_alloc_free(&mut policy, &trace);
+    }
+}
+
+#[test]
+fn two_q_steady_state_is_alloc_free() {
+    let trace = thrash_trace(50_000, 2048);
+    let mut policy = TwoQ::new(256);
+    assert_steady_state_alloc_free(&mut policy, &trace);
+}
+
+#[test]
+fn adaptive_iblp_steady_state_is_alloc_free() {
+    let trace = thrash_trace(50_000, 2048);
+    let map = BlockMap::strided(8);
+    let mut policy = AdaptiveIblp::new(256, map);
     assert_steady_state_alloc_free(&mut policy, &trace);
 }
 
