@@ -33,18 +33,27 @@
 //!   invalid byte — everything before the torn tail (in particular every
 //!   record acknowledged by [`sync`](DiskBackend::sync)) reads back
 //!   bit-identical.
-//! - **Durability is explicit**: appends go to the OS write cache;
-//!   [`sync`](DiskBackend::sync) is the fsync point after which records
-//!   are acknowledged. Unacknowledged records may be lost on power loss —
-//!   they are a cache's contents and re-derivable — but never *torn into*
+//! - **Appends are group-committed**: a record is encoded into a pending
+//!   group held in the process, and the group reaches the file with one
+//!   positioned write once it would pass `GROUP_BYTES` (256 KiB), in
+//!   [`sync`](DiskBackend::sync), or when the store is dropped. The file
+//!   then holds exactly the bytes one write per record would have left.
+//! - **Durability is explicit**: [`sync`](DiskBackend::sync) writes the
+//!   pending group and fsyncs; records stored before it are acknowledged
+//!   when it returns `Ok`. Unacknowledged records may be lost — a SIGKILL
+//!   loses the pending group (up to `GROUP_BYTES` of appends the OS page
+//!   cache used to keep), power loss anything not fsynced. They are a
+//!   cache's contents and re-derivable, and never *torn into*
 //!   acknowledged ones, because recovery cuts at record granularity.
 //!
 //! # Concurrency
 //!
-//! Reads are positional (`pread`) against a shared file handle and take
-//! the index lock only for the segment lookup, so concurrent leaders for
-//! different blocks read in parallel. Appends serialize on the state lock
-//! (index + tail move together).
+//! Reads of written records are positional (`pread`) against a shared
+//! file handle and take the state lock only for the segment lookup, so
+//! concurrent leaders for different blocks read in parallel. A record
+//! still in the pending group is copied out under the state lock. Appends
+//! and group writes serialize on the state lock (index, group and file
+//! offset move together).
 
 use super::BlockStore;
 use crate::backend::{materialize_block, BlockBackend};
@@ -62,6 +71,11 @@ const RECORD_HEADER: usize = 20;
 /// Upper bound on items per record, so a corrupt length field cannot make
 /// recovery (or a read) allocate gigabytes. Far above any real block size.
 const MAX_BLOCK_ITEMS: u32 = 1 << 24;
+/// Encoded records are held until the next one would take the pending
+/// group past this many bytes; then the group goes out in one write.
+const GROUP_BYTES: usize = 256 << 10;
+/// A written record is read through a stack buffer of this many bytes.
+const READ_CHUNK: usize = 4096;
 
 /// Where a block's payload lives in the segment file.
 #[derive(Clone, Copy, Debug)]
@@ -72,11 +86,15 @@ struct Segment {
     n_items: u32,
 }
 
-/// Index + append cursor; guarded together so the tail and the index
-/// never disagree.
+/// Index, pending group and file offset; guarded together so the index
+/// never points at bytes that are neither in the file nor pending.
 struct DiskState {
     index: FxHashMap<u64, Segment>,
-    tail: u64,
+    /// File offset the pending group starts at: every byte before it has
+    /// been handed to the OS.
+    written: u64,
+    /// Encoded records not yet written, in append order.
+    pending: Vec<u8>,
 }
 
 /// A persistent disk-backed [`BlockBackend`]: see the module docs for the
@@ -102,19 +120,43 @@ fn record_checksum(block: u64, items: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Serialize one record into `buf` (cleared first).
+/// Refuse a block whose record `recover` would read as a torn tail:
+/// reopening would cut it and every later record, acknowledged or not.
+fn check_record(block: BlockId, items: &[ItemId]) -> Result<(), GcError> {
+    if items.is_empty() || items.len() > MAX_BLOCK_ITEMS as usize {
+        return Err(GcError::InvalidParameter(format!(
+            "block {} has {} items; a stored block holds 1 to {MAX_BLOCK_ITEMS}",
+            block.0,
+            items.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Append one record to `buf`. The checksum is computed over the payload
+/// bytes where they land and patched into the header.
+// lint: hot-path
 fn encode_record(buf: &mut Vec<u8>, block: u64, items: &[ItemId]) {
-    buf.clear();
+    let start = buf.len();
     buf.reserve(RECORD_HEADER + items.len() * 8);
     buf.extend_from_slice(&block.to_le_bytes());
     buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    // Checksum goes over the payload bytes; build them once, reuse below.
-    let mut payload = Vec::with_capacity(items.len() * 8);
+    buf.extend_from_slice(&[0; 8]);
     for item in items {
-        payload.extend_from_slice(&item.0.to_le_bytes());
+        buf.extend_from_slice(&item.0.to_le_bytes());
     }
-    buf.extend_from_slice(&record_checksum(block, &payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    let checksum = record_checksum(block, &buf[start + RECORD_HEADER..]);
+    buf[start + 12..start + RECORD_HEADER].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// Append the items encoded in `bytes` (whole little-endian `u64`s) to `out`.
+// lint: hot-path
+fn decode_items(bytes: &[u8], out: &mut Vec<ItemId>) {
+    out.extend(bytes.chunks_exact(8).map(|chunk| {
+        let mut word = [0; 8];
+        word.copy_from_slice(chunk);
+        ItemId(u64::from_le_bytes(word))
+    }));
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> GcError {
@@ -143,11 +185,15 @@ impl DiskBackend {
             .truncate(false)
             .open(&path)
             .map_err(|e| io_err(&path, e))?;
-        let (index, tail) = recover(&mut file, &path)?;
+        let (index, written) = recover(&mut file, &path)?;
         Ok(DiskBackend {
             map,
             file,
-            state: Mutex::new(DiskState { index, tail }),
+            state: Mutex::new(DiskState {
+                index,
+                written,
+                pending: Vec::new(),
+            }),
             path,
         })
     }
@@ -169,14 +215,18 @@ impl DiskBackend {
         let tmp = path.with_extension("tmp");
         {
             let mut out = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-            out.write_all(MAGIC).map_err(|e| io_err(&tmp, e))?;
             let mut items: Vec<ItemId> = Vec::new();
-            let mut record: Vec<u8> = Vec::new();
+            let mut group: Vec<u8> = MAGIC.to_vec();
             for block in blocks {
                 materialize_block(&map, block, &mut items)?;
-                encode_record(&mut record, block.0, &items);
-                out.write_all(&record).map_err(|e| io_err(&tmp, e))?;
+                check_record(block, &items)?;
+                encode_record(&mut group, block.0, &items);
+                if group.len() >= GROUP_BYTES {
+                    out.write_all(&group).map_err(|e| io_err(&tmp, e))?;
+                    group.clear();
+                }
             }
+            out.write_all(&group).map_err(|e| io_err(&tmp, e))?;
             out.sync_all().map_err(|e| io_err(&tmp, e))?;
         }
         std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
@@ -203,16 +253,43 @@ impl DiskBackend {
         Ok(appended)
     }
 
-    /// Flush every appended record to stable storage (fsync). This is the
-    /// durability acknowledgement point: records written before a `sync`
-    /// that returned `Ok` survive a crash bit-identically.
+    /// Write the pending group and flush every appended record to stable
+    /// storage (fsync). This is the durability acknowledgement point:
+    /// records stored before a `sync` that returned `Ok` survive a crash
+    /// bit-identically.
     pub fn sync(&self) -> Result<(), GcError> {
+        self.write_pending(&mut self.state.lock())?;
         self.file.sync_all().map_err(|e| io_err(&self.path, e))
     }
 
     /// The store's file path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Hand the pending group to the OS with one positioned write at its
+    /// file offset. On failure the group stays pending, and readable, and
+    /// the next attempt rewrites all of it at the same offset.
+    fn write_pending(&self, state: &mut DiskState) -> Result<(), GcError> {
+        if state.pending.is_empty() {
+            return Ok(());
+        }
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::write_all_at(&self.file, &state.pending, state.written)
+            .map_err(|e| io_err(&self.path, e))?;
+        #[cfg(not(unix))]
+        {
+            // The caller holds the state lock, as the seek+read fallback
+            // below requires of every cursor user.
+            use std::io::{Seek, SeekFrom};
+            let mut f = &self.file;
+            f.seek(SeekFrom::Start(state.written))
+                .and_then(|_| f.write_all(&state.pending))
+                .map_err(|e| io_err(&self.path, e))?;
+        }
+        state.written += state.pending.len() as u64;
+        state.pending.clear();
+        Ok(())
     }
 
     /// Positional read of `buf.len()` bytes at `offset`.
@@ -225,8 +302,8 @@ impl DiskBackend {
         #[cfg(not(unix))]
         {
             // No pread: serialize on the state lock and seek. Reads and
-            // appends share the cursor, so both sides must hold the lock
-            // for their whole seek+IO sequence (appends already do).
+            // group writes share the cursor, so both sides must hold the
+            // lock for their whole seek+IO sequence (group writes do).
             use std::io::{Seek, SeekFrom};
             let _guard = self.state.lock();
             let mut f = &self.file;
@@ -331,21 +408,13 @@ impl BlockBackend for DiskBackend {
 
 impl BlockStore for DiskBackend {
     fn store_block(&self, block: BlockId, items: &[ItemId]) -> Result<(), GcError> {
-        let mut record: Vec<u8> = Vec::new();
-        encode_record(&mut record, block.0, items);
+        check_record(block, items)?;
         let mut state = self.state.lock();
-        let at = state.tail;
-        #[cfg(unix)]
-        std::os::unix::fs::FileExt::write_all_at(&self.file, &record, at)
-            .map_err(|e| io_err(&self.path, e))?;
-        #[cfg(not(unix))]
-        {
-            use std::io::{Seek, SeekFrom};
-            let mut f = &self.file;
-            f.seek(SeekFrom::Start(at))
-                .and_then(|_| f.write_all(&record))
-                .map_err(|e| io_err(&self.path, e))?;
+        if state.pending.len() + RECORD_HEADER + items.len() * 8 > GROUP_BYTES {
+            self.write_pending(&mut state)?;
         }
+        let at = state.written + state.pending.len() as u64;
+        encode_record(&mut state.pending, block.0, items);
         state.index.insert(
             block.0,
             Segment {
@@ -353,23 +422,33 @@ impl BlockStore for DiskBackend {
                 n_items: items.len() as u32,
             },
         );
-        state.tail = at + record.len() as u64;
         Ok(())
     }
 
     fn try_load_into(&self, block: BlockId, out: &mut Vec<ItemId>) -> Result<bool, GcError> {
-        let segment = match self.state.lock().index.get(&block.0) {
-            Some(s) => *s,
-            None => return Ok(false),
+        let state = self.state.lock();
+        let Some(&segment) = state.index.get(&block.0) else {
+            return Ok(false);
         };
-        let mut bytes = vec![0u8; segment.n_items as usize * 8];
-        self.read_exact_at(&mut bytes, segment.payload)?;
+        let len = segment.n_items as usize * 8;
         out.clear();
         out.reserve(segment.n_items as usize);
-        for chunk in bytes.chunks_exact(8) {
-            out.push(ItemId(u64::from_le_bytes(
-                chunk.try_into().unwrap_or_default(),
-            )));
+        if let Some(start) = segment.payload.checked_sub(state.written) {
+            let start = start as usize;
+            decode_items(&state.pending[start..start + len], out);
+            return Ok(true);
+        }
+        drop(state);
+        // Written records never move, so the lookup above stays valid
+        // without the lock.
+        let mut chunk = [0u8; READ_CHUNK];
+        let mut at = segment.payload;
+        let end = at + len as u64;
+        while at < end {
+            let n = (end - at).min(READ_CHUNK as u64) as usize;
+            self.read_exact_at(&mut chunk[..n], at)?;
+            decode_items(&chunk[..n], out);
+            at += n as u64;
         }
         Ok(true)
     }
@@ -380,6 +459,19 @@ impl BlockStore for DiskBackend {
 
     fn stored_blocks(&self) -> usize {
         self.state.lock().index.len()
+    }
+}
+
+impl Drop for DiskBackend {
+    /// Write the pending group, so a store dropped without `sync` leaves
+    /// the same file as one that wrote each record as it was stored. A
+    /// failure here is dropped with the store; `sync` is what reports one.
+    fn drop(&mut self) {
+        // `try_lock` cannot meet contention through `&mut self`; it only
+        // declines a lock poisoned by a panic, instead of panicking again.
+        if let Some(mut state) = self.state.try_lock() {
+            let _ = self.write_pending(&mut state);
+        }
     }
 }
 
@@ -511,5 +603,153 @@ mod tests {
         let store = DiskBackend::open(&path, map).unwrap();
         let err = store.load_block(BlockId(9)).unwrap_err();
         assert!(matches!(err, GcError::Backend { block, .. } if block == BlockId(9)));
+    }
+
+    /// `n` items that differ per block and per position.
+    fn items_of(b: u64, n: u64) -> Vec<ItemId> {
+        (0..n)
+            .map(|i| ItemId(b.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i))
+            .collect()
+    }
+
+    /// Whether `store` still holds some of its records only in the process.
+    fn has_pending(store: &DiskBackend) -> bool {
+        !store.state.lock().pending.is_empty()
+    }
+
+    #[test]
+    fn empty_block_is_refused_and_later_synced_records_survive() {
+        let path = temp_store("empty");
+        let map = BlockMap::strided(4);
+        let store = DiskBackend::open(&path, map.clone()).unwrap();
+        store.store_block(BlockId(1), &items_of(1, 4)).unwrap();
+        let err = store.store_block(BlockId(2), &[]).unwrap_err();
+        assert!(matches!(err, GcError::InvalidParameter(_)), "{err}");
+        store.store_block(BlockId(3), &items_of(3, 4)).unwrap();
+        store.sync().unwrap();
+        drop(store);
+
+        let store = DiskBackend::open(&path, map).unwrap();
+        assert_eq!(store.stored_blocks(), 2);
+        assert!(!store.contains_block(BlockId(2)));
+        let mut out = Vec::new();
+        assert!(store.try_load_into(BlockId(3), &mut out).unwrap());
+        assert_eq!(out, items_of(3, 4), "the record after the refusal survives");
+    }
+
+    #[test]
+    fn pending_records_read_back_before_sync_and_across_group_boundaries() {
+        let path = temp_store("pending");
+        let store = DiskBackend::open(&path, BlockMap::strided(1)).unwrap();
+        // 1 000 items is 8 000 payload bytes, read in two chunks, the
+        // second partial; the 200 records fill about two groups.
+        let n_items = |b: u64| if b % 3 == 0 { 1_000 } else { 1 + b % 16 };
+        let mut out = Vec::new();
+        let mut saw_pending = false;
+        for b in 0..200u64 {
+            store
+                .store_block(BlockId(b), &items_of(b, n_items(b)))
+                .unwrap();
+            saw_pending |= has_pending(&store);
+            for probe in [b, b / 2, 0] {
+                assert!(store.try_load_into(BlockId(probe), &mut out).unwrap());
+                assert_eq!(out, items_of(probe, n_items(probe)), "block {probe}");
+            }
+        }
+        let saw_written = store.state.lock().written > MAGIC.len() as u64;
+        assert!(saw_pending && saw_written, "both read paths ran");
+        // An overwrite still in the group wins over the written record.
+        store.store_block(BlockId(0), &items_of(7, 3)).unwrap();
+        assert!(store.try_load_into(BlockId(0), &mut out).unwrap());
+        assert_eq!(out, items_of(7, 3));
+    }
+
+    #[test]
+    fn store_dropped_without_sync_reopens_with_every_record() {
+        let path = temp_store("drop");
+        let map = BlockMap::strided(16);
+        let store = DiskBackend::open(&path, map.clone()).unwrap();
+        store.populate((0..3_000).map(BlockId)).unwrap();
+        assert!(has_pending(&store));
+        drop(store);
+
+        let store = DiskBackend::open(&path, map).unwrap();
+        assert_eq!(store.stored_blocks(), 3_000);
+        let mut out = Vec::new();
+        for b in [0u64, 1_234, 2_999] {
+            assert!(store.try_load_into(BlockId(b), &mut out).unwrap());
+            let expect: Vec<ItemId> = (b * 16..b * 16 + 16).map(ItemId).collect();
+            assert_eq!(out, expect, "block {b}");
+        }
+    }
+
+    /// The file after a fixed sequence of creates, appends and overwrites
+    /// (crossing several groups), once synced and once more after further
+    /// appends and a drop. The pinned lengths and FNV-1a digests were
+    /// recorded with a store that wrote each record with its own `pwrite`:
+    /// grouping must not move a byte.
+    #[test]
+    fn append_and_overwrite_sequence_writes_the_pinned_file() {
+        fn digest(path: &Path) -> (usize, u64) {
+            let bytes = std::fs::read(path).unwrap();
+            let mut h = StableHasher::new();
+            h.write_bytes(&bytes);
+            (bytes.len(), h.finish())
+        }
+        let path = temp_store("pinned");
+        let store =
+            DiskBackend::create_with(&path, BlockMap::strided(16), (0..100).map(BlockId)).unwrap();
+        for b in 100..3_000u64 {
+            store
+                .store_block(BlockId(b), &items_of(b, 1 + b % 37))
+                .unwrap();
+        }
+        for b in (0..3_000u64).step_by(7) {
+            store
+                .store_block(BlockId(b), &items_of(b + 1, 1 + b % 5))
+                .unwrap();
+        }
+        store.sync().unwrap();
+        assert_eq!(digest(&path), (533_212, 15_687_435_344_015_261_610));
+        for b in 3_000..3_100u64 {
+            store.store_block(BlockId(b), &items_of(b, 16)).unwrap();
+        }
+        drop(store);
+        assert_eq!(digest(&path), (548_012, 17_768_886_934_024_406_784));
+    }
+
+    #[test]
+    fn two_threads_store_and_load_disjoint_blocks_while_groups_flush() {
+        let path = temp_store("threads");
+        let map = BlockMap::strided(64);
+        let store = DiskBackend::open(&path, map.clone()).unwrap();
+        // 4 000 records of 532 bytes fill about eight groups; the barrier
+        // makes the two threads' appends and group writes overlap.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (store, start) = (&store, &start);
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    start.wait();
+                    for i in 0..2_000u64 {
+                        let b = 2 * i + t;
+                        store.store_block(BlockId(b), &items_of(b, 64)).unwrap();
+                        let probe = 2 * (i / 2) + t;
+                        assert!(store.try_load_into(BlockId(probe), &mut out).unwrap());
+                        assert_eq!(out, items_of(probe, 64), "block {probe}");
+                    }
+                });
+            }
+        });
+        store.sync().unwrap();
+        drop(store);
+        let store = DiskBackend::open(&path, map).unwrap();
+        assert_eq!(store.stored_blocks(), 4_000);
+        let mut out = Vec::new();
+        for b in 0..4_000u64 {
+            assert!(store.try_load_into(BlockId(b), &mut out).unwrap());
+            assert_eq!(out, items_of(b, 64), "block {b} after reopen");
+        }
     }
 }

@@ -77,19 +77,41 @@ impl BlockBackend for MemBackend {
     }
 }
 
+/// Make `held` a copy of `items`, in place when the lengths match.
+fn refill(held: &mut Box<[ItemId]>, items: &[ItemId]) {
+    if held.len() == items.len() {
+        held.copy_from_slice(items);
+    } else {
+        *held = items.into();
+    }
+}
+
 impl BlockStore for MemBackend {
     fn store_block(&self, block: BlockId, items: &[ItemId]) -> Result<(), GcError> {
         let mut state = self.state.lock();
-        if state.blocks.insert(block.0, items.into()).is_none() {
-            // New resident: enqueue, and displace the oldest if over
-            // capacity. Overwrites keep their original queue position.
-            state.fifo.push_back(block.0);
-            if state.fifo.len() > self.capacity {
-                if let Some(oldest) = state.fifo.pop_front() {
-                    state.blocks.remove(&oldest);
-                }
-            }
+        let state = &mut *state;
+        // Overwrites keep their original queue position.
+        if let Some(held) = state.blocks.get_mut(&block.0) {
+            refill(held, items);
+            return Ok(());
         }
+        // New resident: displace the oldest if at capacity, reusing its
+        // allocation, then enqueue.
+        let displaced = if state.fifo.len() >= self.capacity {
+            let oldest = state.fifo.pop_front();
+            oldest.and_then(|oldest| state.blocks.remove(&oldest))
+        } else {
+            None
+        };
+        let held = match displaced {
+            Some(mut held) => {
+                refill(&mut held, items);
+                held
+            }
+            None => items.into(),
+        };
+        state.blocks.insert(block.0, held);
+        state.fifo.push_back(block.0);
         Ok(())
     }
 
@@ -163,6 +185,30 @@ mod tests {
         let mut out = Vec::new();
         assert!(store.try_load_into(BlockId(0), &mut out).unwrap());
         assert_eq!(out, vec![ItemId(9)], "overwrite replaced contents");
+    }
+
+    #[test]
+    fn displacement_stages_the_new_contents() {
+        let store = MemBackend::new(BlockMap::strided(2), 2).unwrap();
+        store
+            .store_block(BlockId(0), &[ItemId(0), ItemId(1)])
+            .unwrap();
+        store.store_block(BlockId(1), &[ItemId(2)]).unwrap();
+        // Displaces block 0, whose allocation has the same length.
+        store
+            .store_block(BlockId(2), &[ItemId(4), ItemId(5)])
+            .unwrap();
+        // Displaces block 1, whose allocation is shorter.
+        store
+            .store_block(BlockId(3), &[ItemId(6), ItemId(7)])
+            .unwrap();
+        assert!(!store.contains_block(BlockId(0)));
+        assert!(!store.contains_block(BlockId(1)));
+        let mut out = Vec::new();
+        assert!(store.try_load_into(BlockId(2), &mut out).unwrap());
+        assert_eq!(out, vec![ItemId(4), ItemId(5)]);
+        assert!(store.try_load_into(BlockId(3), &mut out).unwrap());
+        assert_eq!(out, vec![ItemId(6), ItemId(7)]);
     }
 
     #[test]

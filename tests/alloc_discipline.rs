@@ -12,8 +12,13 @@
 //!
 //! The window check covers the list-backed policies (ItemLru, BlockLru,
 //! Iblp, AdaptiveIblp, 2Q) and the pooled order structures of ItemLfu
-//! (frequency buckets) and LruK (history arena and heap).
+//! (frequency buckets) and LruK (history arena and heap). The same window
+//! holds the block stores below the runtime to their reuse discipline:
+//! `DiskBackend` encodes into its pending group and reads through a stack
+//! buffer, and `MemBackend` refills the allocation of the block it
+//! displaces.
 
+use gc_cache::gc_runtime::{BlockStore, DiskBackend, MemBackend};
 use gc_cache::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -184,4 +189,61 @@ fn boxed_dispatch_adds_no_allocations() {
     let map = BlockMap::strided(8);
     let mut policy: Box<dyn GcPolicy> = PolicyKind::IblpBalanced.build(256, &map);
     assert_steady_state_alloc_free(policy.as_mut(), &trace);
+}
+
+/// Heap allocations made by the second of two runs of `pass`; the first
+/// brings every buffer, index and queue to its high-water mark.
+fn steady_state_allocations(mut pass: impl FnMut()) -> u64 {
+    pass();
+    let before = allocations();
+    pass();
+    allocations() - before
+}
+
+/// Blocks `0..n` of a 16-item strided map, with their contents.
+fn strided_blocks(n: u64) -> Vec<(BlockId, Vec<ItemId>)> {
+    (0..n)
+        .map(|b| (BlockId(b), (b * 16..b * 16 + 16).map(ItemId).collect()))
+        .collect()
+}
+
+#[test]
+fn disk_store_overwrites_and_loads_are_alloc_free() {
+    let dir = std::env::temp_dir().join(format!("gc-alloc-disk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = DiskBackend::open(dir.join("blocks.gcs"), BlockMap::strided(16)).unwrap();
+    // 4 096 records of 148 bytes are two group writes per pass; loading
+    // block `b` reads the pending group, block `b / 2` mostly the file.
+    let blocks = strided_blocks(4096);
+    let mut out = Vec::new();
+    let window = steady_state_allocations(|| {
+        for (block, items) in &blocks {
+            store.store_block(*block, items).unwrap();
+            assert!(store.try_load_into(*block, &mut out).unwrap());
+            assert!(store.try_load_into(BlockId(block.0 / 2), &mut out).unwrap());
+        }
+    });
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        window, 0,
+        "DiskBackend: {window} heap allocations in a steady-state window"
+    );
+}
+
+#[test]
+fn mem_store_staging_past_capacity_is_alloc_free() {
+    let store = MemBackend::new(BlockMap::strided(16), 256).unwrap();
+    let blocks = strided_blocks(4096);
+    let window = steady_state_allocations(|| {
+        for (block, items) in &blocks {
+            store.store_block(*block, items).unwrap();
+        }
+    });
+    assert_eq!(store.stored_blocks(), 256);
+    assert_eq!(
+        window, 0,
+        "MemBackend: {window} heap allocations in a steady-state window"
+    );
 }
