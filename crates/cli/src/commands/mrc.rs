@@ -1,0 +1,142 @@
+//! `mrc`: item and block miss-ratio curves plus the IBLP split grid.
+
+use super::workload::{workload, Workload};
+use crate::args::Args;
+use gc_cache::gc_sim::checkpoint::{load_json, MrcCheckpoint};
+use gc_cache::gc_sim::mrc::{
+    mrc_bundle, mrc_bundle_checked, mrc_bundle_compiled, split_grid_from_curves, MrcBundle,
+    MrcMode, MrcRunConfig,
+};
+use gc_cache::gc_sim::pool::run_indexed;
+use gc_cache::gc_sim::shards::{
+    sampled_block_mrc_compiled_with_stats, sampled_block_mrc_with_stats,
+    sampled_item_mrc_compiled_with_stats, sampled_item_mrc_with_stats, SamplerConfig,
+};
+use gc_cache::prelude::*;
+
+pub const USAGE: &str = "\
+item/block miss-ratio curves + IBLP split grid (Mattson),
+exact or SHARDS-sampled, curves computed in parallel
+--capacity <k> [--sample-rate R | --smax N | --exact]
+[--sample-seed S] [--threads T] [--compile] [workload flags]
+[--checkpoint <path>] [--resume <path>] persist each curve
+as it completes and resume an interrupted bundle
+(--compile streams dense precompiled ids; not combinable
+with checkpointing)";
+
+pub fn run(args: &Args) -> Result<(), String> {
+    let capacity: usize = args.require("capacity")?;
+    let threads: usize = args.get_or("threads", 0usize)?;
+    let sample_rate: Option<f64> = args.get("sample-rate")?;
+    let s_max: Option<usize> = args.get("smax")?;
+    let exact = args.switch("exact") || (sample_rate.is_none() && s_max.is_none());
+    let sample_seed: u64 = args.get_or("sample-seed", 0u64)?;
+    let checkpoint_path = args.get_str("checkpoint").map(std::path::PathBuf::from);
+    let resume_path = args.get_str("resume").map(std::path::PathBuf::from);
+    let compile = args.switch("compile");
+    let Workload {
+        trace,
+        map,
+        block_size,
+    } = workload(args)?;
+
+    let mode = if exact {
+        MrcMode::Exact
+    } else {
+        let cfg = match s_max {
+            Some(n) => SamplerConfig::adaptive(n),
+            None => {
+                let rate = sample_rate.expect("sampled mode implies a rate or an s_max");
+                if !(rate > 0.0 && rate <= 1.0) {
+                    return Err(format!("--sample-rate must be in (0,1], got {rate}"));
+                }
+                SamplerConfig::fixed(rate)
+            }
+        }
+        .with_seed(sample_seed);
+        MrcMode::Sampled(cfg)
+    };
+
+    if compile && (checkpoint_path.is_some() || resume_path.is_some()) {
+        return Err("--compile does not combine with checkpointed MRC bundles".into());
+    }
+    let compiled = compile
+        .then(|| CompiledTrace::compile(&trace, &map))
+        .transpose()
+        .map_err(|e| e.to_string())?;
+    let bundle = if checkpoint_path.is_some() || resume_path.is_some() {
+        // Checkpointed mode: both curve passes run fault-isolated on the
+        // pool and are persisted as they finish; the per-curve sampler
+        // stats footer is not available here.
+        let resume: Option<MrcCheckpoint> = resume_path
+            .as_deref()
+            .map(load_json)
+            .transpose()
+            .map_err(|e| e.to_string())?;
+        let sink = checkpoint_path.or(resume_path);
+        let cfg = MrcRunConfig {
+            threads,
+            checkpoint_path: sink.as_deref(),
+            resume,
+        };
+        mrc_bundle_checked(&trace, &map, capacity, &mode, &cfg).map_err(|e| e.to_string())?
+    } else if let MrcMode::Sampled(cfg) = &mode {
+        // Run the two sampled passes on the shared pool, keeping the
+        // per-curve sampler stats for the footer. The compiled variant
+        // hashes decoded original ids, so its sample (and curve) is
+        // bit-identical to the sparse pass.
+        let mut passes = run_indexed(2, threads, |i| match (&compiled, i) {
+            (Some(ct), 0) => sampled_item_mrc_compiled_with_stats(ct, capacity, cfg),
+            (Some(ct), _) => sampled_block_mrc_compiled_with_stats(ct, capacity / block_size, cfg),
+            (None, 0) => sampled_item_mrc_with_stats(&trace, capacity, cfg),
+            (None, _) => sampled_block_mrc_with_stats(&trace, &map, capacity / block_size, cfg),
+        });
+        let (block, block_stats) = passes.pop().expect("two passes");
+        let (item, item_stats) = passes.pop().expect("two passes");
+        println!(
+            "# sampled MRC: {} seed={} | items: {}/{} accesses kept, {} distinct, final rate {:.5} | blocks: {} kept, {} distinct, final rate {:.5}",
+            match &cfg.s_max {
+                Some(n) => format!("s_max={n}"),
+                None => format!("rate={}", cfg.rate),
+            },
+            cfg.seed,
+            item_stats.sampled_accesses,
+            trace.len(),
+            item_stats.distinct_sampled,
+            item_stats.final_rate,
+            block_stats.sampled_accesses,
+            block_stats.distinct_sampled,
+            block_stats.final_rate,
+        );
+        let grid = split_grid_from_curves(&item, &block, capacity, block_size);
+        MrcBundle { item, block, grid }
+    } else if let Some(ct) = &compiled {
+        mrc_bundle_compiled(ct, capacity, &MrcMode::Exact, threads)
+    } else {
+        mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, threads)
+    };
+
+    println!("size,item_miss_ratio,block_slots,block_miss_ratio");
+    let mut k = 1usize;
+    while k <= capacity {
+        let slots = (k / block_size).max(1);
+        println!(
+            "{k},{:.6},{slots},{:.6}",
+            bundle.item.miss_ratio(k),
+            bundle.block.miss_ratio(slots)
+        );
+        k *= 2;
+    }
+    let best = bundle.best_split().ok_or("empty split grid")?;
+    println!(
+        "# best IBLP split estimate at budget {capacity}: i={} b={} (≈{} misses)",
+        best.item_lines, best.block_lines, best.miss_estimate
+    );
+    if !exact {
+        println!(
+            "# seed an adaptive policy with it: AdaptiveIblp::with_split({capacity}, {}, map)",
+            best.item_lines
+        );
+    }
+    Ok(())
+}

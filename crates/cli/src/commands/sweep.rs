@@ -1,0 +1,113 @@
+//! `sweep`: the standard policy roster across capacities.
+
+use super::workload::{workload, Workload};
+use crate::args::Args;
+use gc_cache::gc_sim::checkpoint::{load_json, SweepCheckpoint};
+use gc_cache::gc_sim::compare::{render_table, ComparisonRow};
+use gc_cache::gc_sim::sweep::{
+    run_sweep, run_sweep_checked, run_sweep_compiled, to_csv, to_csv_checked, OnError, SweepJob,
+    SweepRunConfig,
+};
+use gc_cache::prelude::*;
+
+pub const USAGE: &str = "\
+compare the standard policy roster across capacities
+--capacities a,b,c [workload flags] [--csv]
+[--compile] replay through the dense-ID compiled engine
+(bit-identical results)
+fault isolation: [--checkpoint <path> --checkpoint-every N]
+[--resume <path>] [--on-error fail|skip]; any of these
+switches to checked CSV output, isolating panicking cells
+and persisting progress for crash-safe resume";
+
+pub fn run(args: &Args) -> Result<(), String> {
+    let capacities: Vec<usize> = args
+        .get_list("capacities")?
+        .unwrap_or_else(|| vec![256, 1024, 4096]);
+    let warmup: usize = args.get_or("warmup", 0usize)?;
+    let kinds = PolicyKind::standard_roster(args.get_or("seed", 42u64)?);
+    let threads: usize = args.get_or("threads", 0usize)?;
+    let checkpoint_path = args.get_str("checkpoint").map(std::path::PathBuf::from);
+    let resume_path = args.get_str("resume").map(std::path::PathBuf::from);
+    let on_error = args.get_str("on-error");
+    let checkpoint_every: usize = args.get_or("checkpoint-every", 25usize)?;
+    let checked = checkpoint_path.is_some() || resume_path.is_some() || on_error.is_some();
+    let compile = args.switch("compile");
+    let csv = args.switch("csv");
+    if compile && checked {
+        return Err("--compile does not combine with checkpointed sweeps".into());
+    }
+
+    let Workload { trace, map, .. } = workload(args)?;
+    let jobs: Vec<SweepJob> = capacities
+        .iter()
+        .flat_map(|&capacity| {
+            kinds.iter().map(move |kind| SweepJob {
+                kind: kind.clone(),
+                capacity,
+                warmup,
+            })
+        })
+        .collect();
+    if checked {
+        let on_error: OnError = match on_error.unwrap_or("fail") {
+            // The ingest policy name is accepted here too; cells have no
+            // sidecar, so it degrades to skip.
+            "quarantine" => OnError::Skip,
+            other => other.parse()?,
+        };
+        let resume: Option<SweepCheckpoint> = resume_path
+            .as_deref()
+            .map(load_json)
+            .transpose()
+            .map_err(|e| e.to_string())?;
+        if let Some(ckpt) = &resume {
+            eprintln!(
+                "# resuming: {} of {} cells already recorded",
+                ckpt.cells.len(),
+                ckpt.total_cells
+            );
+        }
+        // Keep checkpointing to the resume file unless a new sink is given.
+        let sink = checkpoint_path.or(resume_path);
+        let cfg = SweepRunConfig {
+            threads,
+            on_error,
+            checkpoint_path: sink.as_deref(),
+            checkpoint_every,
+            resume,
+        };
+        let outcome = run_sweep_checked(&jobs, &trace, &map, &cfg).map_err(|e| e.to_string())?;
+        for (index, reason) in &outcome.failures {
+            eprintln!("# cell {index} failed: {reason}");
+        }
+        print!("{}", to_csv_checked(&outcome, &jobs));
+        return Ok(());
+    }
+    let results = if compile {
+        let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
+        run_sweep_compiled(&jobs, &compiled, threads)
+    } else {
+        run_sweep(&jobs, &trace, &map, threads)
+    };
+    if csv {
+        print!("{}", to_csv(&results));
+        return Ok(());
+    }
+    // Jobs are capacity-major, so each chunk is one capacity's roster.
+    for cells in results.chunks(kinds.len()) {
+        println!("== capacity {} ==", cells[0].job.capacity);
+        let mut rows: Vec<ComparisonRow> = cells
+            .iter()
+            .map(|r| ComparisonRow {
+                label: r.job.kind.label(),
+                policy_name: r.policy_name.clone(),
+                stats: r.stats.clone(),
+            })
+            .collect();
+        rows.sort_by_key(|r| r.stats.misses);
+        print!("{}", render_table(&rows));
+        println!();
+    }
+    Ok(())
+}

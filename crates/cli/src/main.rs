@@ -9,7 +9,7 @@
 //! gc-cache figure3  --k 1280000 --block-size 64
 //! gc-cache figure6  --k 1280000 --block-size 64
 //! gc-cache table1   --h 16384 --block-size 64
-//! gc-cache table2   --p 2 --block-size 64 --h 1048576
+//! gc-cache table2   --p 3 --block-size 64 --h 1048576
 //! gc-cache fg       --blocks 256 --block-size 16 --spatial 0.7 --len 100000
 //! ```
 

@@ -190,3 +190,126 @@ fn sweep_table_and_csv_agree_cell_for_cell() {
         );
     }
 }
+
+/// Each workload kind reads only the knobs its generator takes, the ingest
+/// flags come only with a text trace, and a trace file takes no generator
+/// flag: every other combination is refused, naming the flag, before any
+/// work. A row is a source (a generator, run with `--len 500`, or a trace
+/// file) and the flags given with it to `simulate --capacity 64`.
+#[test]
+fn workload_flags_are_read_only_where_they_apply() {
+    let dir = std::env::temp_dir().join(format!("gc-workload-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (text, json) = (dir.join("t.txt"), dir.join("t.json"));
+    std::fs::write(&text, "1\n2\n3\n1\n").expect("write text trace");
+    let (text, json) = (text.to_str().unwrap(), json.to_str().unwrap());
+    stdout_of(&run(&["generate", "--out", json, "--len", "50"]));
+
+    let table: [(&str, &str, Option<&str>); 22] = [
+        (
+            "zipf",
+            "--spatial 0.9 --stride 3 --on-error skip",
+            Some("--on-error"),
+        ),
+        ("zipf", "--spatial 0.9", Some("--spatial")),
+        ("zipf", "--stride 3", Some("--stride")),
+        ("zipf", "--items 64 --theta 1.1 --seed 3", None),
+        (
+            "block-runs",
+            "--blocks 64 --theta 0.5 --spatial 0.9 --seed 1",
+            None,
+        ),
+        ("block-runs", "--items 64", Some("--items")),
+        ("block-runs", "--quarantine q.txt", Some("--quarantine")),
+        ("scan", "--items 64", None),
+        ("scan", "--seed 3", Some("--seed")),
+        ("chase", "--items 64 --seed 2", None),
+        ("chase", "--step 2", Some("--step")),
+        ("walk", "--step 2 --seed 1", None),
+        ("walk", "--hot-weight 0.5", Some("--hot-weight")),
+        ("hotspot", "--hot-fraction 0.1 --hot-weight 0.5", None),
+        ("hotspot", "--theta 0.5", Some("--theta")),
+        ("strided", "--items 64 --stride 3 --block-size 4", None),
+        ("strided", "--blocks 8", Some("--blocks")),
+        (
+            text,
+            "--on-error skip --error-budget 3 --block-size 4",
+            None,
+        ),
+        (text, "--spatial 0.5", Some("--spatial")),
+        (text, "--workload zipf", Some("--workload")),
+        (json, "--block-size 4", Some("--block-size")),
+        (json, "--on-error skip", Some("--on-error")),
+    ];
+    for (source, flags, refused) in table {
+        let mut argv = vec!["simulate", "--capacity", "64"];
+        if source == text || source == json {
+            argv.extend(["--load", source]);
+        } else {
+            argv.extend(["--workload", source, "--len", "500"]);
+        }
+        argv.extend(flags.split_whitespace());
+        let out = run(&argv);
+        let err = String::from_utf8_lossy(&out.stderr);
+        match refused {
+            None => assert!(out.status.success(), "{argv:?} must run: {err}"),
+            Some(flag) => {
+                assert_eq!(out.status.code(), Some(1), "{argv:?} must be refused");
+                assert!(
+                    err.contains("invalid parameter") && err.contains(flag),
+                    "{argv:?} must name {flag}: {err}"
+                );
+                assert!(out.stdout.is_empty(), "{argv:?} printed before refusing");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The paper's artifacts at their default flags: each subcommand prints
+/// its header line and a row pinned from the output of the last commit
+/// that had a second regenerator for it (rows compared token by token).
+#[test]
+fn paper_subcommands_print_their_pinned_rows() {
+    let table: [(&str, &str, &[&str]); 4] = [
+        (
+            "table1",
+            "Table 1 (B = 64, h = 16384):",
+            &[
+                "Ratio", "=", "augmentation", "k≈2.00h", "⇒", "2.00×", "k≈9.00h", "⇒", "9.00×",
+                "k≈12.82h", "⇒", "12.82×",
+            ],
+        ),
+        (
+            "table2",
+            "Table 2 (f(n) = n^(1/p), i = b = h = 1048576, B = 64; rows 1-3: p = 2, rows 4-6: p = 3):",
+            &[
+                "x^{1/3}",
+                "x^{1/3}/B^{(3-1)/3}",
+                "5.684e-14",
+                "9.095e-13",
+                "9.095e-13",
+            ],
+        ),
+        (
+            "figure3",
+            "h,sleator_tarjan,gc_lower,iblp_upper,item_cache_lower,block_cache_lower",
+            &["12799,1.0101,1.6464,2.3158,64.6432,2.7770"],
+        ),
+        (
+            "figure6",
+            "h,optimal,fixed_i_12381,fixed_i_48708,fixed_i_290459",
+            &["12799,2.3158,,2.4621,10.3552"],
+        ),
+    ];
+    for (cmd, header, row) in table {
+        let out = stdout_of(&run(&[cmd]));
+        assert_eq!(out.lines().next(), Some(header), "{cmd} header");
+        assert!(
+            out.lines()
+                .any(|l| l.split_whitespace().collect::<Vec<_>>().starts_with(row)),
+            "{cmd} must print {row:?}:\n{out}"
+        );
+    }
+}

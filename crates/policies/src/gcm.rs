@@ -25,8 +25,8 @@ pub struct Gcm {
     map: BlockMap,
     /// Maximum co-loaded guests per miss (`B − 1` = full GCM, `0` = the
     /// classic marking algorithm). §6.2 raises — and leaves open — whether
-    /// intermediate values help; the `randomized_relative` experiment
-    /// explores the family.
+    /// intermediate values help; `tests/randomized.rs` measures the
+    /// family's two extremes against GCM.
     coload_limit: usize,
     /// If `true`, co-loaded guests are *marked* on load — the strawman
     /// §6.1 rejects ("a policy that loads and marks every item in the

@@ -26,8 +26,6 @@
 //!   fixed-size adaptive mode.
 //! * [`hierarchy`] — two-level (L1 → GC L2) composition, the Figure 1
 //!   setting with per-level attribution and AMAT.
-//! * [`rowbuffer`] — a DRAM row-buffer cost model that re-prices loads in
-//!   activate/column cycles, validating the unit-block-cost abstraction.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,7 +37,6 @@ pub mod hierarchy;
 pub mod mrc;
 pub mod pool;
 pub mod probe;
-pub mod rowbuffer;
 pub mod shards;
 pub mod stats;
 pub mod sweep;
@@ -62,7 +59,6 @@ pub use pool::{
     JobError, PoolOptions, Straggler,
 };
 pub use probe::ProbeAdapter;
-pub use rowbuffer::{simulate_with_row_buffer, RowBufferCosts, RowBufferStats};
 pub use shards::{
     sampled_block_mrc, sampled_block_mrc_compiled, sampled_block_mrc_compiled_with_stats,
     sampled_block_mrc_with_stats, sampled_item_mrc, sampled_item_mrc_compiled,

@@ -4,8 +4,8 @@
 //! respected.
 
 use gc_cache::gc_bounds::{
-    gc_lower_bound, sleator_tarjan, thm2_item_cache_lower, thm3_block_cache_lower,
-    thm4_general_lower, thm7_iblp,
+    gc_lower_bound, iblp_optimal_split, sleator_tarjan, thm2_item_cache_lower,
+    thm3_block_cache_lower, thm4_general_lower, thm7_iblp,
 };
 use gc_cache::gc_offline::gc_belady_heuristic;
 use gc_cache::gc_trace::adversary;
@@ -199,4 +199,57 @@ fn iblp_beats_item_cache_bound_on_the_item_adversary() {
         "IBLP {iblp_misses} vs item LRU {}",
         lru_rep.online_misses
     );
+}
+
+#[test]
+fn figure3_empirical_overlay_tracks_theory_at_every_h() {
+    // Figure 3 at laptop scale (k = 4096, B = 16), measured: at each h the
+    // Theorem 2 adversary against ItemLRU and the Theorem 4 (a = 1)
+    // adversary against ThresholdLoad(1) certify ratios within 1 % of
+    // their closed forms, and IBLP at the optimal split for that h, run
+    // on the Theorem 2 trace, stays below its Theorem 7 bound. Prints the
+    // overlay as CSV (`-- --nocapture` shows it).
+    let (k, b, rounds) = (4096usize, 16usize, 12usize);
+    let map = BlockMap::strided(b);
+    println!("h,thm2,item_lru,gc_lower,loadk1,thm7,iblp");
+    let mut h = 64usize;
+    while h <= k / 2 {
+        let mut lru = ProbeAdapter::new(ItemLru::new(k));
+        let item = adversary::item_cache(&mut lru, k, h, b, rounds);
+        let thm2 = thm2_item_cache_lower(k, h, b).unwrap();
+        let gap = (item.competitive_ratio() - thm2).abs() / thm2;
+        assert!(
+            gap < 0.01,
+            "h={h}: ItemLRU {} vs Theorem 2 {thm2}",
+            item.competitive_ratio()
+        );
+
+        let mut loadk = ProbeAdapter::new(ThresholdLoad::new(k, 1, map.clone()));
+        let general = adversary::general(&mut loadk, k, h, b, rounds);
+        let lower = gc_lower_bound(k, h, b).unwrap();
+        let gap = (general.competitive_ratio() - lower).abs() / lower;
+        assert!(
+            gap < 0.01,
+            "h={h}: ThresholdLoad(1) {} vs GC lower bound {lower}",
+            general.competitive_ratio()
+        );
+
+        let (i, _) = iblp_optimal_split(k, h, b).unwrap();
+        let i = i.clamp(b, k - b);
+        let thm7 = thm7_iblp(i, k - i, h, b).unwrap();
+        let mut iblp = Iblp::new(i, k - i, map.clone());
+        let online =
+            gc_cache::gc_sim::simulate_with_warmup(&mut iblp, &item.trace, item.warmup_len).misses;
+        let measured = online as f64 / gc_belady_heuristic(&item.trace, &map, h).max(1) as f64;
+        println!(
+            "{h},{thm2:.3},{:.3},{lower:.3},{:.3},{thm7:.3},{measured:.3}",
+            item.competitive_ratio(),
+            general.competitive_ratio()
+        );
+        assert!(
+            measured <= thm7,
+            "h={h}: IBLP {measured} above Theorem 7 bound {thm7}"
+        );
+        h *= 2;
+    }
 }

@@ -35,6 +35,32 @@ fn profiles_are_consistent_across_workloads() {
     }
 }
 
+#[test]
+fn fg_ratio_rises_monotonically_with_the_spatial_knob() {
+    // The generator's spatial-locality knob is what the model's f/g
+    // measures: at a fixed window, more spatial locality means fewer
+    // distinct blocks per distinct item.
+    let mut last = 0.0;
+    for spatial in [0.0, 0.3, 0.6, 0.9, 0.99] {
+        let cfg = BlockRunConfig {
+            num_blocks: 512,
+            block_size: 16,
+            block_theta: 0.6,
+            spatial_locality: spatial,
+            len: 100_000,
+            seed: 77,
+        };
+        let trace = block_runs(&cfg);
+        let profile = WorkingSetProfile::compute(&trace, &block_runs_map(&cfg), &[4096]);
+        profile
+            .check_consistency(cfg.block_size)
+            .unwrap_or_else(|e| panic!("s={spatial}: {e}"));
+        let ratio = profile.fg_ratio()[0];
+        assert!(ratio > last, "s={spatial}: f/g {ratio} not above {last}");
+        last = ratio;
+    }
+}
+
 /// Exact empirical inverse: the smallest window whose max distinct-item
 /// count reaches `target` (binary search — the count is monotone in `n`).
 fn empirical_f_inverse(trace: &Trace, target: usize) -> Option<usize> {

@@ -6,9 +6,9 @@ use gc_cache::gc_offline::{optimal_gc_cost, reduce_varsize_to_gc, VarSizeInstanc
 
 #[test]
 fn randomized_equality_batch() {
-    // Wider randomized batch than the unit tests: up to 4 items of size
-    // ≤ 3, traces of length ≤ 7.
-    for seed in 100..160u64 {
+    // Wider randomized batch than the unit tests: 200 instances of up to
+    // 4 items of size ≤ 3, traces of length ≤ 7.
+    for seed in 1..=200u64 {
         let num_items = (seed % 3 + 2) as usize; // 2..=4
         let trace_len = (seed % 5 + 3) as usize; // 3..=7
         let inst = VarSizeInstance::random_small(seed, num_items, trace_len, 3);
