@@ -3,26 +3,19 @@
 use super::workload::{workload, Workload};
 use crate::args::Args;
 use gc_cache::gc_sim::checkpoint::{load_json, MrcCheckpoint};
-use gc_cache::gc_sim::mrc::{
-    mrc_bundle, mrc_bundle_checked, mrc_bundle_compiled, split_grid_from_curves, MrcBundle,
-    MrcMode, MrcRunConfig,
-};
-use gc_cache::gc_sim::pool::run_indexed;
-use gc_cache::gc_sim::shards::{
-    sampled_block_mrc_compiled_with_stats, sampled_block_mrc_with_stats,
-    sampled_item_mrc_compiled_with_stats, sampled_item_mrc_with_stats, SamplerConfig,
-};
+use gc_cache::gc_sim::mrc::{mrc_bundle, mrc_bundle_compiled, MrcMode, MrcRunConfig};
+use gc_cache::gc_sim::shards::SamplerConfig;
 use gc_cache::prelude::*;
 
 pub const USAGE: &str = "\
 item/block miss-ratio curves + IBLP split grid (Mattson),
 exact or SHARDS-sampled, curves computed in parallel
 --capacity <k> [--sample-rate R | --smax N | --exact]
-[--sample-seed S] [--threads T] [--compile] [workload flags]
+[--sample-seed S] [--threads T] [workload flags]
+[--compile] streams dense precompiled ids: exact curves
+only, not combinable with checkpointing
 [--checkpoint <path>] [--resume <path>] persist each curve
-as it completes and resume an interrupted bundle
-(--compile streams dense precompiled ids; not combinable
-with checkpointing)";
+as it completes and resume an interrupted bundle";
 
 pub fn run(args: &Args) -> Result<(), String> {
     let capacity: usize = args.require("capacity")?;
@@ -33,7 +26,10 @@ pub fn run(args: &Args) -> Result<(), String> {
     let sample_seed: u64 = args.get_or("sample-seed", 0u64)?;
     let checkpoint_path = args.get_str("checkpoint").map(std::path::PathBuf::from);
     let resume_path = args.get_str("resume").map(std::path::PathBuf::from);
-    let compile = args.switch("compile");
+    // Under sampling the hash filter dominates and compiling first only
+    // costs time and memory, so a sampled run does not read `--compile`
+    // and the workload's flag check refuses it.
+    let compile = exact && args.switch("compile");
     let Workload {
         trace,
         map,
@@ -57,42 +53,34 @@ pub fn run(args: &Args) -> Result<(), String> {
         MrcMode::Sampled(cfg)
     };
 
-    if compile && (checkpoint_path.is_some() || resume_path.is_some()) {
-        return Err("--compile does not combine with checkpointed MRC bundles".into());
-    }
-    let compiled = compile
-        .then(|| CompiledTrace::compile(&trace, &map))
-        .transpose()
-        .map_err(|e| e.to_string())?;
-    let bundle = if checkpoint_path.is_some() || resume_path.is_some() {
-        // Checkpointed mode: both curve passes run fault-isolated on the
-        // pool and are persisted as they finish; the per-curve sampler
-        // stats footer is not available here.
+    let bundle = if compile {
+        if checkpoint_path.is_some() || resume_path.is_some() {
+            return Err("--compile does not combine with checkpointed MRC bundles".into());
+        }
+        let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
+        mrc_bundle_compiled(&compiled, capacity, threads)
+    } else {
         let resume: Option<MrcCheckpoint> = resume_path
             .as_deref()
             .map(load_json)
             .transpose()
             .map_err(|e| e.to_string())?;
+        // Keep checkpointing to the resume file unless a new sink is given.
         let sink = checkpoint_path.or(resume_path);
         let cfg = MrcRunConfig {
             threads,
             checkpoint_path: sink.as_deref(),
             resume,
         };
-        mrc_bundle_checked(&trace, &map, capacity, &mode, &cfg).map_err(|e| e.to_string())?
-    } else if let MrcMode::Sampled(cfg) = &mode {
-        // Run the two sampled passes on the shared pool, keeping the
-        // per-curve sampler stats for the footer. The compiled variant
-        // hashes decoded original ids, so its sample (and curve) is
-        // bit-identical to the sparse pass.
-        let mut passes = run_indexed(2, threads, |i| match (&compiled, i) {
-            (Some(ct), 0) => sampled_item_mrc_compiled_with_stats(ct, capacity, cfg),
-            (Some(ct), _) => sampled_block_mrc_compiled_with_stats(ct, capacity / block_size, cfg),
-            (None, 0) => sampled_item_mrc_with_stats(&trace, capacity, cfg),
-            (None, _) => sampled_block_mrc_with_stats(&trace, &map, capacity / block_size, cfg),
-        });
-        let (block, block_stats) = passes.pop().expect("two passes");
-        let (item, item_stats) = passes.pop().expect("two passes");
+        mrc_bundle(&trace, &map, capacity, &mode, &cfg)
+    }
+    .map_err(|e| e.to_string())?;
+
+    // Resumed curves carry no sampler account, so the footer needs both
+    // curves computed by this run.
+    if let (MrcMode::Sampled(cfg), Some(item_stats), Some(block_stats)) =
+        (&mode, &bundle.item_stats, &bundle.block_stats)
+    {
         println!(
             "# sampled MRC: {} seed={} | items: {}/{} accesses kept, {} distinct, final rate {:.5} | blocks: {} kept, {} distinct, final rate {:.5}",
             match &cfg.s_max {
@@ -108,14 +96,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             block_stats.distinct_sampled,
             block_stats.final_rate,
         );
-        let grid = split_grid_from_curves(&item, &block, capacity, block_size);
-        MrcBundle { item, block, grid }
-    } else if let Some(ct) = &compiled {
-        mrc_bundle_compiled(ct, capacity, &MrcMode::Exact, threads)
-    } else {
-        mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, threads)
-    };
-
+    }
     println!("size,item_miss_ratio,block_slots,block_miss_ratio");
     let mut k = 1usize;
     while k <= capacity {

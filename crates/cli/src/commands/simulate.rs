@@ -18,6 +18,10 @@ pub fn run(args: &Args) -> Result<(), String> {
     let warmup: usize = args.get_or("warmup", 0usize)?;
     let compile = args.switch("compile");
     let Workload { trace, map, .. } = workload(args)?;
+    let required = kind.min_capacity(map.max_block_size());
+    if capacity < required {
+        return Err(GcError::CapacityTooSmall { capacity, required }.to_string());
+    }
 
     let (policy_name, stats) = if compile {
         let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;

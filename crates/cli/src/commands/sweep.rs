@@ -3,10 +3,9 @@
 use super::workload::{workload, Workload};
 use crate::args::Args;
 use gc_cache::gc_sim::checkpoint::{load_json, SweepCheckpoint};
-use gc_cache::gc_sim::compare::{render_table, ComparisonRow};
+use gc_cache::gc_sim::compare::render_table;
 use gc_cache::gc_sim::sweep::{
-    run_sweep, run_sweep_checked, run_sweep_compiled, to_csv, to_csv_checked, OnError, SweepJob,
-    SweepRunConfig,
+    run_sweep, run_sweep_compiled, to_csv, OnError, SweepJob, SweepResult, SweepRunConfig,
 };
 use gc_cache::prelude::*;
 
@@ -49,7 +48,10 @@ pub fn run(args: &Args) -> Result<(), String> {
             })
         })
         .collect();
-    if checked {
+    let outcome = if compile {
+        let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
+        run_sweep_compiled(&jobs, &compiled, threads)
+    } else {
         let on_error: OnError = match on_error.unwrap_or("fail") {
             // The ingest policy name is accepted here too; cells have no
             // sidecar, so it degrades to skip.
@@ -77,36 +79,21 @@ pub fn run(args: &Args) -> Result<(), String> {
             checkpoint_every,
             resume,
         };
-        let outcome = run_sweep_checked(&jobs, &trace, &map, &cfg).map_err(|e| e.to_string())?;
-        for (index, reason) in &outcome.failures {
-            eprintln!("# cell {index} failed: {reason}");
-        }
-        print!("{}", to_csv_checked(&outcome, &jobs));
-        return Ok(());
-    }
-    let results = if compile {
-        let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
-        run_sweep_compiled(&jobs, &compiled, threads)
-    } else {
-        run_sweep(&jobs, &trace, &map, threads)
+        run_sweep(&jobs, &trace, &map, &cfg).map_err(|e| e.to_string())?
     };
-    if csv {
-        print!("{}", to_csv(&results));
+    for (index, reason) in &outcome.failures {
+        eprintln!("# cell {index} failed: {reason}");
+    }
+    if csv || checked {
+        print!("{}", to_csv(&outcome, &jobs));
         return Ok(());
     }
-    // Jobs are capacity-major, so each chunk is one capacity's roster.
-    for cells in results.chunks(kinds.len()) {
+    // Jobs are capacity-major and no cell failed, so each chunk is one
+    // capacity's roster.
+    let cells: Vec<&SweepResult> = outcome.completed().collect();
+    for cells in cells.chunks(kinds.len()) {
         println!("== capacity {} ==", cells[0].job.capacity);
-        let mut rows: Vec<ComparisonRow> = cells
-            .iter()
-            .map(|r| ComparisonRow {
-                label: r.job.kind.label(),
-                policy_name: r.policy_name.clone(),
-                stats: r.stats.clone(),
-            })
-            .collect();
-        rows.sort_by_key(|r| r.stats.misses);
-        print!("{}", render_table(&rows));
+        print!("{}", render_table(cells));
         println!();
     }
     Ok(())

@@ -313,3 +313,106 @@ fn paper_subcommands_print_their_pinned_rows() {
         );
     }
 }
+
+/// A capacity below what the policy (or the MRC split grid) can be built
+/// at is a structured error naming the minimum, raised before any output
+/// and not a panic.
+#[test]
+fn undersized_capacities_are_errors_not_panics() {
+    let table: [(&[&str], &str); 4] = [
+        (
+            &[
+                "simulate",
+                "--policy",
+                "iblp",
+                "--capacity",
+                "256",
+                "--block-size",
+                "256",
+            ],
+            "cache capacity 256 is below the policy minimum 512",
+        ),
+        (
+            &["simulate", "--policy", "block-lru", "--capacity", "15"],
+            "cache capacity 15 is below the policy minimum 16",
+        ),
+        (
+            &[
+                "serve",
+                "--capacity",
+                "256",
+                "--block-size",
+                "256",
+                "--shards",
+                "1",
+            ],
+            "cache capacity 256 is below the policy minimum 512",
+        ),
+        (
+            &["mrc", "--capacity", "16"],
+            "cache capacity 16 is below the policy minimum 17",
+        ),
+    ];
+    for (argv, message) in table {
+        let out = run(argv);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {err}");
+        assert!(err.contains(message), "{argv:?}: {err}");
+        assert!(!err.contains("panicked"), "{argv:?}: {err}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed before refusing");
+    }
+    // One line more is enough.
+    stdout_of(&run(&[
+        "simulate",
+        "--policy",
+        "block-lru",
+        "--capacity",
+        "16",
+    ]));
+}
+
+/// `mrc` on the default workload, byte for byte as the binary printed it
+/// before the plain, checked and compiled bundles became one entry point
+/// (fixtures captured from that binary). Exact curves do not depend on the
+/// engine or on checkpointing; a sampled run prints its sampler footer
+/// with and without a checkpoint; a sampled run does not read `--compile`.
+#[test]
+fn mrc_output_is_pinned_across_engines_and_checkpoints() {
+    let dir = std::env::temp_dir().join(format!("gc-mrc-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let ckpt = |name: &str| dir.join(name).to_str().unwrap().to_string();
+
+    let exact = include_str!("fixtures/mrc_exact_capacity1024.txt");
+    let exact_ckpt = ckpt("exact.json");
+    for extra in [&[][..], &["--compile"], &["--checkpoint", &exact_ckpt]] {
+        let mut argv = vec!["mrc", "--capacity", "1024"];
+        argv.extend_from_slice(extra);
+        assert_eq!(stdout_of(&run(&argv)), exact, "{argv:?}");
+    }
+
+    let sampled = include_str!("fixtures/mrc_sampled_capacity1024.txt");
+    let sampled_ckpt = ckpt("sampled.json");
+    for extra in [&[][..], &["--checkpoint", &sampled_ckpt]] {
+        let mut argv = vec!["mrc", "--capacity", "1024", "--sample-rate", "0.01"];
+        argv.extend_from_slice(extra);
+        assert_eq!(stdout_of(&run(&argv)), sampled, "{argv:?}");
+    }
+
+    let out = run(&[
+        "mrc",
+        "--capacity",
+        "1024",
+        "--sample-rate",
+        "0.01",
+        "--compile",
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("invalid parameter: unknown flag --compile for `mrc`"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}

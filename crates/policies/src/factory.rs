@@ -141,6 +141,24 @@ impl PolicyKind {
         }
     }
 
+    /// The smallest total capacity [`build`](Self::build) accepts for this
+    /// kind over blocks of at most `block_size` items; one line less makes
+    /// the constructor panic. Callers that take a capacity from an operator
+    /// check it here and return [`GcError::CapacityTooSmall`] instead.
+    pub fn min_capacity(&self, block_size: usize) -> usize {
+        match self {
+            // A block cache holds at least one whole block.
+            PolicyKind::BlockLru | PolicyKind::BlockFifo | PolicyKind::ThresholdLoad { .. } => {
+                block_size
+            }
+            // One item line next to one whole block.
+            PolicyKind::Iblp { .. } => block_size + 1,
+            // Half the lines must hold a whole block.
+            PolicyKind::IblpBalanced | PolicyKind::AdaptiveIblp => 2 * block_size,
+            _ => 1,
+        }
+    }
+
     /// Short stable label (used in CSV headers and CLI output).
     ///
     /// Prefer the [`Display`](std::fmt::Display) impl when writing into an
@@ -282,6 +300,43 @@ mod tests {
             assert!(p.access(ItemId(0)).is_miss(), "{}", p.name());
             assert!(p.access(ItemId(0)).is_hit(), "{}", p.name());
             assert_eq!(p.capacity(), 16);
+        }
+    }
+
+    #[test]
+    fn min_capacity_is_exactly_where_construction_starts_to_succeed() {
+        let kinds = [
+            PolicyKind::ItemLru,
+            PolicyKind::ItemFifo,
+            PolicyKind::ItemClock,
+            PolicyKind::ItemLfu,
+            PolicyKind::ItemRandom { seed: 1 },
+            PolicyKind::ItemMarking { seed: 1 },
+            PolicyKind::BlockLru,
+            PolicyKind::BlockFifo,
+            PolicyKind::IblpBalanced,
+            PolicyKind::Iblp { item_lines: 1 },
+            PolicyKind::Iblp {
+                item_lines: 1 << 20,
+            },
+            PolicyKind::Gcm { seed: 1 },
+            PolicyKind::ThresholdLoad { a: 1 },
+            PolicyKind::ThresholdLoad { a: 1 << 20 },
+            PolicyKind::TwoQ,
+            PolicyKind::Slru,
+            PolicyKind::LruK { k: 2 },
+            PolicyKind::WTinyLfu,
+            PolicyKind::AdaptiveIblp,
+            PolicyKind::PartialGcm { seed: 1, coload: 3 },
+        ];
+        for b in [1, 4, 16, 256] {
+            let map = BlockMap::strided(b);
+            for kind in &kinds {
+                let min = kind.min_capacity(b);
+                assert_eq!(kind.build(min, &map).capacity(), min, "{kind} B={b}");
+                let below = std::panic::catch_unwind(|| kind.build(min - 1, &map));
+                assert!(below.is_err(), "{kind} B={b} built at {}", min - 1);
+            }
         }
     }
 

@@ -233,7 +233,8 @@ impl GcRuntime {
     ///
     /// [`GcError::ZeroShards`] for `shards == 0`, [`GcError::ZeroCapacity`]
     /// for `capacity == 0`, and [`GcError::CapacityTooSmall`] when
-    /// `capacity < shards` (some shard would have no lines at all).
+    /// `capacity < shards` (some shard would have no lines at all) or some
+    /// shard's share is below [`PolicyKind::min_capacity`].
     pub fn new(
         kind: &PolicyKind,
         capacity: usize,
@@ -259,6 +260,11 @@ impl GcRuntime {
         backend: Arc<dyn BlockBackend>,
     ) -> Result<GcRuntime, GcError> {
         config.validate(capacity)?;
+        // The smallest shard gets ⌊capacity / shards⌋ lines.
+        let required = kind.min_capacity(map.max_block_size()) * config.shards;
+        if capacity < required {
+            return Err(GcError::CapacityTooSmall { capacity, required });
+        }
         let capacities = shard_capacities(capacity, config.shards);
         let engine = match config.mode {
             ExecMode::Locked => Engine::Locked(
@@ -644,9 +650,33 @@ mod tests {
             Err(GcError::ZeroCapacity)
         ));
         assert!(matches!(
-            GcRuntime::new(&PolicyKind::ItemLru, 3, map, 8, backend),
+            GcRuntime::new(
+                &PolicyKind::ItemLru,
+                3,
+                map.clone(),
+                8,
+                Arc::clone(&backend)
+            ),
             Err(GcError::CapacityTooSmall { .. })
         ));
+        // Every shard must hold one IBLP split: 2 shards × 2B lines.
+        let iblp = |capacity| {
+            GcRuntime::new(
+                &PolicyKind::IblpBalanced,
+                capacity,
+                map.clone(),
+                2,
+                Arc::clone(&backend),
+            )
+        };
+        assert_eq!(
+            iblp(15).err(),
+            Some(GcError::CapacityTooSmall {
+                capacity: 15,
+                required: 16
+            })
+        );
+        assert!(iblp(16).is_ok());
     }
 
     #[test]

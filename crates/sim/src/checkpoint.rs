@@ -165,7 +165,7 @@ pub struct SweepCellRecord {
 }
 
 /// A sweep checkpoint: the persistent state of a (possibly interrupted)
-/// [`run_sweep_checked`](crate::sweep::run_sweep_checked) invocation.
+/// [`run_sweep`](crate::sweep::run_sweep) invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepCheckpoint {
     /// [`FORMAT_VERSION`] at write time.
@@ -242,7 +242,7 @@ pub struct MrcCurveRecord {
     pub misses: Vec<u64>,
 }
 
-/// A checkpoint for [`mrc_bundle_checked`](crate::mrc::mrc_bundle_checked):
+/// A checkpoint for [`mrc_bundle`](crate::mrc::mrc_bundle):
 /// each completed curve is persisted as soon as its pass finishes, so an
 /// interrupted bundle re-runs only the missing curve.
 #[derive(Clone, Debug, PartialEq)]

@@ -1,48 +1,12 @@
-//! Side-by-side policy comparison over a single trace.
+//! Side-by-side policy comparison: one capacity's sweep cells as a table.
 
-use crate::engine::simulate_with_warmup;
-use crate::stats::SimStats;
-use gc_policies::PolicyKind;
-use gc_types::{BlockMap, Trace};
+use crate::sweep::SweepResult;
 
-/// One policy's line in a comparison table.
-#[derive(Clone, Debug)]
-pub struct ComparisonRow {
-    /// Policy label.
-    pub label: String,
-    /// Full policy name.
-    pub policy_name: String,
-    /// Run statistics.
-    pub stats: SimStats,
-}
-
-/// Run each policy (at the same capacity) over the trace and collect rows,
-/// sorted by ascending miss count.
-pub fn compare_policies(
-    kinds: &[PolicyKind],
-    capacity: usize,
-    trace: &Trace,
-    map: &BlockMap,
-    warmup: usize,
-) -> Vec<ComparisonRow> {
-    let mut rows: Vec<ComparisonRow> = kinds
-        .iter()
-        .map(|kind| {
-            let mut policy = kind.build(capacity, map);
-            let stats = simulate_with_warmup(&mut policy, trace, warmup);
-            ComparisonRow {
-                label: kind.label(),
-                policy_name: policy.name(),
-                stats,
-            }
-        })
-        .collect();
+/// Render sweep cells as an aligned text table, one row per cell, sorted
+/// by ascending miss count (ties keep their order).
+pub fn render_table(cells: &[&SweepResult]) -> String {
+    let mut rows = cells.to_vec();
     rows.sort_by_key(|r| r.stats.misses);
-    rows
-}
-
-/// Render comparison rows as an aligned text table.
-pub fn render_table(rows: &[ComparisonRow]) -> String {
     let mut out = format!(
         "{:<14} {:>10} {:>10} {:>9} {:>10} {:>10} {:>7}\n",
         "policy", "accesses", "misses", "fault", "temporal", "spatial", "width"
@@ -50,7 +14,7 @@ pub fn render_table(rows: &[ComparisonRow]) -> String {
     for r in rows {
         out.push_str(&format!(
             "{:<14} {:>10} {:>10} {:>9.4} {:>10} {:>10} {:>7.2}\n",
-            r.label,
+            r.job.kind.label(),
             r.stats.accesses,
             r.stats.misses,
             r.stats.fault_rate(),
@@ -65,7 +29,29 @@ pub fn render_table(rows: &[ComparisonRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_sweep, SweepJob, SweepOutcome, SweepRunConfig};
+    use gc_policies::PolicyKind;
     use gc_trace::synthetic;
+    use gc_types::{BlockMap, Trace};
+
+    /// Every kind at one capacity, as `gc-cache sweep` runs one column.
+    fn column(
+        kinds: &[PolicyKind],
+        capacity: usize,
+        trace: &Trace,
+        map: &BlockMap,
+        warmup: usize,
+    ) -> SweepOutcome {
+        let jobs: Vec<SweepJob> = kinds
+            .iter()
+            .map(|kind| SweepJob {
+                kind: kind.clone(),
+                capacity,
+                warmup,
+            })
+            .collect();
+        run_sweep(&jobs, trace, map, &SweepRunConfig::default()).unwrap()
+    }
 
     #[test]
     fn iblp_wins_on_mixed_locality() {
@@ -87,7 +73,7 @@ mod tests {
             }
         }
         let map = BlockMap::strided(b as usize);
-        let rows = compare_policies(
+        let outcome = column(
             &[
                 PolicyKind::ItemLru,
                 PolicyKind::BlockLru,
@@ -98,18 +84,15 @@ mod tests {
             &map,
             128,
         );
-        let misses = |label: &str| rows.iter().find(|r| r.label == label).unwrap().stats.misses;
-        let iblp = misses("iblp");
-        assert!(
-            iblp < misses("item-lru"),
-            "iblp {iblp} vs item-lru {}",
-            misses("item-lru")
-        );
-        assert!(
-            iblp < misses("block-lru"),
-            "iblp {iblp} vs block-lru {}",
-            misses("block-lru")
-        );
+        let misses = |kind: PolicyKind| {
+            let cell = outcome.completed().find(|r| r.job.kind == kind).unwrap();
+            cell.stats.misses
+        };
+        let iblp = misses(PolicyKind::IblpBalanced);
+        let item = misses(PolicyKind::ItemLru);
+        let block = misses(PolicyKind::BlockLru);
+        assert!(iblp < item, "iblp {iblp} vs item-lru {item}");
+        assert!(iblp < block, "iblp {iblp} vs block-lru {block}");
     }
 
     #[test]
@@ -117,11 +100,17 @@ mod tests {
         let cfg = synthetic::BlockRunConfig::default();
         let trace = synthetic::block_runs(&cfg);
         let map = synthetic::block_runs_map(&cfg);
-        let rows = compare_policies(&PolicyKind::standard_roster(1), 256, &trace, &map, 0);
-        assert!(rows
-            .windows(2)
-            .all(|w| w[0].stats.misses <= w[1].stats.misses));
-        assert_eq!(rows.len(), PolicyKind::standard_roster(1).len());
+        let roster = PolicyKind::standard_roster(1);
+        let outcome = column(&roster, 256, &trace, &map, 0);
+        let cells: Vec<&SweepResult> = outcome.completed().collect();
+        let table = render_table(&cells);
+        let misses: Vec<u64> = table
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().nth(2).unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(misses.len(), roster.len());
+        assert!(misses.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -132,8 +121,9 @@ mod tests {
         };
         let trace = synthetic::block_runs(&cfg);
         let map = synthetic::block_runs_map(&cfg);
-        let rows = compare_policies(&[PolicyKind::ItemLru], 64, &trace, &map, 0);
-        let table = render_table(&rows);
+        let outcome = column(&[PolicyKind::ItemLru], 64, &trace, &map, 0);
+        let cells: Vec<&SweepResult> = outcome.completed().collect();
+        let table = render_table(&cells);
         assert_eq!(table.lines().count(), 2);
         assert!(table.contains("item-lru"));
     }

@@ -13,14 +13,15 @@
 //! * [`pool`] — the shared worker pool: std scoped threads with an
 //!   atomic work cursor (Rayon-style dynamic work distribution without
 //!   the dependency), results in job order.
-//! * [`sweep`] — a parallel parameter-sweep harness built on the pool,
-//!   with a checked mode ([`run_sweep_checked`](sweep::run_sweep_checked))
-//!   that isolates panicking cells and checkpoints progress.
+//! * [`sweep`] — the parallel parameter-sweep harness
+//!   ([`run_sweep`](sweep::run_sweep)), built on the pool: it isolates
+//!   panicking cells and checkpoints progress.
 //! * [`checkpoint`] — JSON checkpoint files for interruptible sweeps and
 //!   MRC bundles, plus the stable config fingerprints that guard resume.
-//! * [`compare`] — run a roster of policies over one trace and tabulate.
-//! * [`mrc`] — Mattson-stack miss-ratio curves (item- and block-granular),
-//!   the IBLP split grid, and the parallel [`mrc_bundle`](mrc::mrc_bundle).
+//! * [`compare`] — tabulate one capacity's sweep cells side by side.
+//! * [`mrc`] — Mattson-stack miss-ratio curves (item- and block-granular)
+//!   and the parallel, checkpointable [`mrc_bundle`](mrc::mrc_bundle) with
+//!   its IBLP split grid.
 //! * [`shards`] — SHARDS-style spatially-hashed reuse-distance sampling:
 //!   approximate MRCs in near-linear time at rates down to 0.1 %, with a
 //!   fixed-size adaptive mode.
@@ -44,29 +45,21 @@ pub mod sweep;
 pub use checkpoint::{
     MrcCheckpoint, MrcCurveRecord, StableHasher, SweepCellOutcome, SweepCellRecord, SweepCheckpoint,
 };
-pub use compare::{compare_policies, ComparisonRow};
 pub use engine::{
     simulate, simulate_compiled, simulate_compiled_with_warmup, simulate_with_warmup, SpatialSet,
 };
 pub use hierarchy::{simulate_hierarchy, HierarchyStats};
 pub use mrc::{
-    block_mrc, block_mrc_compiled, iblp_split_grid, item_mrc, item_mrc_compiled, mrc_bundle,
-    mrc_bundle_checked, mrc_bundle_compiled, mrc_config_hash, split_grid_from_curves,
+    block_mrc, block_mrc_compiled, item_mrc, item_mrc_compiled, mrc_bundle, mrc_bundle_compiled,
     MissRatioCurve, MrcBundle, MrcMode, MrcRunConfig, SplitCell,
 };
-pub use pool::{
-    resolve_threads, run_indexed, run_indexed_checked, run_indexed_opts, CancelToken, CheckedRun,
-    JobError, PoolOptions, Straggler,
-};
+pub use pool::{run_indexed, run_indexed_checked, JobError};
 pub use probe::ProbeAdapter;
 pub use shards::{
-    sampled_block_mrc, sampled_block_mrc_compiled, sampled_block_mrc_compiled_with_stats,
-    sampled_block_mrc_with_stats, sampled_item_mrc, sampled_item_mrc_compiled,
-    sampled_item_mrc_compiled_with_stats, sampled_item_mrc_with_stats, SampleStats, SamplerConfig,
+    sampled_block_mrc, sampled_item_mrc, sampled_item_mrc_compiled, SampleStats, SamplerConfig,
 };
 pub use stats::SimStats;
 pub use sweep::{
-    run_cell, run_cell_compiled, run_sweep, run_sweep_checked, run_sweep_compiled,
-    sweep_config_hash, to_csv_checked, OnError, SweepJob, SweepOutcome, SweepResult,
+    run_cell, run_sweep, run_sweep_compiled, OnError, SweepJob, SweepOutcome, SweepResult,
     SweepRunConfig,
 };

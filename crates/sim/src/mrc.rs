@@ -22,8 +22,8 @@
 use crate::checkpoint::{
     self, MrcCheckpoint, MrcCurveRecord, StableHasher, FORMAT_VERSION, SINK_POISONED,
 };
-use crate::pool::{self, JobError, PoolOptions};
-use crate::shards::{sampled_block_mrc, sampled_item_mrc, SamplerConfig};
+use crate::pool::{self, JobError};
+use crate::shards::{sampled_block_mrc, sampled_item_mrc, SampleStats, SamplerConfig};
 use gc_types::{BlockMap, CompiledTrace, FxHashMap, GcError, Trace};
 use std::path::Path;
 use std::sync::Mutex;
@@ -312,21 +312,13 @@ pub struct SplitCell {
     pub miss_estimate: u64,
 }
 
-/// Profile every split of `capacity` lines (in steps of `B`) using the two
-/// MRCs — a fast offline guide for choosing the partition without
-/// simulating each split (the simulator then refines the shortlist).
-pub fn iblp_split_grid(trace: &Trace, map: &BlockMap, capacity: usize) -> Vec<SplitCell> {
-    let b = map.max_block_size();
-    assert!(capacity > b, "capacity must exceed one block");
-    let item_curve = item_mrc(trace, capacity);
-    let block_curve = block_mrc(trace, map, capacity / b);
-    split_grid_from_curves(&item_curve, &block_curve, capacity, b)
-}
-
 /// Derive the split grid from already-computed curves (exact *or*
-/// sampled). `O(capacity / b)` — negligible next to the curve passes, so
-/// [`mrc_bundle`] parallelizes the curves and derives the grid serially.
-pub fn split_grid_from_curves(
+/// sampled): every split of `capacity` lines in steps of `b`, a fast
+/// offline guide for choosing the partition without simulating each split
+/// (the simulator then refines the shortlist). `O(capacity / b)` —
+/// negligible next to the curve passes, so [`mrc_bundle`] parallelizes the
+/// curves and derives the grid serially.
+pub(crate) fn split_grid_from_curves(
     item_curve: &MissRatioCurve,
     block_curve: &MissRatioCurve,
     capacity: usize,
@@ -367,6 +359,11 @@ pub struct MrcBundle {
     pub block: MissRatioCurve,
     /// Split grid derived from the two curves.
     pub grid: Vec<SplitCell>,
+    /// What the sampler did for the item curve; `None` when the curve is
+    /// exact or was resumed from a checkpoint.
+    pub item_stats: Option<SampleStats>,
+    /// What the sampler did for the block curve, as for `item_stats`.
+    pub block_stats: Option<SampleStats>,
 }
 
 impl MrcBundle {
@@ -374,84 +371,60 @@ impl MrcBundle {
     pub fn best_split(&self) -> Option<&SplitCell> {
         self.grid.iter().min_by_key(|cell| cell.miss_estimate)
     }
+
+    fn assemble(
+        (item, item_stats): (MissRatioCurve, Option<SampleStats>),
+        (block, block_stats): (MissRatioCurve, Option<SampleStats>),
+        capacity: usize,
+        b: usize,
+    ) -> MrcBundle {
+        let grid = split_grid_from_curves(&item, &block, capacity, b);
+        MrcBundle {
+            item,
+            block,
+            grid,
+            item_stats,
+            block_stats,
+        }
+    }
 }
 
-/// Compute item curve, block curve, and IBLP split grid for `capacity`
-/// lines, running the two curve passes on the shared worker
-/// [`pool`](crate::pool) (`threads` as in [`run_sweep`](crate::run_sweep):
-/// `0` = one per core). In `Exact` mode the curves are bit-identical to
-/// [`item_mrc`] / [`block_mrc`] and the grid to [`iblp_split_grid`].
-///
-/// # Panics
-///
-/// Panics unless `capacity > B` (a split needs room for both layers).
-pub fn mrc_bundle(
-    trace: &Trace,
-    map: &BlockMap,
-    capacity: usize,
-    mode: &MrcMode,
-    threads: usize,
-) -> MrcBundle {
+/// The block size `B` of `map`, once `capacity` is known to hold a split:
+/// at least one item line next to one whole block.
+fn split_block_size(capacity: usize, map: &BlockMap) -> Result<usize, GcError> {
     let b = map.max_block_size();
-    assert!(capacity > b, "capacity must exceed one block");
-    let mut curves = crate::pool::run_indexed(2, threads, |i| match (i, mode) {
-        (0, MrcMode::Exact) => item_mrc(trace, capacity),
-        (0, MrcMode::Sampled(cfg)) => sampled_item_mrc(trace, capacity, cfg),
-        (_, MrcMode::Exact) => block_mrc(trace, map, capacity / b),
-        (_, MrcMode::Sampled(cfg)) => sampled_block_mrc(trace, map, capacity / b, cfg),
-    });
-    let block = curves.pop().expect("two curve jobs");
-    let item = curves.pop().expect("two curve jobs");
-    let grid = split_grid_from_curves(&item, &block, capacity, b);
-    MrcBundle { item, block, grid }
+    if capacity <= b {
+        return Err(GcError::CapacityTooSmall {
+            capacity,
+            required: b + 1,
+        });
+    }
+    Ok(b)
 }
 
-/// [`mrc_bundle`] over a compiled trace. Curves and grid are bit-identical
-/// to [`mrc_bundle`] on the source trace in both modes — exact passes are
-/// rename-invariant and sampled passes hash the decoded ids — while both
-/// curve jobs stream the flat access array.
-///
-/// # Panics
-///
-/// Panics unless `capacity > B`, as in [`mrc_bundle`].
-pub fn mrc_bundle_compiled(
-    compiled: &CompiledTrace,
-    capacity: usize,
-    mode: &MrcMode,
-    threads: usize,
-) -> MrcBundle {
-    use crate::shards::{sampled_block_mrc_compiled, sampled_item_mrc_compiled};
-    let b = compiled.map().max_block_size();
-    assert!(capacity > b, "capacity must exceed one block");
-    let mut curves = crate::pool::run_indexed(2, threads, |i| match (i, mode) {
-        (0, MrcMode::Exact) => item_mrc_compiled(compiled, capacity),
-        (0, MrcMode::Sampled(cfg)) => sampled_item_mrc_compiled(compiled, capacity, cfg),
-        (_, MrcMode::Exact) => block_mrc_compiled(compiled, capacity / b),
-        (_, MrcMode::Sampled(cfg)) => sampled_block_mrc_compiled(compiled, capacity / b, cfg),
-    });
-    let block = curves.pop().expect("two curve jobs");
-    let item = curves.pop().expect("two curve jobs");
-    let grid = split_grid_from_curves(&item, &block, capacity, b);
-    MrcBundle { item, block, grid }
-}
-
-/// Execution options for [`mrc_bundle_checked`].
+/// Execution options for [`mrc_bundle`]. [`Default`] is a run on one
+/// thread per core with no checkpoint.
 #[derive(Default)]
 pub struct MrcRunConfig<'a> {
-    /// Worker threads, as in [`mrc_bundle`] (`0` = one per core).
+    /// Worker threads (`0` = one per core).
     pub threads: usize,
     /// Persist each curve here as soon as its pass completes.
     pub checkpoint_path: Option<&'a Path>,
     /// Resume from a previously saved checkpoint; its `config_hash` must
-    /// match [`mrc_config_hash`] of this configuration or the run is
-    /// refused with [`GcError::CheckpointMismatch`].
+    /// match this configuration's fingerprint or the run is refused with
+    /// [`GcError::CheckpointMismatch`].
     pub resume: Option<MrcCheckpoint>,
 }
 
 /// Deterministic fingerprint of everything that affects an MRC bundle's
 /// curves: trace contents, block map, capacity, and mode (including the
 /// sampler configuration and seed, via its `Debug` rendering).
-pub fn mrc_config_hash(trace: &Trace, map: &BlockMap, capacity: usize, mode: &MrcMode) -> u64 {
+pub(crate) fn mrc_config_hash(
+    trace: &Trace,
+    map: &BlockMap,
+    capacity: usize,
+    mode: &MrcMode,
+) -> u64 {
     let mut h = StableHasher::new();
     h.write_str("mrc-v1");
     h.write_u64(FORMAT_VERSION as u64);
@@ -462,7 +435,13 @@ pub fn mrc_config_hash(trace: &Trace, map: &BlockMap, capacity: usize, mode: &Mr
     h.finish()
 }
 
-/// [`mrc_bundle`] with fault isolation and checkpoint/resume.
+/// A curve with the sampler's account of it (`None` when exact).
+type Curve = (MissRatioCurve, Option<SampleStats>);
+
+/// Compute item curve, block curve, and IBLP split grid for `capacity`
+/// lines, running the two curve passes on the shared worker
+/// [`pool`](crate::pool). In `Exact` mode the curves are bit-identical to
+/// [`item_mrc`] / [`block_mrc`].
 ///
 /// A panic in either curve pass is caught and surfaced as
 /// [`GcError::CellFailed`] (index `0` = item curve, `1` = block curve)
@@ -471,43 +450,48 @@ pub fn mrc_config_hash(trace: &Trace, map: &BlockMap, capacity: usize, mode: &Mr
 /// resumed from that checkpoint re-runs only the missing curve and returns
 /// a bundle bit-identical to an uninterrupted run.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics unless `capacity > B`, as in [`mrc_bundle`].
-pub fn mrc_bundle_checked(
+/// [`GcError::CapacityTooSmall`] unless `capacity > B` (a split needs room
+/// for both layers), the checkpoint errors above, and any failure to write
+/// the checkpoint.
+pub fn mrc_bundle(
     trace: &Trace,
     map: &BlockMap,
     capacity: usize,
     mode: &MrcMode,
     cfg: &MrcRunConfig<'_>,
 ) -> Result<MrcBundle, GcError> {
-    let b = map.max_block_size();
-    assert!(capacity > b, "capacity must exceed one block");
-    let hash = mrc_config_hash(trace, map, capacity, mode);
-
-    let mut resumed: [Option<MissRatioCurve>; 2] = [None, None];
-    let mut sink = MrcCheckpoint::new(hash);
-    if let Some(prior) = &cfg.resume {
-        prior.validate(hash)?;
-        for record in &prior.curves {
-            if record.index < 2 {
-                resumed[record.index] = Some(MissRatioCurve {
+    let b = split_block_size(capacity, map)?;
+    let mut curves: [Option<Curve>; 2] = [None, None];
+    // The checkpoint, and the full-trace fingerprint it needs, exist only
+    // when one is read or written.
+    let mut sink = None;
+    if cfg.checkpoint_path.is_some() || cfg.resume.is_some() {
+        let hash = mrc_config_hash(trace, map, capacity, mode);
+        let mut ckpt = MrcCheckpoint::new(hash);
+        if let Some(prior) = &cfg.resume {
+            prior.validate(hash)?;
+            for record in prior.curves.iter().filter(|r| r.index < 2) {
+                let curve = MissRatioCurve {
                     accesses: record.accesses,
                     misses: record.misses.clone(),
-                });
-                sink.curves.push(record.clone());
+                };
+                curves[record.index] = Some((curve, None));
+                ckpt.curves.push(record.clone());
             }
         }
+        sink = cfg
+            .checkpoint_path
+            .map(|path| Mutex::new((ckpt, path, None::<GcError>)));
     }
 
-    let pending: Vec<usize> = (0..2).filter(|&i| resumed[i].is_none()).collect();
-    let sink = Mutex::new((sink, None::<GcError>));
-    let on_complete = |slot: usize, result: &Result<MissRatioCurve, JobError>| {
-        let (Some(path), Ok(curve)) = (cfg.checkpoint_path, result) else {
+    let pending: Vec<usize> = (0..2).filter(|&i| curves[i].is_none()).collect();
+    let on_complete = |slot: usize, result: &Result<Curve, JobError>| {
+        let (Some(sink), Ok((curve, _))) = (&sink, result) else {
             return;
         };
-        let mut guard = sink.lock().expect(SINK_POISONED);
-        let (ckpt, write_error) = &mut *guard;
+        let (ckpt, path, write_error) = &mut *sink.lock().expect(SINK_POISONED);
         ckpt.curves.push(MrcCurveRecord {
             index: pending[slot],
             accesses: curve.accesses,
@@ -518,49 +502,76 @@ pub fn mrc_bundle_checked(
             write_error.get_or_insert(e);
         }
     };
-    let opts = PoolOptions {
-        on_complete: Some(&on_complete),
-        ..PoolOptions::default()
-    };
-    let run = pool::run_indexed_opts(pending.len(), cfg.threads, &opts, |slot| {
-        match (pending[slot], mode) {
-            (0, MrcMode::Exact) => item_mrc(trace, capacity),
-            (0, MrcMode::Sampled(sampler)) => sampled_item_mrc(trace, capacity, sampler),
-            (_, MrcMode::Exact) => block_mrc(trace, map, capacity / b),
-            (_, MrcMode::Sampled(sampler)) => sampled_block_mrc(trace, map, capacity / b, sampler),
-        }
-    });
-    let (_, write_error) = sink.into_inner().expect(SINK_POISONED);
-    if let Some(e) = write_error {
+    let sampled = |(curve, stats): (MissRatioCurve, SampleStats)| (curve, Some(stats));
+    let results =
+        pool::run_indexed_checked(pending.len(), cfg.threads, on_complete, |slot| {
+            match (pending[slot], mode) {
+                (0, MrcMode::Exact) => (item_mrc(trace, capacity), None),
+                (_, MrcMode::Exact) => (block_mrc(trace, map, capacity / b), None),
+                (0, MrcMode::Sampled(s)) => sampled(sampled_item_mrc(trace, capacity, s)),
+                (_, MrcMode::Sampled(s)) => sampled(sampled_block_mrc(trace, map, capacity / b, s)),
+            }
+        });
+    if let Some((_, _, Some(e))) = sink.map(|s| s.into_inner().expect(SINK_POISONED)) {
         return Err(e);
     }
-    for (slot, result) in run.results.into_iter().enumerate() {
-        match result {
-            Ok(curve) => resumed[pending[slot]] = Some(curve),
-            Err(e) => {
-                let reason = match &e {
-                    JobError::Panicked { payload, .. } => payload.clone(),
-                    other => other.to_string(),
-                };
-                return Err(GcError::CellFailed {
-                    index: pending[slot],
-                    reason,
-                });
-            }
-        }
+    for (slot, result) in results.into_iter().enumerate() {
+        let index = pending[slot];
+        curves[index] = Some(result.map_err(|e| GcError::CellFailed {
+            index,
+            reason: e.payload,
+        })?);
     }
 
-    let [Some(item), Some(block)] = resumed else {
+    let [Some(item), Some(block)] = curves else {
         unreachable!("both curves resolved above");
     };
-    let grid = split_grid_from_curves(&item, &block, capacity, b);
-    Ok(MrcBundle { item, block, grid })
+    Ok(MrcBundle::assemble(item, block, capacity, b))
+}
+
+/// The exact [`mrc_bundle`] over a compiled trace: both curve jobs stream
+/// the flat access array, and curves and grid are bit-identical to
+/// [`mrc_bundle`] on the source trace (exact passes are rename-invariant).
+/// There is no sampled twin: under sampling the hash filter dominates and
+/// compiling first only adds time and memory.
+///
+/// # Errors
+///
+/// [`GcError::CapacityTooSmall`] unless `capacity > B`, as in
+/// [`mrc_bundle`].
+///
+/// # Panics
+///
+/// Panics if a curve pass panics; the compiled path has no checkpoint.
+pub fn mrc_bundle_compiled(
+    compiled: &CompiledTrace,
+    capacity: usize,
+    threads: usize,
+) -> Result<MrcBundle, GcError> {
+    let b = split_block_size(capacity, compiled.map())?;
+    let curves = pool::run_indexed(2, threads, |i| match i {
+        0 => (item_mrc_compiled(compiled, capacity), None),
+        _ => (block_mrc_compiled(compiled, capacity / b), None),
+    });
+    let [item, block]: [Curve; 2] = curves.try_into().expect("two curve jobs");
+    Ok(MrcBundle::assemble(item, block, capacity, b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gc_policies::{BlockLru, ItemLru};
+
+    fn threads(threads: usize) -> MrcRunConfig<'static> {
+        MrcRunConfig {
+            threads,
+            ..MrcRunConfig::default()
+        }
+    }
+
+    fn serial() -> MrcRunConfig<'static> {
+        threads(1)
+    }
 
     fn simulate_lru_misses(trace: &Trace, k: usize) -> u64 {
         let mut lru = ItemLru::new(k);
@@ -658,7 +669,8 @@ mod tests {
         let trace = Trace::from_ids(ids);
         let map = BlockMap::strided(8);
         let capacity = 256;
-        for cell in iblp_split_grid(&trace, &map, capacity) {
+        let bundle = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, &serial()).unwrap();
+        for cell in bundle.grid {
             let mut iblp = Iblp::new(cell.item_lines, cell.block_lines, map.clone());
             let actual = crate::engine::simulate(&mut iblp, &trace).misses;
             // The estimate must be close from above: IBLP can only beat a
@@ -714,10 +726,10 @@ mod tests {
         let map = BlockMap::strided(16);
         let capacity = 512;
 
-        let bundle = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, 2);
+        let bundle = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, &threads(2)).unwrap();
         let item = item_mrc(&trace, capacity);
         let block = block_mrc(&trace, &map, capacity / 16);
-        let grid = iblp_split_grid(&trace, &map, capacity);
+        let grid = split_grid_from_curves(&item, &block, capacity, 16);
 
         assert_eq!(bundle.item.misses, item.misses);
         assert_eq!(bundle.block.misses, block.misses);
@@ -742,26 +754,13 @@ mod tests {
             MrcMode::Exact,
             MrcMode::Sampled(SamplerConfig::fixed(0.2).with_seed(9)),
         ] {
-            let serial = mrc_bundle(&trace, &map, 256, &mode, 1);
-            let parallel = mrc_bundle(&trace, &map, 256, &mode, 4);
+            let serial = mrc_bundle(&trace, &map, 256, &mode, &threads(1)).unwrap();
+            let parallel = mrc_bundle(&trace, &map, 256, &mode, &threads(4)).unwrap();
             assert_eq!(serial.item.misses, parallel.item.misses, "{mode:?}");
             assert_eq!(serial.block.misses, parallel.block.misses, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn checked_bundle_matches_plain_bundle() {
-        let trace = Trace::from_ids((0..10_000u64).map(|i| (i * 2654435761) % 1500));
-        let map = BlockMap::strided(8);
-        let plain = mrc_bundle(&trace, &map, 128, &MrcMode::Exact, 2);
-        let checked =
-            mrc_bundle_checked(&trace, &map, 128, &MrcMode::Exact, &MrcRunConfig::default())
-                .unwrap();
-        assert_eq!(plain.item.misses, checked.item.misses);
-        assert_eq!(plain.block.misses, checked.block.misses);
-        assert_eq!(plain.grid.len(), checked.grid.len());
-        for (a, b) in plain.grid.iter().zip(&checked.grid) {
-            assert_eq!(a.miss_estimate, b.miss_estimate);
+            let sampled = mode != MrcMode::Exact;
+            assert_eq!(parallel.item_stats.is_some(), sampled, "{mode:?}");
+            assert_eq!(parallel.block_stats.is_some(), sampled, "{mode:?}");
         }
     }
 
@@ -770,7 +769,7 @@ mod tests {
         let trace = Trace::from_ids((0..8_000u64).map(|i| (i * 48271) % 900));
         let map = BlockMap::strided(4);
         let mode = MrcMode::Exact;
-        let reference = mrc_bundle(&trace, &map, 64, &mode, 1);
+        let reference = mrc_bundle(&trace, &map, 64, &mode, &serial()).unwrap();
 
         // A checkpoint holding only the item curve, as if the run was
         // killed between the two passes.
@@ -785,7 +784,7 @@ mod tests {
             resume: Some(partial),
             ..MrcRunConfig::default()
         };
-        let resumed = mrc_bundle_checked(&trace, &map, 64, &mode, &cfg).unwrap();
+        let resumed = mrc_bundle(&trace, &map, 64, &mode, &cfg).unwrap();
         assert_eq!(reference.item.misses, resumed.item.misses);
         assert_eq!(reference.block.misses, resumed.block.misses);
         for (a, b) in reference.grid.iter().zip(&resumed.grid) {
@@ -801,7 +800,7 @@ mod tests {
             resume: Some(MrcCheckpoint::new(0xbad_c0de)),
             ..MrcRunConfig::default()
         };
-        let err = mrc_bundle_checked(&trace, &map, 64, &MrcMode::Exact, &cfg).unwrap_err();
+        let err = mrc_bundle(&trace, &map, 64, &MrcMode::Exact, &cfg).unwrap_err();
         assert!(matches!(err, GcError::CheckpointMismatch { .. }), "{err}");
     }
 
@@ -846,19 +845,73 @@ mod tests {
         let block_c = block_mrc_compiled(&compiled, 64);
         assert_eq!(block.misses, block_c.misses);
 
-        for mode in [
-            MrcMode::Exact,
-            MrcMode::Sampled(SamplerConfig::fixed(0.3).with_seed(42)),
-        ] {
-            let sparse = mrc_bundle(&trace, &map, 256, &mode, 2);
-            let dense = mrc_bundle_compiled(&compiled, 256, &mode, 2);
-            assert_eq!(sparse.item.misses, dense.item.misses, "{mode:?}");
-            assert_eq!(sparse.block.misses, dense.block.misses, "{mode:?}");
-            assert_eq!(sparse.grid.len(), dense.grid.len());
-            for (a, b) in sparse.grid.iter().zip(&dense.grid) {
-                assert_eq!(a.miss_estimate, b.miss_estimate, "{mode:?}");
+        let sparse = mrc_bundle(&trace, &map, 256, &MrcMode::Exact, &threads(2)).unwrap();
+        let dense = mrc_bundle_compiled(&compiled, 256, 2).unwrap();
+        assert_eq!(sparse.item.misses, dense.item.misses);
+        assert_eq!(sparse.block.misses, dense.block.misses);
+        assert_eq!(sparse.grid.len(), dense.grid.len());
+        for (a, b) in sparse.grid.iter().zip(&dense.grid) {
+            assert_eq!(a.miss_estimate, b.miss_estimate);
+        }
+    }
+
+    #[test]
+    fn sampled_bundle_reports_each_fresh_curves_sampler_stats() {
+        let trace = Trace::from_ids((0..20_000u64).map(|i| (i * 2654435761) % 2000));
+        let map = BlockMap::strided(8);
+        let sampler = SamplerConfig::fixed(0.2).with_seed(3);
+        let mode = MrcMode::Sampled(sampler.clone());
+        let bundle = mrc_bundle(&trace, &map, 256, &mode, &serial()).unwrap();
+        let (_, item) = sampled_item_mrc(&trace, 256, &sampler);
+        let (_, block) = sampled_block_mrc(&trace, &map, 256 / 8, &sampler);
+        let got = bundle.item_stats.expect("fresh item curve");
+        assert_eq!(got.sampled_accesses, item.sampled_accesses);
+        assert_eq!(got.distinct_sampled, item.distinct_sampled);
+        let got = bundle.block_stats.expect("fresh block curve");
+        assert_eq!(got.sampled_accesses, block.sampled_accesses);
+        assert_eq!(got.distinct_sampled, block.distinct_sampled);
+
+        // A curve served from a checkpoint has no sampler account.
+        let mut partial = MrcCheckpoint::new(mrc_config_hash(&trace, &map, 256, &mode));
+        partial.curves.push(MrcCurveRecord {
+            index: 1,
+            accesses: bundle.block.accesses,
+            misses: bundle.block.misses.clone(),
+        });
+        let cfg = MrcRunConfig {
+            resume: Some(partial),
+            ..serial()
+        };
+        let resumed = mrc_bundle(&trace, &map, 256, &mode, &cfg).unwrap();
+        assert!(resumed.item_stats.is_some() && resumed.block_stats.is_none());
+        assert_eq!(resumed.block.misses, bundle.block.misses);
+    }
+
+    #[test]
+    fn undersized_capacity_is_an_error_not_a_panic() {
+        let trace = Trace::from_ids((0..100u64).map(|i| i % 40));
+        let map = BlockMap::strided(16);
+        let compiled = CompiledTrace::compile(&trace, &map).unwrap();
+        for capacity in [0, 1, 16] {
+            let sparse = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, &serial());
+            let dense = mrc_bundle_compiled(&compiled, capacity, 1);
+            for err in [sparse.unwrap_err(), dense.unwrap_err()] {
+                assert_eq!(
+                    err,
+                    GcError::CapacityTooSmall {
+                        capacity,
+                        required: 17
+                    }
+                );
             }
         }
+        assert_eq!(
+            mrc_bundle(&trace, &map, 17, &MrcMode::Exact, &serial())
+                .unwrap()
+                .grid
+                .len(),
+            1
+        );
     }
 
     #[test]

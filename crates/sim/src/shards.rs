@@ -239,17 +239,13 @@ fn sampled_mrc_over_ids(
     )
 }
 
-/// Sampled item-granular MRC — the estimator of [`item_mrc`](crate::item_mrc).
+/// Sampled item-granular MRC — the estimator of [`item_mrc`](crate::item_mrc) —
+/// with the [`SampleStats`] of the pass.
 ///
 /// Runtime and memory scale with the sample rate: at 1 % the Fenwick pass
 /// touches ~1 % of accesses and the position map holds ~1 % of distinct
 /// ids, for a near-linear end-to-end pass dominated by the hash filter.
-pub fn sampled_item_mrc(trace: &Trace, max_size: usize, cfg: &SamplerConfig) -> MissRatioCurve {
-    sampled_item_mrc_with_stats(trace, max_size, cfg).0
-}
-
-/// [`sampled_item_mrc`], also returning [`SampleStats`].
-pub fn sampled_item_mrc_with_stats(
+pub fn sampled_item_mrc(
     trace: &Trace,
     max_size: usize,
     cfg: &SamplerConfig,
@@ -257,7 +253,7 @@ pub fn sampled_item_mrc_with_stats(
     sampled_mrc_over_ids(trace.iter().map(|i| i.0), trace.len(), max_size, cfg)
 }
 
-/// [`sampled_item_mrc`] over a compiled trace.
+/// [`sampled_item_mrc`]'s curve over a compiled trace.
 ///
 /// The spatial filter must hash the *original* keys — `mix64` of a dense
 /// rename would select a different id subset and change the estimate — so
@@ -270,15 +266,6 @@ pub fn sampled_item_mrc_compiled(
     max_size: usize,
     cfg: &SamplerConfig,
 ) -> MissRatioCurve {
-    sampled_item_mrc_compiled_with_stats(compiled, max_size, cfg).0
-}
-
-/// [`sampled_item_mrc_compiled`], also returning [`SampleStats`].
-pub fn sampled_item_mrc_compiled_with_stats(
-    compiled: &CompiledTrace,
-    max_size: usize,
-    cfg: &SamplerConfig,
-) -> (MissRatioCurve, SampleStats) {
     let dense = compiled
         .map()
         .dense_universe()
@@ -290,22 +277,14 @@ pub fn sampled_item_mrc_compiled_with_stats(
         max_size,
         cfg,
     )
+    .0
 }
 
 /// Sampled block-granular MRC — the estimator of
 /// [`block_mrc`](crate::block_mrc), hashing *block* ids so all items of a
-/// sampled block are kept together (granularity-consistent sampling).
+/// sampled block are kept together (granularity-consistent sampling) —
+/// with the [`SampleStats`] of the pass.
 pub fn sampled_block_mrc(
-    trace: &Trace,
-    map: &BlockMap,
-    max_slots: usize,
-    cfg: &SamplerConfig,
-) -> MissRatioCurve {
-    sampled_block_mrc_with_stats(trace, map, max_slots, cfg).0
-}
-
-/// [`sampled_block_mrc`], also returning [`SampleStats`].
-pub fn sampled_block_mrc_with_stats(
     trace: &Trace,
     map: &BlockMap,
     max_slots: usize,
@@ -314,38 +293,6 @@ pub fn sampled_block_mrc_with_stats(
     sampled_mrc_over_ids(
         trace.iter().map(|i| map.block_of(i).0),
         trace.len(),
-        max_slots,
-        cfg,
-    )
-}
-
-/// [`sampled_block_mrc`] over a compiled trace: the precomputed block
-/// column replaces the per-access `block_of` lookup, and the block decode
-/// table recovers the source block ids the spatial hash must see (see
-/// [`sampled_item_mrc_compiled`] for why decoding matters). Bit-identical
-/// to [`sampled_block_mrc`] on the source trace and map.
-pub fn sampled_block_mrc_compiled(
-    compiled: &CompiledTrace,
-    max_slots: usize,
-    cfg: &SamplerConfig,
-) -> MissRatioCurve {
-    sampled_block_mrc_compiled_with_stats(compiled, max_slots, cfg).0
-}
-
-/// [`sampled_block_mrc_compiled`], also returning [`SampleStats`].
-pub fn sampled_block_mrc_compiled_with_stats(
-    compiled: &CompiledTrace,
-    max_slots: usize,
-    cfg: &SamplerConfig,
-) -> (MissRatioCurve, SampleStats) {
-    let dense = compiled
-        .map()
-        .dense_universe()
-        .expect("compiled trace always carries a dense map");
-    let decode = dense.block_decode_table();
-    sampled_mrc_over_ids(
-        compiled.accesses().iter().map(|a| decode[a.block as usize]),
-        compiled.len(),
         max_slots,
         cfg,
     )
@@ -379,13 +326,13 @@ mod tests {
     fn rate_one_is_bit_identical_to_exact() {
         let trace = skewed_trace(30_000, 2000, 7);
         let exact = item_mrc(&trace, 512);
-        let sampled = sampled_item_mrc(&trace, 512, &SamplerConfig::fixed(1.0));
+        let (sampled, _) = sampled_item_mrc(&trace, 512, &SamplerConfig::fixed(1.0));
         assert_eq!(exact.accesses, sampled.accesses);
         assert_eq!(exact.misses, sampled.misses);
 
         let map = BlockMap::strided(16);
         let exact_b = block_mrc(&trace, &map, 64);
-        let sampled_b = sampled_block_mrc(&trace, &map, 64, &SamplerConfig::fixed(1.0));
+        let (sampled_b, _) = sampled_block_mrc(&trace, &map, 64, &SamplerConfig::fixed(1.0));
         assert_eq!(exact_b.misses, sampled_b.misses);
     }
 
@@ -393,12 +340,12 @@ mod tests {
     fn deterministic_for_seed_and_rate() {
         let trace = skewed_trace(40_000, 3000, 99);
         let cfg = SamplerConfig::fixed(0.05).with_seed(1234);
-        let a = sampled_item_mrc(&trace, 400, &cfg);
-        let b = sampled_item_mrc(&trace, 400, &cfg);
+        let (a, _) = sampled_item_mrc(&trace, 400, &cfg);
+        let (b, _) = sampled_item_mrc(&trace, 400, &cfg);
         assert_eq!(a.misses, b.misses);
         // A different seed samples different ids — almost surely a
         // different curve on this trace.
-        let c = sampled_item_mrc(&trace, 400, &cfg.clone().with_seed(4321));
+        let (c, _) = sampled_item_mrc(&trace, 400, &cfg.clone().with_seed(4321));
         assert_ne!(a.misses, c.misses);
     }
 
@@ -407,7 +354,8 @@ mod tests {
         let trace = skewed_trace(60_000, 2000, 21);
         let exact = item_mrc(&trace, 512);
         let err = |rate: f64| {
-            let approx = sampled_item_mrc(&trace, 512, &SamplerConfig::fixed(rate).with_seed(5));
+            let (approx, _) =
+                sampled_item_mrc(&trace, 512, &SamplerConfig::fixed(rate).with_seed(5));
             (0..=512)
                 .map(|k| (exact.miss_ratio(k) - approx.miss_ratio(k)).abs())
                 .fold(0.0f64, f64::max)
@@ -431,7 +379,8 @@ mod tests {
         // the point here is that *block-granular* hashing converges like
         // item hashing does, not low-rate accuracy (that is checked at
         // scale by `tests/shards_at_scale.rs`).
-        let approx = sampled_block_mrc(&trace, &map, 128, &SamplerConfig::fixed(0.9).with_seed(2));
+        let (approx, _) =
+            sampled_block_mrc(&trace, &map, 128, &SamplerConfig::fixed(0.9).with_seed(2));
         let max_err = (0..=128)
             .map(|k| (exact.miss_ratio(k) - approx.miss_ratio(k)).abs())
             .fold(0.0f64, f64::max);
@@ -442,7 +391,7 @@ mod tests {
     fn sampled_curve_is_monotone() {
         let trace = skewed_trace(50_000, 2500, 3);
         for rate in [0.01, 0.1, 0.5] {
-            let curve = sampled_item_mrc(&trace, 300, &SamplerConfig::fixed(rate));
+            let (curve, _) = sampled_item_mrc(&trace, 300, &SamplerConfig::fixed(rate));
             assert!(
                 curve.misses.windows(2).all(|w| w[1] <= w[0]),
                 "non-monotone at rate {rate}"
@@ -456,8 +405,7 @@ mod tests {
         // the exact algorithm.
         let trace = skewed_trace(20_000, 500, 13);
         let exact = item_mrc(&trace, 256);
-        let (curve, stats) =
-            sampled_item_mrc_with_stats(&trace, 256, &SamplerConfig::adaptive(100_000));
+        let (curve, stats) = sampled_item_mrc(&trace, 256, &SamplerConfig::adaptive(100_000));
         assert_eq!(exact.misses, curve.misses);
         assert!((stats.final_rate - 1.0).abs() < 1e-12);
     }
@@ -466,8 +414,7 @@ mod tests {
     fn adaptive_caps_sample_size_and_stays_accurate() {
         let trace = skewed_trace(80_000, 8000, 41);
         let exact = item_mrc(&trace, 1024);
-        let (curve, stats) =
-            sampled_item_mrc_with_stats(&trace, 1024, &SamplerConfig::adaptive(512));
+        let (curve, stats) = sampled_item_mrc(&trace, 1024, &SamplerConfig::adaptive(512));
         assert!(
             stats.distinct_sampled <= 512,
             "sample overflowed: {}",
@@ -492,57 +439,15 @@ mod tests {
             SamplerConfig::fixed(1.0),
             SamplerConfig::adaptive(400).with_seed(3),
         ] {
-            let (sparse, s_stats) = sampled_item_mrc_with_stats(&trace, 300, &cfg);
-            let (dense, d_stats) = sampled_item_mrc_compiled_with_stats(&compiled, 300, &cfg);
+            let (sparse, _) = sampled_item_mrc(&trace, 300, &cfg);
+            let dense = sampled_item_mrc_compiled(&compiled, 300, &cfg);
             assert_eq!(sparse.misses, dense.misses, "{cfg:?}");
-            assert_eq!(s_stats.sampled_accesses, d_stats.sampled_accesses);
-            assert_eq!(s_stats.distinct_sampled, d_stats.distinct_sampled);
-
-            let sparse_b = sampled_block_mrc(&trace, &map, 64, &cfg);
-            let dense_b = sampled_block_mrc_compiled(&compiled, 64, &cfg);
-            assert_eq!(sparse_b.misses, dense_b.misses, "block {cfg:?}");
-        }
-    }
-
-    #[test]
-    fn compiled_block_sampling_survives_ragged_maps_and_recompilation() {
-        use gc_types::ItemId;
-        // Ragged explicit map: block ids are group indices, not strides.
-        let groups: Vec<Vec<ItemId>> = (0..40usize)
-            .map(|g| {
-                let size = 1 + (g * 3) % 5;
-                (0..size)
-                    .map(|j| ItemId((g * 65_537 + j * 101) as u64))
-                    .collect()
-            })
-            .collect();
-        let map = BlockMap::from_groups(groups.clone()).unwrap();
-        let mut x = 5u64;
-        let trace = Trace::from_requests(
-            (0..20_000)
-                .map(|_| {
-                    x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                    let g = (x % 40) as usize;
-                    groups[g][(x >> 8) as usize % groups[g].len()]
-                })
-                .collect(),
-        );
-        let compiled = CompiledTrace::compile(&trace, &map).unwrap();
-        // Re-compiling the dense stream against the dense map must compose
-        // the block decode tables, not lose them.
-        let dense_trace = Trace::from_requests(compiled.iter_items().collect());
-        let twice = CompiledTrace::compile(&dense_trace, compiled.map()).unwrap();
-        let cfg = SamplerConfig::fixed(0.2).with_seed(11);
-        let sparse = sampled_block_mrc(&trace, &map, 32, &cfg);
-        for ct in [&compiled, &twice] {
-            let dense = sampled_block_mrc_compiled(ct, 32, &cfg);
-            assert_eq!(sparse.misses, dense.misses);
         }
     }
 
     #[test]
     fn empty_trace_is_fine() {
-        let curve = sampled_item_mrc(&Trace::new(), 16, &SamplerConfig::fixed(0.01));
+        let (curve, _) = sampled_item_mrc(&Trace::new(), 16, &SamplerConfig::fixed(0.01));
         assert_eq!(curve.accesses, 0);
         assert!(curve.misses.iter().all(|&m| m == 0));
     }

@@ -1,15 +1,17 @@
 //! Parallel parameter-sweep harness.
 //!
 //! Benchmarks sweep (policy × capacity) grids over a shared read-only
-//! trace. Each job is independent, so the harness fans them out over the
-//! shared [`pool`](crate::pool) — std scoped threads pulling job
-//! indices off an atomic cursor, results returned in job order.
+//! trace. Each job is independent, so [`run_sweep`] fans them out over the
+//! shared [`pool`](crate::pool) — std scoped threads pulling job indices
+//! off an atomic cursor, results returned in job order — with each cell
+//! isolated from the others' panics and, optionally, checkpointed for
+//! crash-safe resume.
 
 use crate::checkpoint::{
     self, StableHasher, SweepCellOutcome, SweepCellRecord, SweepCheckpoint, SINK_POISONED,
 };
 use crate::engine::{simulate_compiled_with_warmup, simulate_with_warmup};
-use crate::pool::{self, JobError, PoolOptions};
+use crate::pool::{self, JobError};
 use crate::stats::SimStats;
 use gc_policies::PolicyKind;
 use gc_types::{BlockMap, CompiledTrace, GcError, Trace};
@@ -38,22 +40,8 @@ pub struct SweepResult {
     pub stats: SimStats,
 }
 
-/// Run every job against `trace`/`map` using up to `threads` worker
-/// threads (`0` means one thread per available core).
-///
-/// Jobs are claimed dynamically, so wildly uneven job costs (a 1 Ki cache
-/// vs a 1 Mi cache) still balance.
-pub fn run_sweep(
-    jobs: &[SweepJob],
-    trace: &Trace,
-    map: &BlockMap,
-    threads: usize,
-) -> Vec<SweepResult> {
-    pool::run_indexed(jobs.len(), threads, |idx| run_cell(&jobs[idx], trace, map))
-}
-
 /// Run a single sweep cell — the pure function every execution mode
-/// (plain, checked, fault-injected) funnels through, which is what makes
+/// (isolated, resumed, fault-injected) funnels through, which is what makes
 /// surviving-cell results bit-identical across modes.
 pub fn run_cell(job: &SweepJob, trace: &Trace, map: &BlockMap) -> SweepResult {
     let mut policy = job.kind.build(job.capacity, map);
@@ -72,19 +60,25 @@ pub fn run_cell(job: &SweepJob, trace: &Trace, map: &BlockMap) -> SweepResult {
 /// [`run_sweep`] over a compiled trace: the one-time compilation pass is
 /// amortized across every cell, each of which builds its policy against
 /// the dense map and streams the flat access array. Results are
-/// bit-identical to [`run_sweep`] on the source trace.
+/// bit-identical to [`run_sweep`] on the source trace. Cells are not
+/// isolated: a panicking cell panics the run, naming its index.
 pub fn run_sweep_compiled(
     jobs: &[SweepJob],
     compiled: &CompiledTrace,
     threads: usize,
-) -> Vec<SweepResult> {
-    pool::run_indexed(jobs.len(), threads, |idx| {
-        run_cell_compiled(&jobs[idx], compiled)
-    })
+) -> SweepOutcome {
+    let results = pool::run_indexed(jobs.len(), threads, |idx| {
+        Some(run_cell_compiled(&jobs[idx], compiled))
+    });
+    SweepOutcome {
+        results,
+        failures: Vec::new(),
+        resumed_cells: 0,
+    }
 }
 
 /// Compiled analogue of [`run_cell`].
-pub fn run_cell_compiled(job: &SweepJob, compiled: &CompiledTrace) -> SweepResult {
+pub(crate) fn run_cell_compiled(job: &SweepJob, compiled: &CompiledTrace) -> SweepResult {
     let mut policy = job.kind.build(job.capacity, compiled.map());
     let policy_name = policy.name();
     let stats = simulate_compiled_with_warmup(&mut policy, compiled, job.warmup);
@@ -95,37 +89,42 @@ pub fn run_cell_compiled(job: &SweepJob, compiled: &CompiledTrace) -> SweepResul
     }
 }
 
-const CSV_HEADER: &str =
-    "policy,capacity,accesses,misses,fault_rate,temporal_hits,spatial_hits,load_width\n";
-
-fn write_csv_row(out: &mut String, r: &SweepResult) {
+/// Render a sweep as CSV (`policy,capacity,accesses,misses,...`): one row
+/// per completed cell in job order, then one `# cell <i> ... failed:`
+/// comment line per failed cell.
+pub fn to_csv(outcome: &SweepOutcome, jobs: &[SweepJob]) -> String {
     use std::fmt::Write as _;
-    // `write!` into the buffer (and `Display` on the kind) keeps each
-    // row allocation-free; formatting a String cannot fail.
-    let _ = writeln!(
-        out,
-        "{},{},{},{},{:.6},{},{},{:.3}",
-        r.job.kind,
-        r.job.capacity,
-        r.stats.accesses,
-        r.stats.misses,
-        r.stats.fault_rate(),
-        r.stats.temporal_hits,
-        r.stats.spatial_hits,
-        r.stats.load_width(),
+    let mut out = String::from(
+        "policy,capacity,accesses,misses,fault_rate,temporal_hits,spatial_hits,load_width\n",
     );
-}
-
-/// Render sweep results as CSV (`label,capacity,accesses,misses,...`).
-pub fn to_csv(results: &[SweepResult]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    for r in results {
-        write_csv_row(&mut out, r);
+    // `write!` into the buffer (and `Display` on the kind) keeps each row
+    // allocation-free; formatting a String cannot fail.
+    for r in outcome.completed() {
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{:.6},{},{},{:.3}",
+            r.job.kind,
+            r.job.capacity,
+            r.stats.accesses,
+            r.stats.misses,
+            r.stats.fault_rate(),
+            r.stats.temporal_hits,
+            r.stats.spatial_hits,
+            r.stats.load_width(),
+        );
+    }
+    for (index, reason) in &outcome.failures {
+        let job = &jobs[*index];
+        let _ = writeln!(
+            out,
+            "# cell {index} ({},{}) failed: {reason}",
+            job.kind, job.capacity
+        );
     }
     out
 }
 
-/// What a checked sweep does when a cell panics.
+/// What a sweep does when a cell panics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OnError {
     /// Abort the run with [`GcError::CellFailed`] at the first failed
@@ -149,10 +148,11 @@ impl std::str::FromStr for OnError {
     }
 }
 
-/// Configuration for a fault-isolated, checkpointable sweep.
+/// How to run a sweep. [`Default`] is one thread per core,
+/// [`OnError::Fail`] and no checkpoint.
 #[derive(Default)]
 pub struct SweepRunConfig<'a> {
-    /// Worker threads, as in [`run_sweep`] (`0` = one per core).
+    /// Worker threads (`0` = one per core).
     pub threads: usize,
     /// What to do when a cell panics. Default: [`OnError::Fail`].
     pub on_error: OnError,
@@ -169,7 +169,7 @@ pub struct SweepRunConfig<'a> {
     pub resume: Option<SweepCheckpoint>,
 }
 
-/// The outcome of a checked sweep.
+/// The outcome of a sweep.
 #[derive(Clone, Debug)]
 pub struct SweepOutcome {
     /// Per-job results in job order; `None` exactly for failed cells
@@ -192,7 +192,7 @@ impl SweepOutcome {
 /// Deterministic fingerprint of everything that affects sweep cell
 /// results: the job list, the trace contents, and the block map. Thread
 /// count and checkpoint cadence are excluded — they cannot change results.
-pub fn sweep_config_hash(jobs: &[SweepJob], trace: &Trace, map: &BlockMap) -> u64 {
+pub(crate) fn sweep_config_hash(jobs: &[SweepJob], trace: &Trace, map: &BlockMap) -> u64 {
     let mut h = StableHasher::new();
     h.write_str("sweep-v1");
     h.write_usize(jobs.len());
@@ -210,7 +210,7 @@ pub fn sweep_config_hash(jobs: &[SweepJob], trace: &Trace, map: &BlockMap) -> u6
 /// Incremental checkpoint sink shared by the pool workers.
 struct CheckpointSink<'a> {
     ckpt: SweepCheckpoint,
-    path: Option<&'a Path>,
+    path: &'a Path,
     every: usize,
     since_flush: usize,
     write_error: Option<GcError>,
@@ -220,16 +220,15 @@ impl CheckpointSink<'_> {
     fn record(&mut self, record: SweepCellRecord) {
         self.ckpt.cells.push(record);
         self.since_flush += 1;
-        if self.path.is_some() && self.since_flush >= self.every {
+        if self.since_flush >= self.every {
             self.flush();
         }
     }
 
     fn flush(&mut self) {
-        let Some(path) = self.path else { return };
         self.since_flush = 0;
         self.ckpt.cells.sort_by_key(|c| c.index);
-        if let Err(e) = checkpoint::save_json(&self.ckpt, path) {
+        if let Err(e) = checkpoint::save_json(&self.ckpt, self.path) {
             // Keep computing — results are still returned in-memory — but
             // surface the first persistence failure at the end of the run.
             self.write_error.get_or_insert(e);
@@ -237,92 +236,92 @@ impl CheckpointSink<'_> {
     }
 }
 
-/// Fault-isolated sweep with periodic checkpoints and resume.
+/// Run every job against `trace`/`map` on up to
+/// [`threads`](SweepRunConfig::threads) workers.
 ///
-/// Every cell runs under the checked [`pool`] path, so one panicking cell
-/// cannot take down the run: under [`OnError::Skip`] the remaining cells
-/// complete with results **bit-identical** to a fault-free run, and under
-/// [`OnError::Fail`] the error names the failing cell index. With a
-/// checkpoint path configured, completed cells are flushed to disk every
+/// Jobs are claimed dynamically, so wildly uneven job costs (a 1 Ki cache
+/// vs a 1 Mi cache) still balance. Every cell runs fault-isolated on the
+/// checked [`pool`] path, so one panicking cell cannot take down the run:
+/// under [`OnError::Skip`] the remaining cells complete with results
+/// **bit-identical** to a fault-free run, and under [`OnError::Fail`] the
+/// error names the failing cell index. With a checkpoint path configured,
+/// completed cells are flushed to disk every
 /// [`checkpoint_every`](SweepRunConfig::checkpoint_every) completions
 /// (atomic write), and a later invocation can pass the loaded checkpoint
 /// as [`resume`](SweepRunConfig::resume) to re-run only the missing and
 /// failed cells. Resume output is bit-identical to an uninterrupted run.
-pub fn run_sweep_checked(
+pub fn run_sweep(
     jobs: &[SweepJob],
     trace: &Trace,
     map: &BlockMap,
     cfg: &SweepRunConfig<'_>,
 ) -> Result<SweepOutcome, GcError> {
-    let config_hash = sweep_config_hash(jobs, trace, map);
-    let mut base = match &cfg.resume {
-        Some(ckpt) => {
-            ckpt.validate(config_hash, jobs.len())?;
-            ckpt.clone()
+    let mut done: Vec<Option<SweepCellOutcome>> = vec![None; jobs.len()];
+    // The checkpoint, and the full-trace fingerprint it needs, exist only
+    // when one is read or written.
+    let mut sink = None;
+    if cfg.checkpoint_path.is_some() || cfg.resume.is_some() {
+        let config_hash = sweep_config_hash(jobs, trace, map);
+        let mut base = match &cfg.resume {
+            Some(ckpt) => {
+                ckpt.validate(config_hash, jobs.len())?;
+                ckpt.clone()
+            }
+            None => SweepCheckpoint::new(config_hash, jobs.len()),
+        };
+        // Completed cells come from the checkpoint; failed cells are
+        // re-run, so drop their records before this run appends fresh
+        // outcomes.
+        base.cells
+            .retain(|c| matches!(c.outcome, SweepCellOutcome::Done { .. }));
+        for cell in &base.cells {
+            done[cell.index] = Some(cell.outcome.clone());
         }
-        None => SweepCheckpoint::new(config_hash, jobs.len()),
-    };
-    // Completed cells come from the checkpoint; failed cells are re-run,
-    // so drop their records before this run appends fresh outcomes.
-    base.cells
-        .retain(|c| matches!(c.outcome, SweepCellOutcome::Done { .. }));
-    let mut done: Vec<Option<SweepCellOutcome>> = (0..jobs.len()).map(|_| None).collect();
-    for cell in &base.cells {
-        done[cell.index] = Some(cell.outcome.clone());
+        sink = cfg.checkpoint_path.map(|path| {
+            Mutex::new(CheckpointSink {
+                ckpt: base,
+                path,
+                every: cfg.checkpoint_every.max(1),
+                since_flush: 0,
+                write_error: None,
+            })
+        });
     }
     let pending: Vec<usize> = (0..jobs.len()).filter(|&i| done[i].is_none()).collect();
     let resumed_cells = jobs.len() - pending.len();
 
-    let sink = Mutex::new(CheckpointSink {
-        ckpt: base,
-        path: cfg.checkpoint_path,
-        every: cfg.checkpoint_every.max(1),
-        since_flush: 0,
-        write_error: None,
-    });
     let on_complete = |slot: usize, outcome: &Result<SweepResult, JobError>| {
+        let Some(sink) = &sink else { return };
         let index = pending[slot];
-        let record = match outcome {
-            Ok(result) => SweepCellRecord {
-                index,
-                outcome: SweepCellOutcome::Done {
-                    policy_name: result.policy_name.clone(),
-                    stats: result.stats.clone(),
-                },
+        let outcome = match outcome {
+            Ok(result) => SweepCellOutcome::Done {
+                policy_name: result.policy_name.clone(),
+                stats: result.stats.clone(),
             },
-            Err(e) => SweepCellRecord {
-                index,
-                outcome: SweepCellOutcome::Failed {
-                    reason: e.to_string(),
-                },
+            Err(e) => SweepCellOutcome::Failed {
+                reason: e.to_string(),
             },
         };
+        let record = SweepCellRecord { index, outcome };
         sink.lock().expect(SINK_POISONED).record(record);
     };
-    let opts = PoolOptions {
-        cancel: None,
-        soft_deadline: None,
-        on_complete: Some(&on_complete),
-    };
-    let run = pool::run_indexed_opts(pending.len(), cfg.threads, &opts, |slot| {
+    let fresh = pool::run_indexed_checked(pending.len(), cfg.threads, on_complete, |slot| {
         run_cell(&jobs[pending[slot]], trace, map)
     });
 
-    let mut sink = sink.into_inner().expect(SINK_POISONED);
-    if cfg.checkpoint_path.is_some() {
+    if let Some(sink) = sink {
+        let mut sink = sink.into_inner().expect(SINK_POISONED);
         sink.flush();
-    }
-    if let Some(e) = sink.write_error {
-        return Err(e);
+        if let Some(e) = sink.write_error {
+            return Err(e);
+        }
     }
 
     // Assemble in job order: resumed cells from the checkpoint, fresh
     // cells from this run.
-    let mut fresh: Vec<Option<Result<SweepResult, JobError>>> =
-        run.results.into_iter().map(Some).collect();
+    let mut fresh = fresh.into_iter();
     let mut results: Vec<Option<SweepResult>> = Vec::with_capacity(jobs.len());
     let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut pending_slots = pending.iter().enumerate();
     for (index, job) in jobs.iter().enumerate() {
         if let Some(SweepCellOutcome::Done { policy_name, stats }) = done[index].take() {
             results.push(Some(SweepResult {
@@ -332,20 +331,19 @@ pub fn run_sweep_checked(
             }));
             continue;
         }
-        let (slot, _) = pending_slots
+        match fresh
             .next()
-            .expect("every non-resumed cell has a pool slot");
-        match fresh[slot].take().expect("each slot consumed once") {
+            .expect("every non-resumed cell has a pool slot")
+        {
             Ok(result) => results.push(Some(result)),
-            Err(e) => {
-                let reason = match &e {
-                    JobError::Panicked { payload, .. } => payload.clone(),
-                    JobError::Cancelled { .. } => e.to_string(),
-                };
+            Err(JobError { payload, .. }) => {
                 if cfg.on_error == OnError::Fail {
-                    return Err(GcError::CellFailed { index, reason });
+                    return Err(GcError::CellFailed {
+                        index,
+                        reason: payload,
+                    });
                 }
-                failures.push((index, reason));
+                failures.push((index, payload));
                 results.push(None);
             }
         }
@@ -355,26 +353,6 @@ pub fn run_sweep_checked(
         failures,
         resumed_cells,
     })
-}
-
-/// Render a checked sweep as CSV. Rows of completed cells are
-/// byte-identical to [`to_csv`] of a fault-free run; failed cells appear
-/// as trailing `# cell <i> ... failed:` comment lines.
-pub fn to_csv_checked(outcome: &SweepOutcome, jobs: &[SweepJob]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(CSV_HEADER);
-    for r in outcome.completed() {
-        write_csv_row(&mut out, r);
-    }
-    for (index, reason) in &outcome.failures {
-        let job = &jobs[*index];
-        let _ = writeln!(
-            out,
-            "# cell {index} ({},{}) failed: {reason}",
-            job.kind, job.capacity
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -400,6 +378,15 @@ mod tests {
         jobs
     }
 
+    /// A fault-free sweep on `threads` workers, every cell completed.
+    fn sweep(jobs: &[SweepJob], trace: &Trace, map: &BlockMap, threads: usize) -> SweepOutcome {
+        let cfg = SweepRunConfig {
+            threads,
+            ..SweepRunConfig::default()
+        };
+        run_sweep(jobs, trace, map, &cfg).unwrap()
+    }
+
     fn trace_and_map() -> (Trace, BlockMap) {
         let cfg = synthetic::BlockRunConfig {
             num_blocks: 128,
@@ -416,10 +403,10 @@ mod tests {
     fn parallel_matches_serial() {
         let (trace, map) = trace_and_map();
         let jobs = grid();
-        let serial = run_sweep(&jobs, &trace, &map, 1);
-        let parallel = run_sweep(&jobs, &trace, &map, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
+        let serial = sweep(&jobs, &trace, &map, 1);
+        let parallel = sweep(&jobs, &trace, &map, 4);
+        assert_eq!(serial.results.len(), parallel.results.len());
+        for (s, p) in serial.completed().zip(parallel.completed()) {
             assert_eq!(s.stats, p.stats, "job {:?}", s.job);
             assert_eq!(s.policy_name, p.policy_name);
         }
@@ -430,10 +417,10 @@ mod tests {
         let (trace, map) = trace_and_map();
         let compiled = CompiledTrace::compile(&trace, &map).unwrap();
         let jobs = grid();
-        let sparse = run_sweep(&jobs, &trace, &map, 2);
+        let sparse = sweep(&jobs, &trace, &map, 2);
         let dense = run_sweep_compiled(&jobs, &compiled, 2);
-        assert_eq!(sparse.len(), dense.len());
-        for (s, d) in sparse.iter().zip(&dense) {
+        assert_eq!(sparse.results.len(), dense.results.len());
+        for (s, d) in sparse.completed().zip(dense.completed()) {
             assert_eq!(s.stats, d.stats, "job {:?}", s.job);
             assert_eq!(s.policy_name, d.policy_name);
         }
@@ -443,8 +430,9 @@ mod tests {
     fn results_align_with_jobs() {
         let (trace, map) = trace_and_map();
         let jobs = grid();
-        let results = run_sweep(&jobs, &trace, &map, 0);
-        for (job, result) in jobs.iter().zip(&results) {
+        let outcome = sweep(&jobs, &trace, &map, 0);
+        assert_eq!(outcome.completed().count(), jobs.len());
+        for (job, result) in jobs.iter().zip(outcome.completed()) {
             assert_eq!(job.capacity, result.job.capacity);
             assert_eq!(job.kind, result.job.kind);
             assert_eq!(result.stats.accesses, trace.len() as u64);
@@ -463,7 +451,8 @@ mod tests {
                 warmup: 0,
             })
             .collect();
-        let results = run_sweep(&jobs, &trace, &map, 2);
+        let results: Vec<SweepResult> =
+            sweep(&jobs, &trace, &map, 2).completed().cloned().collect();
         for pair in results.windows(2) {
             assert!(
                 pair[1].stats.misses <= pair[0].stats.misses,
@@ -476,24 +465,24 @@ mod tests {
     #[test]
     fn empty_jobs_ok() {
         let (trace, map) = trace_and_map();
-        assert!(run_sweep(&[], &trace, &map, 4).is_empty());
+        assert!(sweep(&[], &trace, &map, 4).results.is_empty());
     }
 
     #[test]
     fn checked_matches_plain_run_bit_identically() {
+        // Running under the checked pool changes nothing: every cell equals
+        // a direct serial `run_cell` of the same job.
         let (trace, map) = trace_and_map();
         let jobs = grid();
-        let plain = run_sweep(&jobs, &trace, &map, 1);
-        let outcome = run_sweep_checked(&jobs, &trace, &map, &SweepRunConfig::default()).unwrap();
+        let outcome = run_sweep(&jobs, &trace, &map, &SweepRunConfig::default()).unwrap();
         assert!(outcome.failures.is_empty());
         assert_eq!(outcome.resumed_cells, 0);
-        for (p, c) in plain.iter().zip(outcome.completed()) {
+        assert_eq!(outcome.completed().count(), jobs.len());
+        for (job, c) in jobs.iter().zip(outcome.completed()) {
+            let p = run_cell(job, &trace, &map);
             assert_eq!(p.stats, c.stats);
             assert_eq!(p.policy_name, c.policy_name);
         }
-        // CSV rendering of a clean checked run is byte-identical to the
-        // plain renderer.
-        assert_eq!(to_csv(&plain), to_csv_checked(&outcome, &jobs));
     }
 
     #[test]
@@ -515,7 +504,7 @@ mod tests {
             on_error: OnError::Skip,
             ..SweepRunConfig::default()
         };
-        let outcome = run_sweep_checked(&jobs, &trace, &map, &cfg).unwrap();
+        let outcome = run_sweep(&jobs, &trace, &map, &cfg).unwrap();
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].0, 4);
         assert!(outcome.failures[0].1.contains("capacity"));
@@ -524,10 +513,10 @@ mod tests {
         // jobs minus the poisoned cell.
         let mut clean_jobs = jobs.clone();
         clean_jobs.remove(4);
-        let clean = run_sweep(&clean_jobs, &trace, &map, 1);
+        let clean = sweep(&clean_jobs, &trace, &map, 1);
         let survivors: Vec<&SweepResult> = outcome.completed().collect();
-        assert_eq!(survivors.len(), clean.len());
-        for (s, c) in survivors.iter().zip(&clean) {
+        assert_eq!(survivors.len(), clean.results.len());
+        for (s, c) in survivors.iter().zip(clean.completed()) {
             assert_eq!(s.stats, c.stats, "job {:?}", c.job);
             assert_eq!(s.policy_name, c.policy_name);
         }
@@ -548,7 +537,7 @@ mod tests {
                 warmup: 0,
             },
         ];
-        let err = run_sweep_checked(&jobs, &trace, &map, &SweepRunConfig::default()).unwrap_err();
+        let err = run_sweep(&jobs, &trace, &map, &SweepRunConfig::default()).unwrap_err();
         match err {
             gc_types::GcError::CellFailed { index, .. } => assert_eq!(index, 1),
             other => panic!("expected CellFailed, got {other}"),
@@ -559,13 +548,13 @@ mod tests {
     fn resume_from_partial_checkpoint_is_bit_identical() {
         let (trace, map) = trace_and_map();
         let jobs = grid();
-        let reference = run_sweep(&jobs, &trace, &map, 1);
+        let reference = sweep(&jobs, &trace, &map, 1);
 
         // Simulate an interrupted run: a checkpoint holding only the first
         // four cells (as the incremental sink would have flushed them).
         let hash = sweep_config_hash(&jobs, &trace, &map);
         let mut partial = SweepCheckpoint::new(hash, jobs.len());
-        for (index, r) in reference.iter().enumerate().take(4) {
+        for (index, r) in reference.completed().enumerate().take(4) {
             partial.cells.push(SweepCellRecord {
                 index,
                 outcome: SweepCellOutcome::Done {
@@ -579,9 +568,9 @@ mod tests {
             resume: Some(partial),
             ..SweepRunConfig::default()
         };
-        let outcome = run_sweep_checked(&jobs, &trace, &map, &cfg).unwrap();
+        let outcome = run_sweep(&jobs, &trace, &map, &cfg).unwrap();
         assert_eq!(outcome.resumed_cells, 4);
-        assert_eq!(to_csv(&reference), to_csv_checked(&outcome, &jobs));
+        assert_eq!(to_csv(&reference, &jobs), to_csv(&outcome, &jobs));
     }
 
     #[test]
@@ -600,13 +589,13 @@ mod tests {
             resume: Some(partial),
             ..SweepRunConfig::default()
         };
-        let outcome = run_sweep_checked(&jobs, &trace, &map, &cfg).unwrap();
+        let outcome = run_sweep(&jobs, &trace, &map, &cfg).unwrap();
         // The failed record was discarded and the cell re-ran cleanly.
         assert_eq!(outcome.resumed_cells, 0);
         assert!(outcome.failures.is_empty());
         assert_eq!(
-            to_csv(&run_sweep(&jobs, &trace, &map, 1)),
-            to_csv_checked(&outcome, &jobs)
+            to_csv(&sweep(&jobs, &trace, &map, 1), &jobs),
+            to_csv(&outcome, &jobs)
         );
     }
 
@@ -619,7 +608,7 @@ mod tests {
             resume: Some(wrong),
             ..SweepRunConfig::default()
         };
-        let err = run_sweep_checked(&jobs, &trace, &map, &cfg).unwrap_err();
+        let err = run_sweep(&jobs, &trace, &map, &cfg).unwrap_err();
         assert!(
             matches!(err, gc_types::GcError::CheckpointMismatch { .. }),
             "{err}"
@@ -651,7 +640,7 @@ mod tests {
             capacity: 32,
             warmup: 0,
         }];
-        let csv = to_csv(&run_sweep(&jobs, &trace, &map, 1));
+        let csv = to_csv(&sweep(&jobs, &trace, &map, 1), &jobs);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("policy,capacity"));

@@ -11,10 +11,11 @@
 //! release.
 
 use gc_sim::mrc::{
-    block_mrc, iblp_split_grid, item_mrc, mrc_bundle, MissRatioCurve, MrcBundle, MrcMode, SplitCell,
+    block_mrc, item_mrc, mrc_bundle, MissRatioCurve, MrcBundle, MrcMode, MrcRunConfig, SplitCell,
 };
 use gc_sim::shards::SamplerConfig;
 use gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
+use gc_types::{BlockMap, Trace};
 
 const CAPACITY: usize = 16_384;
 const BLOCK_SIZE: usize = 16;
@@ -31,6 +32,14 @@ fn sup_error(exact: &MissRatioCurve, approx: &MissRatioCurve, from: usize) -> f6
 fn median_of_three(mut xs: [f64; 3]) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("errors are not NaN"));
     xs[1]
+}
+
+fn bundle(trace: &Trace, map: &BlockMap, mode: &MrcMode, threads: usize) -> MrcBundle {
+    let cfg = MrcRunConfig {
+        threads,
+        ..MrcRunConfig::default()
+    };
+    mrc_bundle(trace, map, CAPACITY, mode, &cfg).expect("capacity > B")
 }
 
 fn assert_same_curves(a: &MrcBundle, b: &MrcBundle, what: &str) {
@@ -57,21 +66,28 @@ fn one_percent_sample_is_accurate_and_the_bundle_is_exact_at_scale() {
 
     // (iii) The bundle is an accelerator, not a new estimator: exact mode
     // equals the standalone passes, and the pool does not change it.
-    let exact = mrc_bundle(&trace, &map, CAPACITY, &MrcMode::Exact, 1);
-    let pooled = mrc_bundle(&trace, &map, CAPACITY, &MrcMode::Exact, 0);
+    let exact = bundle(&trace, &map, &MrcMode::Exact, 1);
+    let pooled = bundle(&trace, &map, &MrcMode::Exact, 0);
     assert_same_curves(&exact, &pooled, "serial vs pool-parallel");
     assert_eq!(exact.item.misses, item_mrc(&trace, CAPACITY).misses);
     assert_eq!(
         exact.block.misses,
         block_mrc(&trace, &map, CAPACITY / BLOCK_SIZE).misses
     );
-    let grid = iblp_split_grid(&trace, &map, CAPACITY);
+    // Every split of the budget in steps of B, each estimated from the
+    // two curves.
+    let grid: Vec<(usize, usize, u64)> = (1..CAPACITY / BLOCK_SIZE)
+        .map(|slots| {
+            let (i, b) = (CAPACITY - slots * BLOCK_SIZE, slots * BLOCK_SIZE);
+            (i, b, exact.item.misses[i].min(exact.block.misses[slots]))
+        })
+        .collect();
     let cells = |g: &[SplitCell]| -> Vec<(usize, usize, u64)> {
         g.iter()
             .map(|c| (c.item_lines, c.block_lines, c.miss_estimate))
             .collect()
     };
-    assert_eq!(cells(&exact.grid), cells(&grid));
+    assert_eq!(cells(&exact.grid), grid);
     assert_eq!(cells(&exact.grid), cells(&pooled.grid));
 
     // Reuse distances are measured in the sampled id space and rescaled
@@ -81,9 +97,9 @@ fn one_percent_sample_is_accurate_and_the_bundle_is_exact_at_scale() {
     let mut block_errors = [0.0; 3];
     for (i, seed) in [1u64, 2, 3].into_iter().enumerate() {
         let mode = MrcMode::Sampled(SamplerConfig::fixed(RATE).with_seed(seed));
-        let sampled = mrc_bundle(&trace, &map, CAPACITY, &mode, 0);
+        let sampled = bundle(&trace, &map, &mode, 0);
         // (ii) Same seed, same curve, bit for bit.
-        let again = mrc_bundle(&trace, &map, CAPACITY, &mode, 0);
+        let again = bundle(&trace, &map, &mode, 0);
         assert_same_curves(&sampled, &again, "same hash seed");
         item_errors[i] = sup_error(&exact.item, &sampled.item, floor);
         block_errors[i] = sup_error(&exact.block, &sampled.block, floor);

@@ -19,7 +19,7 @@
 //! ```
 
 use gc_cache::gc_offline::gc_belady_heuristic;
-use gc_cache::gc_sim::sweep::{run_sweep, SweepJob};
+use gc_cache::gc_sim::sweep::{run_sweep, SweepJob, SweepRunConfig};
 use gc_cache::gc_trace::synthetic::{zipfian, Phase};
 use gc_cache::gc_trace::transforms;
 use gc_cache::prelude::*;
@@ -90,10 +90,11 @@ fn main() {
                 warmup: 10_000,
             })
             .collect();
-        let results = run_sweep(&jobs, &trace, &map, 0);
+        let outcome =
+            run_sweep(&jobs, &trace, &map, &SweepRunConfig::default()).expect("no cell panics");
         let offline = gc_belady_heuristic(&trace, &map, capacity);
         print!("{:<10}", format!("{}Ki", capacity >> 10));
-        for r in &results {
+        for r in outcome.completed() {
             print!(" {:>11.4}", r.stats.fault_rate());
         }
         println!(" {:>13.4}", offline as f64 / trace.len() as f64);

@@ -19,8 +19,8 @@
 //!
 //! [`mrc_bundle`]: gc_cache::gc_sim::mrc::mrc_bundle
 
-use gc_cache::gc_sim::mrc::{mrc_bundle, MrcMode};
-use gc_cache::gc_sim::shards::{sampled_item_mrc_with_stats, SamplerConfig};
+use gc_cache::gc_sim::mrc::{mrc_bundle, MrcMode, MrcRunConfig};
+use gc_cache::gc_sim::shards::SamplerConfig;
 use gc_cache::gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
 use gc_cache::prelude::*;
 use std::time::Instant;
@@ -48,7 +48,8 @@ fn main() {
     // parallel on the shared pool.
     let capacity = 4096;
     let t0 = Instant::now();
-    let exact = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, 0);
+    let run = MrcRunConfig::default();
+    let exact = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, &run).expect("capacity > B");
     let exact_time = t0.elapsed();
 
     // Pick the rate for the universe: ~31 K distinct items means 10 %
@@ -58,13 +59,8 @@ fn main() {
     // to a 0.02 sup-error there).
     let sampler = SamplerConfig::fixed(0.1).with_seed(7);
     let t1 = Instant::now();
-    let sampled = mrc_bundle(
-        &trace,
-        &map,
-        capacity,
-        &MrcMode::Sampled(sampler.clone()),
-        0,
-    );
+    let sampled =
+        mrc_bundle(&trace, &map, capacity, &MrcMode::Sampled(sampler), &run).expect("capacity > B");
     let sampled_time = t1.elapsed();
 
     println!("item-LRU MRC (size → miss ratio, exact vs 10% sample):");
@@ -90,7 +86,7 @@ fn main() {
     let max_err = (0..=capacity)
         .map(|k| (exact.item.miss_ratio(k) - sampled.item.miss_ratio(k)).abs())
         .fold(0.0f64, f64::max);
-    let (_, stats) = sampled_item_mrc_with_stats(&trace, capacity, &sampler);
+    let stats = sampled.item_stats.expect("a fresh sampled curve");
     println!(
         "\nsampling: {} of {} accesses kept ({} distinct ids); exact {:?} vs sampled {:?}; max item-curve error {:.4}",
         stats.sampled_accesses,

@@ -5,7 +5,8 @@
 //! cargo run --release -p gc-cache --example quickstart
 //! ```
 
-use gc_cache::gc_sim::compare::{compare_policies, render_table};
+use gc_cache::gc_sim::compare::render_table;
+use gc_cache::gc_sim::sweep::{run_sweep, SweepJob, SweepResult, SweepRunConfig};
 use gc_cache::gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
 use gc_cache::prelude::*;
 
@@ -34,20 +35,24 @@ fn main() {
 
     // Same capacity for everyone; IBLP splits it across its two layers.
     let capacity = 2048;
-    let rows = compare_policies(
-        &[
-            PolicyKind::ItemLru,
-            PolicyKind::BlockLru,
-            PolicyKind::IblpBalanced,
-            PolicyKind::Gcm { seed: 1 },
-        ],
+    let jobs: Vec<SweepJob> = [
+        PolicyKind::ItemLru,
+        PolicyKind::BlockLru,
+        PolicyKind::IblpBalanced,
+        PolicyKind::Gcm { seed: 1 },
+    ]
+    .into_iter()
+    .map(|kind| SweepJob {
+        kind,
         capacity,
-        &trace,
-        &map,
-        10_000, // warm-up excluded from the stats
-    );
+        warmup: 10_000, // excluded from the stats
+    })
+    .collect();
+    let outcome =
+        run_sweep(&jobs, &trace, &map, &SweepRunConfig::default()).expect("no cell panics");
+    let cells: Vec<&SweepResult> = outcome.completed().collect();
     println!("capacity = {capacity} items, warm-up = 10k requests\n");
-    println!("{}", render_table(&rows));
+    println!("{}", render_table(&cells));
 
     println!(
         "note: 'spatial' hits are first touches of co-loaded items (§2 of the paper);\n\

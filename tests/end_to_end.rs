@@ -2,11 +2,29 @@
 //! offline reference → serialization, across every crate boundary.
 
 use gc_cache::gc_offline::{belady_misses, gc_belady_heuristic};
-use gc_cache::gc_sim::compare::compare_policies;
-use gc_cache::gc_sim::sweep::{run_sweep, SweepJob};
+use gc_cache::gc_sim::sweep::{run_sweep, SweepJob, SweepResult, SweepRunConfig};
 use gc_cache::gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
 use gc_cache::gc_trace::{io, transforms};
 use gc_cache::prelude::*;
+
+/// Each kind at one capacity, in kind order.
+fn column(
+    kinds: &[PolicyKind],
+    capacity: usize,
+    trace: &Trace,
+    map: &BlockMap,
+) -> Vec<SweepResult> {
+    let jobs: Vec<SweepJob> = kinds
+        .iter()
+        .map(|kind| SweepJob {
+            kind: kind.clone(),
+            capacity,
+            warmup: 0,
+        })
+        .collect();
+    let outcome = run_sweep(&jobs, trace, map, &SweepRunConfig::default()).unwrap();
+    outcome.completed().cloned().collect()
+}
 
 fn mixed_workload(seed: u64) -> (Trace, BlockMap) {
     let cfg = BlockRunConfig {
@@ -24,7 +42,7 @@ fn mixed_workload(seed: u64) -> (Trace, BlockMap) {
 fn full_roster_runs_and_respects_offline_floor() {
     let (trace, map) = mixed_workload(1);
     let capacity = 512;
-    let rows = compare_policies(&PolicyKind::standard_roster(7), capacity, &trace, &map, 0);
+    let rows = column(&PolicyKind::standard_roster(7), capacity, &trace, &map);
     assert_eq!(rows.len(), PolicyKind::standard_roster(7).len());
 
     // The block-aware Belady heuristic is an offline strategy: it may use
@@ -34,7 +52,7 @@ fn full_roster_runs_and_respects_offline_floor() {
         assert!(
             row.stats.misses >= offline,
             "{} beat the offline heuristic: {} < {offline}",
-            row.label,
+            row.job.kind,
             row.stats.misses
         );
         assert_eq!(row.stats.accesses, trace.len() as u64);
@@ -42,7 +60,7 @@ fn full_roster_runs_and_respects_offline_floor() {
             row.stats.hits() + row.stats.misses,
             trace.len() as u64,
             "{} accounting broken",
-            row.label
+            row.job.kind
         );
     }
 }
@@ -50,22 +68,18 @@ fn full_roster_runs_and_respects_offline_floor() {
 #[test]
 fn item_caches_have_zero_spatial_hits_and_block_caches_many() {
     let (trace, map) = mixed_workload(2);
-    let rows = compare_policies(
-        &[
-            PolicyKind::ItemLru,
-            PolicyKind::BlockLru,
-            PolicyKind::IblpBalanced,
-        ],
-        512,
-        &trace,
-        &map,
-        0,
-    );
-    let find = |label: &str| rows.iter().find(|r| r.label == label).unwrap();
-    assert_eq!(find("item-lru").stats.spatial_hits, 0);
-    assert!(find("block-lru").stats.spatial_hits > 1000);
-    assert!(find("iblp").stats.spatial_hits > 0);
-    assert!(find("iblp").stats.temporal_hits > 0);
+    let kinds = [
+        PolicyKind::ItemLru,
+        PolicyKind::BlockLru,
+        PolicyKind::IblpBalanced,
+    ];
+    let [item, block, iblp] = &column(&kinds, 512, &trace, &map)[..] else {
+        panic!("one row per kind");
+    };
+    assert_eq!(item.stats.spatial_hits, 0);
+    assert!(block.stats.spatial_hits > 1000);
+    assert!(iblp.stats.spatial_hits > 0);
+    assert!(iblp.stats.temporal_hits > 0);
 }
 
 #[test]
@@ -83,7 +97,8 @@ fn sweep_scales_capacity_sanely() {
                 })
         })
         .collect();
-    let results = run_sweep(&jobs, &trace, &map, 0);
+    let outcome = run_sweep(&jobs, &trace, &map, &SweepRunConfig::default()).unwrap();
+    let results: Vec<SweepResult> = outcome.completed().cloned().collect();
     // For each policy, bigger caches should not miss (much) more. LRU is
     // exactly monotone; IBLP moves its split, allow 2% slack.
     for pair in results.chunks(2).collect::<Vec<_>>().windows(2) {

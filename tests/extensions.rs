@@ -3,7 +3,7 @@
 //! §6 randomized-family behaviors.
 
 use gc_cache::gc_offline::{bracket_opt, gc_belady_heuristic};
-use gc_cache::gc_sim::mrc::{iblp_split_grid, item_mrc};
+use gc_cache::gc_sim::mrc::{item_mrc, mrc_bundle, MrcMode, MrcRunConfig};
 use gc_cache::gc_sim::{simulate, simulate_hierarchy};
 use gc_cache::gc_trace::generators_ext::{affinity_remap, hotspot, pointer_chase, strided};
 use gc_cache::gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
@@ -54,10 +54,15 @@ fn mrc_chosen_split_beats_balanced_on_spatial_heavy_workload() {
     let trace = block_runs(&cfg);
     let map = block_runs_map(&cfg);
     let capacity = 1024;
-    let best = iblp_split_grid(&trace, &map, capacity)
-        .into_iter()
-        .min_by_key(|cell| cell.miss_estimate)
-        .expect("nonempty grid");
+    let bundle = mrc_bundle(
+        &trace,
+        &map,
+        capacity,
+        &MrcMode::Exact,
+        &MrcRunConfig::default(),
+    )
+    .expect("capacity > B");
+    let best = bundle.best_split().expect("nonempty grid");
     let mut chosen = Iblp::new(best.item_lines, best.block_lines, map.clone());
     let mut balanced = Iblp::balanced(capacity, map);
     let m_chosen = simulate(&mut chosen, &trace).misses;

@@ -1,25 +1,22 @@
 //! Differential fault injection: the fault-isolation machinery keeps its
 //! promises under deliberately hostile conditions.
 //!
-//! Three injection axes, mirroring the failure modes the production paths
+//! Two injection axes, mirroring the failure modes the production paths
 //! guard against:
 //!
 //! * **panicking cells** — sweep jobs that panic mid-flight; the checked
 //!   pool must catch each one and every surviving cell must be
 //!   bit-identical to a clean serial run ([`differential_sweep`]),
-//! * **slow cells** — jobs exceeding a soft deadline; they must complete
-//!   correctly *and* be reported as stragglers,
 //! * **corrupt trace records** — garbage spliced into a text trace;
 //!   quarantine-mode ingest must recover exactly the valid subsequence
 //!   ([`differential_ingest`]).
 
-use gc_cache::gc_sim::pool::{self, JobError, PoolOptions};
+use gc_cache::gc_sim::pool::{self, JobError};
 use gc_cache::gc_sim::sweep::{run_cell, SweepJob};
 use gc_cache::gc_trace::io::{read_text_with, write_text, IngestOptions, IngestPolicy};
 use gc_cache::gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
 use gc_cache::gc_types::rng::StdRng;
 use gc_cache::prelude::*;
-use std::time::Duration;
 
 /// Requests in the scenario suite's workload.
 const SCENARIO_LEN: usize = 10_000;
@@ -60,12 +57,6 @@ fn grid(capacities: &[usize], seed: u64) -> Vec<SweepJob> {
 struct FaultPlan {
     /// Cell indices whose jobs panic instead of simulating.
     panic_cells: Vec<usize>,
-    /// Cell indices delayed by the given duration (still producing correct
-    /// results — they should surface as stragglers, not failures).
-    slow_cells: Vec<(usize, Duration)>,
-    /// Soft deadline handed to the pool; slow cells beyond it must be
-    /// reported.
-    soft_deadline: Option<Duration>,
     /// Worker threads for the faulted run.
     threads: usize,
 }
@@ -79,8 +70,6 @@ struct SweepFaultReport {
     caught_panics: usize,
     /// Surviving cells whose results diverged from the clean serial run.
     mismatched_cells: usize,
-    /// Cells the pool flagged as stragglers.
-    stragglers: usize,
 }
 
 impl SweepFaultReport {
@@ -101,38 +90,34 @@ fn differential_sweep(
 ) -> SweepFaultReport {
     let clean: Vec<_> = jobs.iter().map(|job| run_cell(job, trace, map)).collect();
 
-    let opts = PoolOptions {
-        soft_deadline: plan.soft_deadline,
-        ..PoolOptions::default()
-    };
-    let faulted = pool::run_indexed_opts(jobs.len(), plan.threads, &opts, |i| {
-        if plan.panic_cells.contains(&i) {
-            panic!("injected panic in cell {i}");
-        }
-        if let Some((_, delay)) = plan.slow_cells.iter().find(|(cell, _)| *cell == i) {
-            std::thread::sleep(*delay);
-        }
-        run_cell(&jobs[i], trace, map)
-    });
+    let faulted = pool::run_indexed_checked(
+        jobs.len(),
+        plan.threads,
+        |_, _| {},
+        |i| {
+            if plan.panic_cells.contains(&i) {
+                panic!("injected panic in cell {i}");
+            }
+            run_cell(&jobs[i], trace, map)
+        },
+    );
 
     let mut report = SweepFaultReport {
         injected_panics: plan.panic_cells.len(),
-        stragglers: faulted.stragglers.len(),
         ..SweepFaultReport::default()
     };
-    for (i, result) in faulted.results.iter().enumerate() {
+    for (i, result) in faulted.iter().enumerate() {
         match result {
             Ok(r) => {
                 if r.stats != clean[i].stats || r.policy_name != clean[i].policy_name {
                     report.mismatched_cells += 1;
                 }
             }
-            Err(JobError::Panicked { index, payload, .. }) => {
+            Err(JobError { index, payload, .. }) => {
                 if *index == i && payload.contains("injected panic") {
                     report.caught_panics += 1;
                 }
             }
-            Err(_) => {}
         }
     }
     report
@@ -211,7 +196,6 @@ fn one_panicking_job_leaves_the_rest_bit_identical() {
     let plan = FaultPlan {
         panic_cells: vec![2],
         threads: 4,
-        ..FaultPlan::default()
     };
     let report = differential_sweep(&jobs, &trace, &map, &plan);
     assert!(report.passed(), "{report:?}");
@@ -226,7 +210,6 @@ fn clean_plan_has_no_faults_to_report() {
     let report = differential_sweep(&jobs, &trace, &map, &FaultPlan::default());
     assert!(report.passed(), "{report:?}");
     assert_eq!(report.caught_panics, 0);
-    assert_eq!(report.stragglers, 0);
 }
 
 #[test]
@@ -236,9 +219,8 @@ fn corrupt_ingest_recovers_exactly() {
     assert!(report.passed(), "{report:?}");
 }
 
-/// The three scenarios over one grid: panicking cells scattered across
-/// it, a slow cell under a soft deadline (correct results, flagged as a
-/// straggler), and corrupt trace ingest.
+/// Both scenarios over one grid: panicking cells scattered across it, and
+/// corrupt trace ingest.
 #[test]
 fn scenario_suite_passes_quick() {
     let (trace, map) = standard_workload(SCENARIO_LEN, 11);
@@ -247,22 +229,9 @@ fn scenario_suite_passes_quick() {
     let plan = FaultPlan {
         panic_cells: vec![0, jobs.len() / 2, jobs.len() - 1],
         threads: 4,
-        ..FaultPlan::default()
     };
     let report = differential_sweep(&jobs, &trace, &map, &plan);
     assert!(report.passed(), "panic injection: {report:?}");
-
-    let plan = FaultPlan {
-        slow_cells: vec![(1, Duration::from_millis(50))],
-        soft_deadline: Some(Duration::from_millis(5)),
-        threads: 4,
-        ..FaultPlan::default()
-    };
-    let report = differential_sweep(&jobs, &trace, &map, &plan);
-    assert!(
-        report.passed() && report.stragglers > 0,
-        "slow cell: {report:?}"
-    );
 
     let report = differential_ingest(&trace, SCENARIO_GARBAGE, 13);
     assert!(report.passed(), "corrupt ingest: {report:?}");

@@ -324,17 +324,17 @@ proptest! {
 
         let full = SamplerConfig::fixed(1.0).with_seed(seed);
         prop_assert_eq!(
-            &sampled_item_mrc(&trace, max_size, &full).misses,
+            &sampled_item_mrc(&trace, max_size, &full).0.misses,
             &item_mrc(&trace, max_size).misses
         );
         prop_assert_eq!(
-            &sampled_block_mrc(&trace, &map, max_size, &full).misses,
+            &sampled_block_mrc(&trace, &map, max_size, &full).0.misses,
             &block_mrc(&trace, &map, max_size).misses
         );
 
         let cfg = SamplerConfig::fixed(rate_pct as f64 / 100.0).with_seed(seed);
-        let a = sampled_item_mrc(&trace, max_size, &cfg);
-        let b = sampled_item_mrc(&trace, max_size, &cfg);
+        let (a, _) = sampled_item_mrc(&trace, max_size, &cfg);
+        let (b, _) = sampled_item_mrc(&trace, max_size, &cfg);
         prop_assert_eq!(&a.misses, &b.misses, "sampling must be deterministic");
         prop_assert!(a.misses.windows(2).all(|w| w[1] <= w[0]), "curve not monotone");
         prop_assert!(a.misses.iter().all(|&m| m <= trace.len() as u64), "misses exceed accesses");
