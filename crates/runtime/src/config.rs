@@ -14,13 +14,16 @@
 //!
 //! - [`FetchPath::Coalesced`] — misses leave the shard and fetch through
 //!   the striped single-flight table, so concurrent misses on one block
-//!   share a single backend load. The right choice for slow (disk/remote)
-//!   backends, where the in-flight window is long.
+//!   share a single backend load. A led fetch loads into the session's
+//!   reuse buffer and costs one flight-table registration and two
+//!   timestamps besides the load; only a fetch another miss registered on
+//!   also pays a shared copy and a condvar wake. The right choice for slow
+//!   (disk/remote) backends, where the in-flight window is long.
 //! - [`FetchPath::Inline`] — the block is materialized inside the shard
 //!   critical section (lock holder or owner thread) straight into a
 //!   per-shard reuse buffer: no allocation, no flight-table traffic, no
 //!   timestamps. The right choice for RAM-fast backends, where a fetch
-//!   costs less than the coordination needed to coalesce it.
+//!   costs less than even the uncontended flight-table registration.
 //!
 //! `batch` amortizes per-request synchronization: a
 //! [`Session`](crate::Session) groups every `batch` consecutive requests

@@ -18,7 +18,10 @@
 //! 1. **Single-flight leader/waiter handshake** (`singleflight_*`): a lost
 //!    wakeup between publish and wait, a waiter observing an unpublished
 //!    slot, an error not reaching a coalesced waiter, a completed flight
-//!    still joinable (retire-before-publish violated), or — for the
+//!    still joinable (retire-before-publish violated), a registered waiter
+//!    the leader retires past without publishing (it would park forever),
+//!    a late joiner handed a finished payload instead of leading fresh, a
+//!    recycled flight carrying state from its last use, or — for the
 //!    lock-free retire — a tombstone that gets joined instead of replaced,
 //!    or a deadlock against the skipped opportunistic cleanup.
 //! 2. **ReplySlot rendezvous** (`reply_slot_*`): a deposit the producer
@@ -30,17 +33,19 @@
 //!    read observing a shard mid-update (conservation laws broken at the
 //!    cut).
 //!
-//! `seeded_notify_before_publish_deadlocks` keeps the checker honest: it
-//! model-checks a deliberately broken copy of the single-flight publish
-//! protocol (notify *before* publish) and asserts the checker reports the
-//! deadlock. The same bug planted in `singleflight.rs` itself is caught by
-//! test 1 — see EXPERIMENTS.md.
+//! `seeded_notify_before_publish_deadlocks` and
+//! `seeded_unshared_retire_strands_registered_waiter` keep the checker
+//! honest: each model-checks a deliberately broken copy of the
+//! single-flight publish protocol (notify *before* publish; decide "nobody
+//! registered" before retiring) and asserts the checker reports the
+//! deadlock. The first bug planted in `singleflight.rs` itself is caught
+//! by test 1 — see EXPERIMENTS.md.
 
 use crate::backend::{BlockBackend, SyntheticBackend};
 use crate::config::{ExecMode, FetchPath, RuntimeConfig};
 use crate::owner::{BatchJob, Msg, OwnerPool, ReplySlot};
 use crate::runtime::GcRuntime;
-use crate::singleflight::SingleFlight;
+use crate::singleflight::{FetchRole, SingleFlight};
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{thread, Arc, Condvar, Mutex};
 use gc_modelcheck::Builder;
@@ -54,14 +59,43 @@ fn small_model() -> Builder {
     Builder::new().preemptions(2).executions(150_000)
 }
 
+/// How many executions of a model reached each of its outcomes. A plain
+/// std mutex: the tally lives outside the checked schedule and outlasts it.
+struct Reached<const N: usize>(std::sync::Mutex<[usize; N]>);
+
+impl<const N: usize> Reached<N> {
+    const fn new() -> Self {
+        Reached(std::sync::Mutex::new([0; N]))
+    }
+
+    fn hit(&self, outcome: usize) {
+        self.0.lock().expect("tally lock")[outcome] += 1;
+    }
+
+    fn all(&self) -> bool {
+        self.0.lock().expect("tally lock").iter().all(|&n| n > 0)
+    }
+}
+
+/// How many of `calls` coalesced onto another call's load.
+fn coalesced(calls: &[FetchRole]) -> usize {
+    calls.iter().filter(|r| r.is_coalesced()).count()
+}
+
 /// Protocol 1: two concurrent fetches of the same key must agree — exactly
 /// one backend load per `Led` role, identical payloads, the flight retired
-/// by the time both calls return, and a later fetch leading fresh.
+/// by the time both calls return, and a later fetch leading fresh. The
+/// main thread takes the runtime's path, `fetch_into` a reused buffer, so
+/// the registration handshake is checked as the runtime drives it: the
+/// joiner either registers before the leader's retire and is handed the
+/// payload, or arrives after it and leads fresh — both are reached.
 #[test]
 fn singleflight_concurrent_fetches_coalesce_or_serialize() {
+    static REACHED: Reached<2> = Reached::new();
     let report = small_model().check(|| {
         let sf = Arc::new(SingleFlight::new());
         let loads = Arc::new(AtomicUsize::new(0));
+        let expect = vec![ItemId(36), ItemId(37)];
 
         let t = {
             let sf = Arc::clone(&sf);
@@ -73,22 +107,27 @@ fn singleflight_concurrent_fetches_coalesce_or_serialize() {
                 })
             })
         };
-        let (r_main, role_main) = sf.fetch(9, || {
+        // Junk in the reused buffer must be replaced, whichever role.
+        let mut buf = vec![ItemId(99)];
+        let (r_main, role_main) = sf.fetch_into(9, &mut buf, |out| {
             loads.fetch_add(1, Ordering::SeqCst);
-            Ok(vec![ItemId(36), ItemId(37)])
+            out.clear();
+            out.extend([ItemId(36), ItemId(37)]);
+            Ok(())
         });
         let (r_spawned, role_spawned) = t.join().expect("model thread");
 
         // One load per leader; a coalesced call rode a leader's load.
-        let led = [role_main, role_spawned]
-            .iter()
-            .filter(|r| !r.is_coalesced())
-            .count();
-        assert!(led >= 1, "someone must lead");
-        assert_eq!(loads.load(Ordering::SeqCst), led, "loads == leaders");
+        // Every call paid one backend load or coalesced onto one: the
+        // runtime's `misses == backend_fetches + coalesced_fetches`.
+        let coalesced = coalesced(&[role_main, role_spawned]);
+        let loads = loads.load(Ordering::SeqCst);
+        assert!(loads >= 1, "someone must lead");
+        assert_eq!(loads + coalesced, 2, "loads + coalesced == calls");
+        REACHED.hit(coalesced);
         // Both observe the same complete payload, never a torn slot.
-        let expect = vec![ItemId(36), ItemId(37)];
-        assert_eq!(*r_main.expect("load never fails"), expect);
+        r_main.expect("load never fails");
+        assert_eq!(buf, expect);
         assert_eq!(*r_spawned.expect("load never fails"), expect);
         // Retire-before-publish: the table is empty once both returned,
         // and a fresh miss leads its own fetch instead of joining a
@@ -100,6 +139,61 @@ fn singleflight_concurrent_fetches_coalesce_or_serialize() {
     });
     assert!(!report.truncated, "model must be exhausted, not truncated");
     assert!(report.executions > 1, "concurrency was actually explored");
+    assert!(REACHED.all(), "both the shared and the fresh-lead outcome");
+}
+
+/// Protocol 1, several registered waiters: two misses racing one leader.
+/// A waiter that registers finds the flight `LIVE` (and marks it
+/// `JOINED`) or already `JOINED` by the other; either way the leader's
+/// retire sees the mark and must publish and wake *both* — a waiter left
+/// parked is a deadlock the checker reports. A miss that arrives after the
+/// retire leads fresh. Loads plus coalesced calls always equal calls.
+#[test]
+fn singleflight_every_registered_waiter_is_woken() {
+    static REACHED: Reached<3> = Reached::new();
+    let report = small_model().check(|| {
+        let sf = Arc::new(SingleFlight::new());
+        let loads = Arc::new(AtomicUsize::new(0));
+        let call = |sf: &SingleFlight, loads: &AtomicUsize| {
+            let mut buf = Vec::new();
+            let (r, role) = sf.fetch_into(2, &mut buf, |out| {
+                loads.fetch_add(1, Ordering::SeqCst);
+                out.clear();
+                out.push(ItemId(8));
+                Ok(())
+            });
+            r.expect("load never fails");
+            assert_eq!(buf, vec![ItemId(8)], "every call ends with the block");
+            role
+        };
+
+        let spawned: Vec<_> = (0..2)
+            .map(|_| {
+                let sf = Arc::clone(&sf);
+                let loads = Arc::clone(&loads);
+                thread::spawn(move || call(&sf, &loads))
+            })
+            .collect();
+        let mut calls = vec![call(&sf, &loads)];
+        for t in spawned {
+            calls.push(t.join().expect("model thread"));
+        }
+
+        let coalesced = coalesced(&calls);
+        assert_eq!(
+            loads.load(Ordering::SeqCst) + coalesced,
+            3,
+            "loads + coalesced == calls"
+        );
+        REACHED.hit(coalesced);
+        assert_eq!(sf.in_flight(), 0);
+        assert_eq!(sf.pending_waiters(), 0, "no waiter left parked");
+    });
+    assert!(!report.truncated, "model must be exhausted, not truncated");
+    assert!(
+        REACHED.all(),
+        "0, 1 and 2 coalesced calls are all reachable"
+    );
 }
 
 /// Protocol 1, failure path: when the leader's load fails, *every* call on
@@ -137,8 +231,10 @@ fn singleflight_error_reaches_every_waiter_and_retires() {
 /// that completion window must either coalesce onto the still-live flight
 /// or lead fresh off the tombstone — never join a finished flight, never
 /// lose a load in the accounting, and never deadlock against the skipped
-/// cleanup. The trailing fetch verifies tombstones are replaced, not
-/// joined, in every reachable end state.
+/// cleanup. This thread's second fetch usually leads on the flight its
+/// first one recycled, so a recycled flight must behave as new. The
+/// trailing fetch verifies tombstones are replaced, not joined, in every
+/// reachable end state.
 #[test]
 fn singleflight_lockfree_retire_tombstones_are_never_joined() {
     let report = small_model().check(|| {
@@ -169,12 +265,13 @@ fn singleflight_lockfree_retire_tombstones_are_never_joined() {
         });
         let (r3, role3) = t.join().expect("model thread");
 
-        let led = [role1, role2, role3]
-            .iter()
-            .filter(|r| !r.is_coalesced())
-            .count();
-        assert!(led >= 1, "someone must lead");
-        assert_eq!(loads.load(Ordering::SeqCst), led, "loads == leaders");
+        let coalesced = coalesced(&[role1, role2, role3]);
+        assert!(coalesced < 3, "someone must lead");
+        assert_eq!(
+            loads.load(Ordering::SeqCst) + coalesced,
+            3,
+            "loads + coalesced == calls"
+        );
         for r in [r1, r2, r3] {
             assert_eq!(*r.expect("load never fails"), payload(), "torn slot");
         }
@@ -401,6 +498,64 @@ fn seeded_notify_before_publish_deadlocks() {
                 }
                 slot = flight.cv.wait(slot);
             }
+        };
+        assert_eq!(value, 7);
+        leader.join().expect("model thread");
+    });
+}
+
+/// The checker catches the bug class the registration handshake avoids: a
+/// leader that decides "nobody registered" and retires as two separate
+/// steps. A waiter can register between the check and the retire; the
+/// leader then skips the publish and the registered waiter parks forever.
+/// The real leader decides and retires in one swap
+/// (`singleflight_every_registered_waiter_is_woken` checks it).
+#[test]
+#[should_panic(expected = "deadlock")]
+fn seeded_unshared_retire_strands_registered_waiter() {
+    const LIVE: usize = 0;
+    const JOINED: usize = 1;
+    const RETIRED: usize = 2;
+    struct BuggyFlight {
+        state: AtomicUsize,
+        slot: Mutex<Option<u64>>,
+        cv: Condvar,
+    }
+
+    small_model().check(|| {
+        let flight = Arc::new(BuggyFlight {
+            state: AtomicUsize::new(LIVE),
+            slot: Mutex::new(None),
+            cv: Condvar::new(),
+        });
+
+        let leader = {
+            let flight = Arc::clone(&flight);
+            thread::spawn(move || {
+                // BUG: check, then retire. The correct protocol learns
+                // whether anyone registered from the retiring swap itself.
+                let shared = flight.state.load(Ordering::SeqCst) == JOINED;
+                flight.state.store(RETIRED, Ordering::SeqCst);
+                if shared {
+                    *flight.slot.lock() = Some(7);
+                    flight.cv.notify_all();
+                }
+            })
+        };
+        let registered = flight
+            .state
+            .compare_exchange(LIVE, JOINED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        let value = if registered {
+            let mut slot = flight.slot.lock();
+            loop {
+                if let Some(v) = *slot {
+                    break v;
+                }
+                slot = flight.cv.wait(slot);
+            }
+        } else {
+            7 // retired first: lead a fresh load
         };
         assert_eq!(value, 7);
         leader.join().expect("model thread");

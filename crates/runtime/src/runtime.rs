@@ -133,7 +133,12 @@ impl FetchStats {
     }
 
     pub fn clear(&mut self) {
-        *self = FetchStats::default();
+        self.backend_fetches = 0;
+        self.coalesced_fetches = 0;
+        self.fetched_items = 0;
+        self.latency.clear();
+        self.delayed_hits = 0;
+        self.waiter_wait.clear();
     }
 
     fn fold_into(&self, stats: &mut RuntimeStats) {
@@ -443,24 +448,28 @@ impl GcRuntime {
         // Phase 2 — the unit-cost block fetch through the single-flight
         // table, outside the shard.
         let mut local = FetchStats::default();
-        let outcome = self.coalesced_fetch(block, item, admitted, &mut local);
+        let mut buf = Vec::new();
+        let outcome = self.coalesced_fetch(block, item, admitted, &mut buf, &mut local);
         self.fold_fetch(shard, &local);
         outcome
     }
 
-    /// The shared coalesced-path fetch: one single-flight exchange,
-    /// telemetry recorded into a caller-local accumulator.
+    /// The shared coalesced-path fetch: one single-flight exchange that
+    /// leaves the block in the caller's reuse buffer `buf`, telemetry
+    /// recorded into a caller-local accumulator.
     pub(crate) fn coalesced_fetch(
         &self,
         block: BlockId,
         item: ItemId,
         admitted: usize,
+        buf: &mut Vec<ItemId>,
         local: &mut FetchStats,
     ) -> Result<ServeOutcome, GcError> {
         let (result, role) = self
             .flight
-            .fetch(block.0, || self.backend.load_block(block));
-        let payload = result?;
+            .fetch_into(block.0, buf, |out| self.backend.load_block_into(block, out));
+        result?;
+        let payload = &*buf;
         if !payload.contains(&item) {
             return Err(GcError::Backend {
                 block,

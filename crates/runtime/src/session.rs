@@ -111,6 +111,8 @@ pub struct Session<'rt> {
     seen: FxHashMap<u64, ()>,
     /// Session-local fetch telemetry per shard, folded at flush.
     fetch_local: Vec<FetchStats>,
+    /// Reuse buffer the coalesced path loads (or copies) blocks into.
+    fetch_buf: Vec<ItemId>,
 }
 
 struct Deferred {
@@ -146,6 +148,7 @@ impl<'rt> Session<'rt> {
             deferred: Vec::new(),
             seen: FxHashMap::default(),
             fetch_local: (0..n).map(|_| FetchStats::default()).collect(),
+            fetch_buf: Vec::new(),
         }
     }
 
@@ -573,9 +576,13 @@ impl<'rt> Session<'rt> {
                 // joined) this block earlier in the flush.
                 self.fetch_local[shard].record_coalesced();
             } else {
-                let outcome =
-                    self.rt
-                        .coalesced_fetch(block, item, admitted, &mut self.fetch_local[shard]);
+                let outcome = self.rt.coalesced_fetch(
+                    block,
+                    item,
+                    admitted,
+                    &mut self.fetch_buf,
+                    &mut self.fetch_local[shard],
+                );
                 match outcome {
                     Ok(_) => {
                         self.seen.insert(block.0, ());

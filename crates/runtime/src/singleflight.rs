@@ -29,11 +29,40 @@
 //! - [`in_flight`](SingleFlight::in_flight) reads an atomic counter
 //!   maintained on lead/retire instead of locking any table.
 //!
-//! Retiring before publishing changes one boundary case, documented at the
-//! call site: a miss that arrives between retire and publish leads a fresh
-//! fetch instead of joining the finished one. That is strictly more
-//! conservative (never serves a stale result, costs at most one extra
-//! load) and keeps the conservation law `misses == led + coalesced` exact.
+//! # Sharing only with registered waiters
+//!
+//! Most led fetches have nobody waiting on them — a one-thread session
+//! never coalesces on the table at all — so a leader pays for sharing only
+//! when a waiter exists. A miss that finds a live flight *registers* on it
+//! before it parks: under the stripe lock it already holds for the lookup,
+//! it moves the flight's state from `LIVE` to `JOINED`. The leader's
+//! retire is one atomic swap to `RETIRED` that returns the state it
+//! replaced:
+//!
+//! - `JOINED`: the leader copies its block into a shared payload,
+//!   publishes it under the flight's slot mutex and wakes every waiter.
+//!   Each registered waiter set `JOINED` before the swap, so none can park
+//!   unseen;
+//! - `LIVE`: nobody can ever wait on this flight — a miss arriving later
+//!   finds `RETIRED`, treats the entry as a tombstone and leads fresh — so
+//!   the leader touches neither the slot nor the condvar and builds no
+//!   payload.
+//!
+//! A leader that ends up holding the last reference to its flight (always,
+//! when nobody joined and its cleanup got the stripe lock) resets it and
+//! hands it back to its stripe, whose next leader reuses it instead of
+//! allocating.
+//!
+//! The runtime's leader loads into its session's reuse buffer (`fetch_into`),
+//! so an uncontended led fetch costs its backend load, one table
+//! registration and its two timestamps: no allocation and no futex wake.
+//!
+//! Retiring before publishing changes one boundary case: a miss that
+//! arrives between retire and publish (or after an unshared retire) leads
+//! a fresh fetch instead of joining the finished one. That is strictly
+//! more conservative (never serves a stale result, costs at most one extra
+//! load, counted as led) and keeps the conservation law
+//! `misses == led + coalesced` exact.
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Arc, Condvar, Mutex};
@@ -47,18 +76,22 @@ pub const STRIPES: usize = 16;
 /// The shared fetch result: the whole block's items, or the load failure.
 pub type FetchResult = Result<Arc<Vec<ItemId>>, GcError>;
 
-/// Flight state: joinable by same-key misses.
+/// Flight state: joinable, no waiter registered yet.
 const LIVE: usize = 0;
+/// Flight state: joinable, and at least one waiter registered — the
+/// leader must publish a shared result and wake it.
+const JOINED: usize = 1;
 /// Flight state: the leader's load completed; the table entry is a
 /// tombstone and same-key misses must lead fresh.
-const RETIRED: usize = 1;
+const RETIRED: usize = 2;
 
 /// One in-flight fetch: an atomic lifecycle state, a slot the leader
-/// fills, and a condvar waiters sleep on.
+/// fills when waiters registered, and a condvar they sleep on.
 struct Flight {
-    /// [`LIVE`] until the leader's load completes, then [`RETIRED`]. The
-    /// store is the retire point — it happens before the result is
-    /// published, with no stripe lock held.
+    /// [`LIVE`], then [`JOINED`] once a waiter registers, then
+    /// [`RETIRED`] when the leader's load completes. The retire is the
+    /// leader's one swap — it happens before any publish, with no stripe
+    /// lock held.
     state: AtomicUsize,
     slot: Mutex<Option<FetchResult>>,
     cv: Condvar,
@@ -73,9 +106,39 @@ impl Flight {
         }
     }
 
-    fn is_retired(&self) -> bool {
-        self.state.load(Ordering::Acquire) == RETIRED
+    /// Register a waiter; false when the flight already retired (a
+    /// tombstone). Joiners call this under the stripe lock, so the only
+    /// concurrent write it can race is the leader's [`retire`](Self::retire).
+    fn join(&self) -> bool {
+        match self
+            .state
+            .compare_exchange(LIVE, JOINED, Ordering::SeqCst, Ordering::SeqCst)
+        {
+            Ok(_) => true,
+            Err(now) => now == JOINED,
+        }
     }
+
+    /// Retire the flight; whether a waiter registered first and must be
+    /// served a published result.
+    fn retire(&self) -> bool {
+        self.state.swap(RETIRED, Ordering::SeqCst) == JOINED
+    }
+
+    /// Make a flight nobody else holds as good as new, dropping any shared
+    /// result.
+    fn reset(&mut self) {
+        *self.state.get_mut() = LIVE;
+        *self.slot.get_mut() = None;
+    }
+}
+
+/// One stripe of the table: the flights of its keys, and retired flights
+/// nobody holds any more, reset for the stripe's next leaders.
+#[derive(Default)]
+struct Stripe {
+    flights: FxHashMap<u64, Arc<Flight>>,
+    spare: Vec<Arc<Flight>>,
 }
 
 /// How a [`SingleFlight::fetch`] call was served.
@@ -109,7 +172,7 @@ impl FetchRole {
 /// to keep the dependency surface small the table is keyed by `u64` (the
 /// raw block id).
 pub struct SingleFlight {
-    stripes: Vec<Mutex<FxHashMap<u64, Arc<Flight>>>>,
+    stripes: Vec<Mutex<Stripe>>,
     /// *Live* flights, maintained on lead/retire so
     /// [`in_flight`](Self::in_flight) never takes a lock. Tombstones
     /// awaiting cleanup are not counted.
@@ -123,7 +186,7 @@ impl Default for SingleFlight {
     fn default() -> Self {
         SingleFlight {
             stripes: (0..STRIPES)
-                .map(|_| Mutex::new(FxHashMap::default()))
+                .map(|_| Mutex::new(Stripe::default()))
                 .collect(),
             in_flight: AtomicUsize::new(0),
             pending_waiters: AtomicUsize::new(0),
@@ -138,95 +201,132 @@ impl SingleFlight {
     }
 
     #[inline]
-    fn stripe(&self, key: u64) -> &Mutex<FxHashMap<u64, Arc<Flight>>> {
+    fn stripe(&self, key: u64) -> &Mutex<Stripe> {
         &self.stripes[(mix64(key) as usize) & (STRIPES - 1)]
     }
 
     /// Fetch under `key`: if no load for `key` is in flight, run `load`
-    /// as the leader and publish its result; otherwise block until the
+    /// as the leader and return its result; otherwise block until the
     /// in-flight leader publishes, and return its result.
     ///
-    /// The leader runs `load` with **no** stripe or entry lock held, so
-    /// loads for different keys proceed in parallel and waiters for other
-    /// keys are unaffected.
+    /// A wrapper over the runtime's buffer-reusing protocol that allocates
+    /// the returned block.
     pub fn fetch<F>(&self, key: u64, load: F) -> (FetchResult, FetchRole)
     where
         F: FnOnce() -> Result<Vec<ItemId>, GcError>,
     {
+        let mut buf = Vec::new();
+        let (result, role) = self.fetch_into(key, &mut buf, |out| load().map(|v| *out = v));
+        (result.map(|()| Arc::new(buf)), role)
+    }
+
+    /// Fetch under `key` into the caller's buffer. If no load for `key` is
+    /// in flight, this call leads: it runs `load(buf)` and shares the
+    /// result only if a waiter registered meanwhile. Otherwise it
+    /// registers, parks until the leader publishes, and copies the shared
+    /// block into `buf`. On success `buf` holds the whole block either way.
+    ///
+    /// The leader runs `load` with **no** stripe or entry lock held, so
+    /// loads for different keys proceed in parallel and waiters for other
+    /// keys are unaffected.
+    pub(crate) fn fetch_into<F>(
+        &self,
+        key: u64,
+        buf: &mut Vec<ItemId>,
+        load: F,
+    ) -> (Result<(), GcError>, FetchRole)
+    where
+        F: FnOnce(&mut Vec<ItemId>) -> Result<(), GcError>,
+    {
         let stripe = self.stripe(key);
-        let (flight, is_leader) = {
-            let mut table = stripe.lock();
-            match table.entry(key) {
-                Entry::Occupied(mut e) if e.get().is_retired() => {
+        let (mut flight, leads) = {
+            let mut guard = stripe.lock();
+            let Stripe { flights, spare } = &mut *guard;
+            let mut fresh = || spare.pop().unwrap_or_else(|| Arc::new(Flight::new()));
+            match flights.entry(key) {
+                Entry::Occupied(e) if e.get().join() => (Arc::clone(e.get()), false),
+                Entry::Occupied(mut e) => {
                     // Tombstone left by a completed leader whose
                     // opportunistic cleanup lost the `try_lock` race:
                     // replace it in place (we already hold the stripe lock
-                    // for this lookup — no extra acquire) and lead fresh.
-                    let flight = Arc::new(Flight::new());
-                    *e.get_mut() = Arc::clone(&flight);
-                    self.in_flight.fetch_add(1, Ordering::Relaxed);
-                    (flight, true)
+                    // for this lookup — no extra acquire), reusing it when
+                    // nobody else holds it any more, and lead fresh.
+                    match Arc::get_mut(e.get_mut()) {
+                        Some(tombstone) => tombstone.reset(),
+                        None => *e.get_mut() = fresh(),
+                    }
+                    (Arc::clone(e.get()), true)
                 }
-                Entry::Occupied(e) => (Arc::clone(e.get()), false),
-                Entry::Vacant(v) => {
-                    let flight = Arc::new(Flight::new());
-                    v.insert(Arc::clone(&flight));
-                    self.in_flight.fetch_add(1, Ordering::Relaxed);
-                    (flight, true)
-                }
+                Entry::Vacant(v) => (Arc::clone(v.insert(fresh())), true),
             }
         };
-
-        if is_leader {
-            let t0 = Instant::now();
-            let result: FetchResult = load().map(Arc::new);
-            let latency = t0.elapsed();
-            // Retire first, publish second — and retire without touching
-            // the stripe lock: flipping the atomic state makes the flight
-            // unjoinable (a same-key miss that finds the entry sees a
-            // tombstone and leads fresh), so the led-fetch completion path
-            // never blocks on the table. Waiters already holding this
-            // flight observe the published result the moment it lands.
-            flight.state.store(RETIRED, Ordering::Release);
-            self.in_flight.fetch_sub(1, Ordering::Relaxed);
-            {
-                let mut slot = flight.slot.lock();
-                *slot = Some(result.clone());
-                flight.cv.notify_all();
-            }
-            // Opportunistic tombstone removal: only if the stripe lock is
-            // free right now — under contention the entry stays behind and
-            // the next same-key miss replaces it in place, so completion
-            // latency is never held hostage to the table. `ptr_eq` guards
-            // against removing a successor flight that already took the
-            // slot.
-            if let Some(mut table) = stripe.try_lock() {
-                if let Entry::Occupied(e) = table.entry(key) {
-                    if Arc::ptr_eq(e.get(), &flight) {
-                        e.remove();
-                    }
-                }
-            }
-            (result, FetchRole::Led { latency })
-        } else {
-            self.pending_waiters.fetch_add(1, Ordering::SeqCst);
-            let t0 = Instant::now();
-            let result = {
-                let mut slot = flight.slot.lock();
-                loop {
-                    // Take-by-clone under the lock: when the wait returns
-                    // with the slot filled, the leader's publish happened
-                    // before our wakeup, so the value is complete.
-                    if let Some(published) = slot.as_ref() {
-                        break published.clone();
-                    }
-                    slot = flight.cv.wait(slot);
-                }
-            };
-            let wait = t0.elapsed();
-            self.pending_waiters.fetch_sub(1, Ordering::SeqCst);
-            (result, FetchRole::Coalesced { wait })
+        if !leads {
+            return self.wait(&flight, buf);
         }
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+
+        let t0 = Instant::now();
+        let result = load(buf);
+        let latency = t0.elapsed();
+        // Retire first, publish second — and retire without touching the
+        // stripe lock: the swap makes the flight unjoinable (a same-key
+        // miss that finds the entry sees a tombstone and leads fresh), so
+        // the led-fetch completion path never blocks on the table. Only
+        // waiters that registered before the swap get a shared copy.
+        let shared = flight.retire();
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        if shared {
+            let published = result.clone().map(|()| Arc::new(buf.clone()));
+            let mut slot = flight.slot.lock();
+            *slot = Some(published);
+            flight.cv.notify_all();
+        }
+        // Opportunistic tombstone removal: only if the stripe lock is free
+        // right now — under contention the entry stays behind and the next
+        // same-key miss replaces it in place, so completion latency is
+        // never held hostage to the table. `ptr_eq` guards against
+        // removing a successor flight that already took the slot.
+        if let Some(mut guard) = stripe.try_lock() {
+            if let Entry::Occupied(e) = guard.flights.entry(key) {
+                if Arc::ptr_eq(e.get(), &flight) {
+                    e.remove();
+                }
+            }
+            // No table entry, waiter or joiner holds the flight any more
+            // (new holders only come through the table, under this lock):
+            // reset it, dropping any shared result, for the next leader.
+            if let Some(f) = Arc::get_mut(&mut flight) {
+                f.reset();
+                guard.spare.push(flight);
+            }
+        }
+        (result, FetchRole::Led { latency })
+    }
+
+    /// The registered waiter's side: park until the leader publishes, then
+    /// copy the shared block into `buf`.
+    fn wait(&self, flight: &Flight, buf: &mut Vec<ItemId>) -> (Result<(), GcError>, FetchRole) {
+        self.pending_waiters.fetch_add(1, Ordering::SeqCst);
+        let t0 = Instant::now();
+        let published = {
+            let mut slot = flight.slot.lock();
+            loop {
+                // Take-by-clone under the lock: when the wait returns with
+                // the slot filled, the leader's publish happened before our
+                // wakeup, so the value is complete.
+                if let Some(published) = slot.as_ref() {
+                    break published.clone();
+                }
+                slot = flight.cv.wait(slot);
+            }
+        };
+        let wait = t0.elapsed();
+        self.pending_waiters.fetch_sub(1, Ordering::SeqCst);
+        let result = published.map(|items| {
+            buf.clear();
+            buf.extend_from_slice(&items);
+        });
+        (result, FetchRole::Coalesced { wait })
     }
 
     /// Number of calls currently blocked on an in-flight load. Intended
@@ -245,7 +345,14 @@ impl SingleFlight {
     /// alike — a test hook for the cleanup protocol.
     #[cfg(test)]
     pub(crate) fn table_entries(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
+        self.stripes.iter().map(|s| s.lock().flights.len()).sum()
+    }
+
+    /// Retired flights held for reuse across stripes — a test hook for
+    /// the recycling protocol.
+    #[cfg(test)]
+    pub(crate) fn spare_flights(&self) -> usize {
+        self.stripes.iter().map(|s| s.lock().spare.len()).sum()
     }
 }
 
@@ -430,6 +537,134 @@ mod tests {
         let (r, role) = sf.fetch(5, || Ok(vec![ItemId(20)]));
         assert!(!role.is_coalesced(), "retry leads fresh");
         assert_eq!(*r.unwrap(), vec![ItemId(20)]);
+    }
+
+    #[test]
+    fn three_parked_waiters_share_one_load() {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::mpsc;
+
+        let sf = Arc::new(SingleFlight::new());
+        let loads = Arc::new(AtomicU64::new(0));
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+
+        let leader = {
+            let sf = Arc::clone(&sf);
+            let loads = Arc::clone(&loads);
+            std::thread::spawn(move || {
+                let mut buf = Vec::new();
+                let (r, role) = sf.fetch_into(13, &mut buf, |out| {
+                    loads.fetch_add(1, Ordering::SeqCst);
+                    release_rx.recv().expect("release signal");
+                    out.clear();
+                    out.extend([ItemId(52), ItemId(53)]);
+                    Ok(())
+                });
+                (r.map(|()| buf), role)
+            })
+        };
+        while sf.in_flight() == 0 {
+            std::thread::yield_now();
+        }
+        // Each waiter brings a buffer holding junk: the shared block must
+        // replace it, not append to it.
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let sf = Arc::clone(&sf);
+                std::thread::spawn(move || {
+                    let mut buf = vec![ItemId(999)];
+                    let (r, role) =
+                        sf.fetch_into(13, &mut buf, |_| panic!("waiter must never load"));
+                    (r.map(|()| buf), role)
+                })
+            })
+            .collect();
+        // All three are registered and parked before the leader finishes,
+        // so the leader must share and wake every one of them.
+        while sf.pending_waiters() < 3 {
+            std::thread::yield_now();
+        }
+        release_tx.send(()).unwrap();
+
+        let (lr, lrole) = leader.join().unwrap();
+        assert!(matches!(lrole, FetchRole::Led { .. }));
+        assert_eq!(lr.unwrap(), vec![ItemId(52), ItemId(53)]);
+        for w in waiters {
+            let (wr, wrole) = w.join().unwrap();
+            assert!(wrole.is_coalesced());
+            assert_eq!(wr.unwrap(), vec![ItemId(52), ItemId(53)]);
+        }
+        assert_eq!(loads.load(Ordering::SeqCst), 1, "one load for four misses");
+        assert_eq!(sf.in_flight(), 0);
+        assert_eq!(sf.pending_waiters(), 0);
+    }
+
+    #[test]
+    fn late_joiner_after_unshared_publish_leads_fresh() {
+        use std::sync::mpsc;
+
+        let sf = Arc::new(SingleFlight::new());
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let mut led = 0;
+        let mut coalesced = 0;
+        let mut count = |role: FetchRole| {
+            if role.is_coalesced() {
+                coalesced += 1;
+            } else {
+                led += 1;
+            }
+        };
+
+        let leader = {
+            let sf = Arc::clone(&sf);
+            std::thread::spawn(move || {
+                sf.fetch(17, move || {
+                    release_rx.recv().expect("release signal");
+                    Ok(vec![ItemId(68)])
+                })
+            })
+        };
+        while sf.in_flight() == 0 {
+            std::thread::yield_now();
+        }
+        // Hold the stripe so the leader's cleanup is skipped: its flight
+        // stays in the table, retired and never shared.
+        let guard = sf.stripe(17).lock();
+        release_tx.send(()).unwrap();
+        let (r, role) = leader.join().unwrap();
+        count(role);
+        assert_eq!(*r.unwrap(), vec![ItemId(68)]);
+        drop(guard);
+        assert_eq!(sf.table_entries(), 1, "the unshared flight is a tombstone");
+        assert_eq!(sf.spare_flights(), 0, "not recycled without the stripe");
+
+        // The late joiner finds the tombstone and leads its own load; the
+        // finished payload is never handed out.
+        let (r, role) = sf.fetch(17, || Ok(vec![ItemId(69)]));
+        count(role);
+        assert_eq!(*r.unwrap(), vec![ItemId(69)], "fresh load, not the old one");
+        assert_eq!((led, coalesced), (2, 0), "both calls counted as led");
+        assert_eq!(sf.in_flight(), 0);
+        assert_eq!(sf.table_entries(), 0);
+        assert_eq!(sf.spare_flights(), 1, "its uncontended cleanup recycled");
+    }
+
+    #[test]
+    fn uncontended_leaders_reuse_one_flight_per_stripe() {
+        let sf = SingleFlight::new();
+        let mut buf = Vec::new();
+        for round in 0..4u64 {
+            let (r, role) = sf.fetch_into(21, &mut buf, |out| {
+                out.clear();
+                out.push(ItemId(round));
+                Ok(())
+            });
+            r.unwrap();
+            assert!(!role.is_coalesced());
+            assert_eq!(buf, vec![ItemId(round)]);
+            assert_eq!(sf.table_entries(), 0);
+            assert_eq!(sf.spare_flights(), 1, "round {round}: one flight, reused");
+        }
     }
 
     #[test]

@@ -57,6 +57,13 @@ mod imp {
         pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
             self.0.try_lock().ok()
         }
+
+        /// The protected value through `&mut` — no locking is needed.
+        #[inline]
+        pub fn get_mut(&mut self) -> &mut T {
+            // lint: allow(panic): as in `lock`.
+            self.0.get_mut().expect(POISONED)
+        }
     }
 
     /// `std::sync::Condvar` with the guard returned directly.

@@ -27,8 +27,9 @@ pub const LATENCY_BUCKETS: usize = 64;
 /// usual accuracy trade for lock-free fixed-footprint histograms.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    /// Per-bucket sample counts; always [`LATENCY_BUCKETS`] entries.
-    buckets: Vec<u64>,
+    /// Per-bucket sample counts, inline: building, clearing and cloning a
+    /// histogram never touches the allocator.
+    buckets: [u64; LATENCY_BUCKETS],
     /// Total samples recorded.
     count: u64,
     /// Sum of all recorded samples, in nanoseconds (saturating).
@@ -40,7 +41,7 @@ pub struct LatencyHistogram {
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            buckets: vec![0; LATENCY_BUCKETS],
+            buckets: [0; LATENCY_BUCKETS],
             count: 0,
             sum_nanos: 0,
             max_nanos: 0,
@@ -134,14 +135,29 @@ impl LatencyHistogram {
         &self.buckets
     }
 
-    /// Fold another histogram into this one.
+    /// Fold another histogram into this one. Folding an empty histogram
+    /// is a no-op that reads only its count.
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        if other.count == 0 {
+            return;
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.count += other.count;
         self.sum_nanos = self.sum_nanos.saturating_add(other.sum_nanos);
         self.max_nanos = self.max_nanos.max(other.max_nanos);
+    }
+
+    /// Forget every sample. The buckets always sum to the count, so an
+    /// empty histogram's buckets are left untouched.
+    pub fn clear(&mut self) {
+        if self.count != 0 {
+            self.buckets = [0; LATENCY_BUCKETS];
+        }
+        self.count = 0;
+        self.sum_nanos = 0;
+        self.max_nanos = 0;
     }
 }
 
@@ -342,6 +358,54 @@ mod tests {
 
         let rebuilt = LatencyHistogram::from_buckets(a.buckets(), 1_000_010, 1_000_000);
         assert_eq!(rebuilt, a);
+    }
+
+    #[test]
+    fn histogram_clear_forgets_every_sample() {
+        let mut h = LatencyHistogram::new();
+        for nanos in [0u64, 7, 1 << 20, 1 << 62] {
+            h.record(nanos);
+        }
+        h.clear();
+        assert_eq!(h, LatencyHistogram::default());
+        assert!(h.buckets().iter().all(|&c| c == 0));
+        h.clear();
+        assert_eq!(h, LatencyHistogram::default(), "clearing an empty one");
+        h.record(300);
+        assert_eq!((h.count(), h.max_nanos()), (1, 300), "usable after clear");
+    }
+
+    #[test]
+    fn merging_an_empty_histogram_is_a_no_op() {
+        let mut a = LatencyHistogram::new();
+        a.record(40);
+        a.record(90_000);
+        let before = a.clone();
+        a.merge(&LatencyHistogram::new());
+        assert_eq!(a, before);
+        let mut empty = LatencyHistogram::new();
+        empty.merge(&before);
+        assert_eq!(empty, before, "merging into an empty one copies");
+    }
+
+    #[test]
+    fn from_buckets_round_trips_every_bucket() {
+        // `1 << i` lands in bucket `i + 1` and 0 in bucket 0, so every
+        // bucket is filled, with one to three samples.
+        let mut h = LatencyHistogram::new();
+        for i in 0..LATENCY_BUCKETS as u32 - 1 {
+            for _ in 0..=i % 3 {
+                h.record(1u64 << i);
+            }
+        }
+        h.record(0);
+        assert!(h.buckets().iter().all(|&c| c > 0));
+        let sum = (0..LATENCY_BUCKETS as u32 - 1)
+            .map(|i| (u64::from(i % 3) + 1).saturating_mul(1u64 << i))
+            .fold(0u64, u64::saturating_add);
+        let rebuilt = LatencyHistogram::from_buckets(h.buckets(), sum, h.max_nanos());
+        assert_eq!(rebuilt, h);
+        assert_eq!(rebuilt.quantile_nanos(0.5), h.quantile_nanos(0.5));
     }
 
     #[test]

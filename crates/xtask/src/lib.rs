@@ -94,6 +94,8 @@ const ALLOC_TOKENS: &[&str] = &[
     "vec!",
     "format!",
     "Box::new",
+    "Arc::new",
+    "Rc::new",
     "String::new",
     "String::from",
     ".to_string(",

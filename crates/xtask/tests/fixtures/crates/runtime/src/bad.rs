@@ -15,3 +15,9 @@ fn hot() -> String {
     let t = std::time::Instant::now();
     format!("{t:?}")
 }
+
+// lint: hot-path
+fn shared(v: Vec<u8>) -> (Arc<Vec<u8>>, std::rc::Rc<u8>) {
+    let a = Arc::new(v);
+    (a, std::rc::Rc::new(7))
+}

@@ -31,9 +31,32 @@ fn fixture_violations_are_reported_with_file_and_line() {
         ("crates/runtime/src/bad.rs".into(), 5, "panic"),
         ("crates/runtime/src/bad.rs".into(), 15, "hot-instant"),
         ("crates/runtime/src/bad.rs".into(), 16, "hot-alloc"),
+        ("crates/runtime/src/bad.rs".into(), 21, "hot-alloc"),
+        ("crates/runtime/src/bad.rs".into(), 22, "hot-alloc"),
         ("crates/sim/src/bad_unsafe.rs".into(), 2, "unsafe-doc"),
     ];
     assert_eq!(got, expected, "full diagnostics: {diags:#?}");
+}
+
+#[test]
+fn shared_pointer_constructors_are_hot_path_allocations() {
+    let diags = xtask::lint_workspace(&fixture_root()).expect("fixture lints");
+    let shown: Vec<String> = diags
+        .iter()
+        .map(|d| d.to_string().replace('\\', "/"))
+        .filter(|d| d.contains("`Arc::new`") || d.contains("`Rc::new`"))
+        .collect();
+    assert_eq!(shown.len(), 2, "{shown:#?}");
+    assert!(
+        shown[0].starts_with("crates/runtime/src/bad.rs:21: [hot-alloc] `Arc::new` inside"),
+        "{}",
+        shown[0]
+    );
+    assert!(
+        shown[1].starts_with("crates/runtime/src/bad.rs:22: [hot-alloc] `Rc::new` inside"),
+        "{}",
+        shown[1]
+    );
 }
 
 #[test]
