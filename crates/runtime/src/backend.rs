@@ -17,13 +17,21 @@ use std::time::Duration;
 /// `out` (cleared first). Every backend that derives block contents from a
 /// map goes through this one function, so the item order — and therefore
 /// the policy-visible behaviour — is identical across backends (the
-/// differential suite's bit-identity claim rests on this).
+/// differential suite's bit-identity claim rests on this). A block at or
+/// past the end of a bounded map (explicit or compiled) is an error; a
+/// sparse strided map has every block.
 pub(crate) fn materialize_block(
     map: &BlockMap,
     block: BlockId,
     out: &mut Vec<ItemId>,
 ) -> Result<(), GcError> {
     out.clear();
+    if map.num_blocks().is_some_and(|n| block.0 >= n as u64) {
+        return Err(GcError::Backend {
+            block,
+            message: "block not present in backend block map".into(),
+        });
+    }
     match map.stride() {
         // Strided blocks are a contiguous id range; extending from the
         // range directly (instead of the generic `items_of` iterator)
@@ -33,12 +41,6 @@ pub(crate) fn materialize_block(
             out.extend((start..start + stride).map(ItemId));
         }
         None => out.extend(map.items_of(block)),
-    }
-    if out.is_empty() {
-        return Err(GcError::Backend {
-            block,
-            message: "block not present in backend block map".into(),
-        });
     }
     Ok(())
 }
@@ -210,6 +212,34 @@ mod tests {
         let b = SyntheticBackend::new(map);
         let err = b.load_block(BlockId(9)).unwrap_err();
         assert!(matches!(err, GcError::Backend { block, .. } if block == BlockId(9)));
+    }
+
+    #[test]
+    fn blocks_past_a_bounded_map_are_refused() {
+        // 48 blocks of 4 items, compiled from a sparse strided map.
+        let trace = gc_types::Trace::from_ids((0..48u64).map(|b| b * 4_000));
+        let compiled = gc_types::CompiledTrace::compile(&trace, &BlockMap::strided(4)).unwrap();
+        let explicit = BlockMap::from_groups(vec![vec![ItemId(1), ItemId(2)]]).unwrap();
+        let bounded = [
+            (compiled.map().clone(), BlockId(47)),
+            (explicit, BlockId(0)),
+        ];
+        for (map, last) in bounded {
+            let n = map.num_blocks().unwrap() as u64;
+            let synthetic = SyntheticBackend::new(map.clone());
+            let mem = crate::MemBackend::new(map, 8).unwrap();
+            let backends: [&dyn BlockBackend; 2] = [&synthetic, &mem];
+            for b in backends {
+                assert!(!b.load_block(last).unwrap().is_empty());
+                for past in [n, 1_000_000] {
+                    let err = b.load_block(BlockId(past)).unwrap_err();
+                    assert!(matches!(err, GcError::Backend { block, .. } if block.0 == past));
+                }
+            }
+        }
+        // A sparse strided map is unbounded: every block exists.
+        let sparse = SyntheticBackend::new(BlockMap::strided(4));
+        assert_eq!(sparse.load_block(BlockId(1_000_000)).unwrap().len(), 4);
     }
 
     #[test]

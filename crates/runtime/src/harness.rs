@@ -77,9 +77,9 @@ pub fn serve_trace(
 /// and serves the accesses its shards own, skipping the per-request block
 /// lookup and shard hash entirely.
 ///
-/// The runtime must have been built against the trace's dense map (see
-/// [`Session::run_compiled`](crate::Session::run_compiled)); on one shard,
-/// counters are bit-identical to [`serve_trace`] over the decoded trace.
+/// The runtime must have been built against the trace's dense map — dense
+/// ids mean nothing under any other; on one shard, counters are
+/// bit-identical to [`serve_trace`] over the decoded trace.
 ///
 /// # Errors
 ///

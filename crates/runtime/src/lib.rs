@@ -14,10 +14,10 @@
 //! - [`RuntimeConfig`] — how requests reach the shards: mutex-guarded
 //!   shards driven in place by callers ([`ExecMode::Locked`]) or one owner
 //!   thread per shard fed by bounded queues ([`ExecMode::Owner`], policy
-//!   runs lock-free); misses fetched inside the critical section
-//!   ([`FetchPath::Inline`]) or coalesced through the flight table
-//!   ([`FetchPath::Coalesced`]); and the [`Session`] batch window that
-//!   amortizes synchronization over many requests.
+//!   runs lock-free); the [`FetchPath`] of misses, fetched inside the
+//!   critical section or coalesced through the flight table; and the
+//!   [`Session`] batch window that amortizes synchronization over many
+//!   requests.
 //! - [`SingleFlight`] — misses fetch the whole block through a striped
 //!   single-flight table: concurrent misses on items of the same block
 //!   coalesce into **one** backend load (the paper's unit-cost

@@ -10,7 +10,8 @@
 //!
 //! The hand-off protocol is allocation-recycling: a producer sends a
 //! [`BatchJob`] (an items vector plus a replies vector), the owner fills
-//! the replies in request order and sends the *same* job back through the
+//! the replies in request order — one [`ShardCore::serve`] result per item,
+//! inline fetches already done — and sends the *same* job back through the
 //! producer's [`ReplySlot`]; steady state moves two `Vec`s back and forth
 //! with no allocation. Queues are bounded (`queue_depth` messages), so a
 //! fast producer blocks in `send` instead of growing memory — closed-loop
@@ -26,32 +27,20 @@
 
 use crate::backend::BlockBackend;
 use crate::config::FetchPath;
-use crate::core::{AccessPhase, ShardCore};
+use crate::core::{Served, ShardCore};
 use crate::sync::mpsc::{Receiver, SyncSender};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{self, Arc, Barrier, Condvar, Mutex};
 use gc_policies::PolicyKind;
 use gc_types::{BlockMap, GcError, ItemId, RuntimeStats};
 
-/// Per-request reply, in request order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum BatchReply {
-    /// Resident (spatial = first touch of a co-loaded item).
-    Hit { spatial: bool },
-    /// Missed; the producer must pay for (or join) the block fetch.
-    MissNeedsFetch { admitted: usize },
-    /// Missed; the owner already fetched the block inline.
-    MissFetched { admitted: usize, fetched: usize },
-    /// Missed and the owner's inline fetch failed.
-    MissFailed(GcError),
-}
-
 /// A recyclable request/reply exchange: producers fill `items`, owners
-/// fill `replies` (one per item, same order) and send the job back.
+/// fill `replies` (one [`ShardCore::serve`] result per item, same order)
+/// and send the job back.
 #[derive(Debug, Default)]
 pub(crate) struct BatchJob {
     pub items: Vec<ItemId>,
-    pub replies: Vec<BatchReply>,
+    pub replies: Vec<Result<Served, GcError>>,
 }
 
 /// A single-producer reply slot: the owner deposits the finished job, the
@@ -152,11 +141,11 @@ impl OwnerPool {
                 .spawn(move || {
                     // Built here, on the owner thread: the policy never
                     // crosses a thread boundary, so no `Send` bound.
-                    let core = ShardCore::new(kind.build(capacity, &map));
+                    let core = ShardCore::new(kind.build(capacity, &map), map, fetch, backend);
                     // Ack construction; if `build` panicked, `ready_tx`
                     // drops un-sent and `new` re-raises on the caller.
                     let _ = ready_tx.send(());
-                    owner_loop(rx, core, map, backend, fetch);
+                    owner_loop(rx, core);
                 })
                 // lint: allow(panic): a failed OS thread spawn leaves the
                 // runtime unbuildable; there is no degraded mode to fall
@@ -264,39 +253,13 @@ impl Drop for OwnerPool {
 }
 
 /// The owner thread body: drain messages until disconnect.
-fn owner_loop(
-    rx: Receiver<Msg>,
-    mut core: ShardCore<dyn gc_policies::GcPolicy>,
-    map: BlockMap,
-    backend: Arc<dyn BlockBackend>,
-    fetch: FetchPath,
-) {
+fn owner_loop(rx: Receiver<Msg>, mut core: ShardCore<dyn gc_policies::GcPolicy>) {
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::Batch { mut job, slot } => {
                 job.replies.clear();
-                for i in 0..job.items.len() {
-                    let item = job.items[i];
-                    let reply = match core.access(item) {
-                        AccessPhase::Hit { spatial } => BatchReply::Hit { spatial },
-                        AccessPhase::MissNeedsFetch { admitted } => match fetch {
-                            FetchPath::Coalesced => BatchReply::MissNeedsFetch { admitted },
-                            FetchPath::Inline => {
-                                let block = map
-                                    .try_block_of(item)
-                                    // lint: allow(panic): `Session::push` /
-                                    // `GcRuntime::get` reject unmapped items
-                                    // before anything is enqueued.
-                                    .expect("runtime verified the item before enqueueing");
-                                match core.fetch_inline(backend.as_ref(), block, item) {
-                                    Ok(fetched) => BatchReply::MissFetched { admitted, fetched },
-                                    Err(e) => BatchReply::MissFailed(e),
-                                }
-                            }
-                        },
-                    };
-                    job.replies.push(reply);
-                }
+                job.replies
+                    .extend(job.items.iter().map(|&item| core.serve(item)));
                 slot.fill(job);
             }
             Msg::Snapshot { idx, out, barrier } => {
@@ -346,22 +309,14 @@ mod tests {
             },
         );
         let job = slot.wait();
-        assert_eq!(job.replies.len(), 3);
-        assert!(matches!(
-            job.replies[0],
-            BatchReply::MissFetched {
-                admitted: 1,
-                fetched: 4
-            }
-        ));
-        assert!(matches!(
-            job.replies[1],
-            BatchReply::MissFetched {
-                admitted: 1,
-                fetched: 4
-            }
-        ));
-        assert_eq!(job.replies[2], BatchReply::Hit { spatial: false });
+        let fetched = Ok(Served::Fetched {
+            admitted: 1,
+            fetched: 4,
+        });
+        assert_eq!(
+            job.replies,
+            vec![fetched.clone(), fetched, Ok(Served::Hit { spatial: false })]
+        );
     }
 
     #[test]

@@ -5,21 +5,22 @@
 //! the same shard and the policy's block-granular decisions (co-loads,
 //! block evictions, spatial attribution) stay coherent. The per-access
 //! critical section is exactly the offline engine's loop body
-//! ([`ShardCore::access`](crate::core::ShardCore)), which is what makes
+//! ([`ShardCore::serve`](crate::core::ShardCore)), which is what makes
 //! the 1-shard/1-thread runtime bit-identical to `gc_sim::simulate` on the
 //! same trace — in **both** execution modes and at every batch size.
 //!
 //! How that critical section is reached is configured by
 //! [`RuntimeConfig`]: locked shards driven in place by caller threads, or
 //! owner threads fed through bounded queues (see [`config`](crate::config)
-//! for the trade-offs). Misses either fetch inline inside the critical
-//! section ([`FetchPath::Inline`]) or leave the shard and fetch through
-//! the striped [`SingleFlight`] table ([`FetchPath::Coalesced`]), where
+//! for the trade-offs). Depending on the [`FetchPath`](crate::FetchPath),
+//! misses either fetch inline inside the critical section or leave the
+//! shard and fetch through the striped [`SingleFlight`] table, where
 //! concurrent misses on items of the same block coalesce into **one**
-//! backend load. The fetcher returns the whole block (the paper's "rest of
-//! the block is free" rule); each miss's policy has already chosen the
-//! subset it admits, and the runtime counts admitted vs fetched items to
-//! measure that subset-selection.
+//! backend load; the shard core, built with the fetch path, decides which
+//! for every request. The fetcher returns the whole block (the paper's
+//! "rest of the block is free" rule); each miss's policy has already
+//! chosen the subset it admits, and the runtime counts admitted vs
+//! fetched items to measure that subset-selection.
 //!
 //! # Stats without shared atomics
 //!
@@ -37,9 +38,9 @@
 //! them).
 
 use crate::backend::BlockBackend;
-use crate::config::{ExecMode, FetchPath, RuntimeConfig};
-use crate::core::{AccessPhase, ShardCore};
-use crate::owner::{BatchJob, BatchReply, Msg, OwnerPool, ReplySlot};
+use crate::config::{ExecMode, RuntimeConfig};
+use crate::core::{block_of, Served, ShardCore};
+use crate::owner::{BatchJob, Msg, OwnerPool, ReplySlot};
 use crate::session::Session;
 use crate::singleflight::{FetchRole, SingleFlight};
 use crate::sync::{Arc, Mutex};
@@ -275,7 +276,11 @@ impl GcRuntime {
             ExecMode::Locked => Engine::Locked(
                 capacities
                     .iter()
-                    .map(|&c| Mutex::new(ShardCore::new(kind.build_send(c, &map))))
+                    .map(|&c| {
+                        let policy = kind.build_send(c, &map);
+                        let backend = Arc::clone(&backend);
+                        Mutex::new(ShardCore::new(policy, map.clone(), config.fetch, backend))
+                    })
                     .collect(),
             ),
             ExecMode::Owner => Engine::Owner(OwnerPool::new(
@@ -388,31 +393,13 @@ impl GcRuntime {
     /// the block inline or through the single-flight table depending on
     /// [`RuntimeConfig::fetch`].
     pub fn get(&self, item: ItemId) -> Result<ServeOutcome, GcError> {
-        let block = self.map.try_block_of(item).ok_or_else(|| {
-            GcError::InvalidParameter(format!("item {item} is not in the runtime's block map"))
-        })?;
+        let block = block_of(&self.map, item)?;
         let shard = self.shard_index(block);
 
         // Phase 1 — the engine's loop body inside the shard's critical
         // section; inline fetches complete there as well.
-        let admitted = match &self.engine {
-            Engine::Locked(shards) => {
-                let mut core = shards[shard].lock();
-                match core.access(item) {
-                    AccessPhase::Hit { spatial } => return Ok(ServeOutcome::Hit { spatial }),
-                    AccessPhase::MissNeedsFetch { admitted } => match self.config.fetch {
-                        FetchPath::Inline => {
-                            let fetched = core.fetch_inline(self.backend.as_ref(), block, item)?;
-                            return Ok(ServeOutcome::Miss {
-                                coalesced: false,
-                                fetched_items: fetched,
-                                admitted_items: admitted,
-                            });
-                        }
-                        FetchPath::Coalesced => admitted,
-                    },
-                }
-            }
+        let served = match &self.engine {
+            Engine::Locked(shards) => shards[shard].lock().serve(item)?,
             Engine::Owner(pool) => {
                 let slot = ReplySlot::new();
                 pool.send(
@@ -425,24 +412,22 @@ impl GcRuntime {
                         slot: Arc::clone(&slot),
                     },
                 );
-                let job = slot.wait();
+                let mut job = slot.wait();
                 // lint: allow(panic): the owner loop pushes exactly one
                 // reply per item and this job carried exactly one item.
-                match job.replies.first().expect("one reply per request") {
-                    BatchReply::Hit { spatial } => {
-                        return Ok(ServeOutcome::Hit { spatial: *spatial })
-                    }
-                    BatchReply::MissFetched { admitted, fetched } => {
-                        return Ok(ServeOutcome::Miss {
-                            coalesced: false,
-                            fetched_items: *fetched,
-                            admitted_items: *admitted,
-                        })
-                    }
-                    BatchReply::MissFailed(e) => return Err(e.clone()),
-                    BatchReply::MissNeedsFetch { admitted } => *admitted,
-                }
+                job.replies.pop().expect("one reply per request")?
             }
+        };
+        let admitted = match served {
+            Served::Hit { spatial } => return Ok(ServeOutcome::Hit { spatial }),
+            Served::Fetched { admitted, fetched } => {
+                return Ok(ServeOutcome::Miss {
+                    coalesced: false,
+                    fetched_items: fetched,
+                    admitted_items: admitted,
+                })
+            }
+            Served::Deferred { admitted } => admitted,
         };
 
         // Phase 2 — the unit-cost block fetch through the single-flight
@@ -519,10 +504,6 @@ impl GcRuntime {
             Engine::Locked(_) => None,
             Engine::Owner(pool) => Some(pool),
         }
-    }
-
-    pub(crate) fn backend(&self) -> &dyn BlockBackend {
-        self.backend.as_ref()
     }
 
     /// Snapshot one shard's counters (access path + fetch path). Taken
@@ -610,6 +591,7 @@ impl GcRuntime {
 mod tests {
     use super::*;
     use crate::backend::SyntheticBackend;
+    use crate::config::FetchPath;
 
     fn runtime(kind: &PolicyKind, capacity: usize, block_size: usize, shards: usize) -> GcRuntime {
         let map = BlockMap::strided(block_size);

@@ -4,10 +4,17 @@
 //! executes each group under **one** synchronization event — one mutex
 //! acquire in locked mode, one queue hand-off in owner mode — so the
 //! per-request cost of coordination falls roughly linearly in the batch
-//! window. Per-shard request order is exactly arrival order (groups are
-//! built by appending and executed front to back), which is why batching
-//! is invisible whenever one session drives each shard — one thread, or
-//! the harness's shard-affine workers: the policy sees the same access
+//! window. There is one buffered path at every shard count: every request,
+//! pushed by hand, replayed by [`Session::run`] or streamed from a compiled
+//! trace, enters a per-shard queue and reaches its shard through
+//! `ShardCore::serve` at the next flush. Block lookup is the runtime's
+//! [`BlockMap`](gc_types::BlockMap): a push that the map does not know is
+//! refused before it is queued.
+//!
+//! Per-shard request order is exactly arrival order (groups are built by
+//! appending and executed front to back), which is why batching is
+//! invisible whenever one session drives each shard — one thread, or the
+//! harness's shard-affine workers: the policy sees the same access
 //! sequence per shard no matter the window size.
 //!
 //! Coalesced-path misses are *deferred*: the shard critical section only
@@ -20,49 +27,17 @@
 //! accumulators at flush boundaries, so the hot path shares no counters
 //! with other threads.
 //!
-//! A session that returns an error is *poisoned*: pending requests may be
-//! partially executed and further use is not meaningful. Drop it; counters
-//! already accumulated are still folded on drop so conservation laws keep
-//! holding.
+//! A session that returns an error from a flush is *poisoned*: pending
+//! requests may be partially executed and further use is not meaningful.
+//! Drop it; counters already accumulated are still folded on drop so
+//! conservation laws keep holding. A refused push is not such an error:
+//! nothing was queued, and the session keeps serving.
 
-use crate::config::FetchPath;
-use crate::owner::{BatchJob, BatchReply, Msg, ReplySlot};
+use crate::core::{block_of, Served};
+use crate::owner::{BatchJob, Msg, ReplySlot};
 use crate::runtime::{FetchStats, GcRuntime, NOT_OWNED};
 use crate::sync::Arc;
-use gc_types::{BlockId, CompiledTrace, FxHashMap, GcError, ItemId};
-
-/// Per-item block lookup, strength-reduced at session creation. Strided
-/// maps turn the `item / stride` division into a shift when the stride is
-/// a power of two — on the hot path this is a measurable fraction of a
-/// request's total cost.
-#[derive(Clone, Copy)]
-enum BlockLookup {
-    /// Power-of-two stride: `block = item >> shift`.
-    Shift(u32),
-    /// General stride: `block = item / stride`.
-    Div(u64),
-    /// Explicit map: hash lookup, may fail for unknown items.
-    Map,
-}
-
-impl BlockLookup {
-    fn new(map: &gc_types::BlockMap) -> BlockLookup {
-        match map.stride() {
-            Some(s) if s.is_power_of_two() => BlockLookup::Shift(s.trailing_zeros()),
-            Some(s) => BlockLookup::Div(s),
-            None => BlockLookup::Map,
-        }
-    }
-
-    #[inline]
-    fn block_of(self, map: &gc_types::BlockMap, item: ItemId) -> Option<BlockId> {
-        match self {
-            BlockLookup::Shift(sh) => Some(BlockId(item.0 >> sh)),
-            BlockLookup::Div(s) => Some(BlockId(item.0 / s)),
-            BlockLookup::Map => map.try_block_of(item),
-        }
-    }
-}
+use gc_types::{CompiledTrace, FxHashMap, GcError, ItemId};
 
 /// A per-worker batched request handle over a [`GcRuntime`].
 ///
@@ -90,14 +65,8 @@ impl BlockLookup {
 pub struct Session<'rt> {
     rt: &'rt GcRuntime,
     batch: usize,
-    fetch: FetchPath,
-    lookup: BlockLookup,
     /// Pending items per shard, in arrival order.
     items: Vec<Vec<ItemId>>,
-    /// Blocks parallel to `items` — populated only for explicit maps,
-    /// where re-deriving the block at flush would cost a hash lookup.
-    /// Strided maps recompute it from the item (a shift or division).
-    blocks: Vec<Vec<BlockId>>,
     pending_total: usize,
     /// Owner mode: one reusable reply slot per shard.
     slots: Vec<Arc<ReplySlot>>,
@@ -118,7 +87,6 @@ pub struct Session<'rt> {
 struct Deferred {
     shard: usize,
     item: ItemId,
-    block: BlockId,
     admitted: usize,
 }
 
@@ -129,10 +97,7 @@ impl<'rt> Session<'rt> {
         Session {
             rt,
             batch: rt.config().batch,
-            fetch: rt.config().fetch,
-            lookup: BlockLookup::new(rt.map()),
             items: (0..n).map(|_| Vec::new()).collect(),
-            blocks: (0..n).map(|_| Vec::new()).collect(),
             pending_total: 0,
             slots: if owner {
                 (0..n).map(|_| ReplySlot::new()).collect()
@@ -157,20 +122,18 @@ impl<'rt> Session<'rt> {
     ///
     /// # Errors
     ///
-    /// [`GcError::InvalidParameter`] for items outside the block map, or
-    /// any error surfaced by an automatic flush.
+    /// [`GcError::InvalidParameter`] for items outside the block map
+    /// (nothing is queued), or any error surfaced by an automatic flush.
     #[inline]
     pub fn push(&mut self, item: ItemId) -> Result<(), GcError> {
-        let block = self.lookup.block_of(self.rt.map(), item).ok_or_else(|| {
-            // lint: allow(alloc): error path only — a push of an unmapped
-            // item aborts the session, so the format! never runs hot.
-            GcError::InvalidParameter(format!("item {item} is not in the runtime's block map"))
-        })?;
-        let shard = self.rt.shard_index(block);
+        let block = block_of(self.rt.map(), item)?;
+        self.enqueue(self.rt.shard_index(block), item)
+    }
+
+    /// Queue `item` for `shard`, flushing when the window fills.
+    #[inline]
+    fn enqueue(&mut self, shard: usize, item: ItemId) -> Result<(), GcError> {
         self.items[shard].push(item);
-        if matches!(self.lookup, BlockLookup::Map) {
-            self.blocks[shard].push(block);
-        }
         self.pending_total += 1;
         if self.pending_total >= self.batch {
             self.flush()?;
@@ -180,23 +143,11 @@ impl<'rt> Session<'rt> {
 
     /// Serve every request from `trace` to completion (including a final
     /// flush of the tail window). Returns the number of requests served.
+    /// Requests pushed earlier stay ahead of the trace's.
     pub fn run<I>(&mut self, trace: I) -> Result<u64, GcError>
     where
         I: IntoIterator<Item = ItemId>,
     {
-        // Single-shard locked mode over a strided map needs no routing at
-        // all: every request lands on shard 0 and every item is valid, so
-        // requests execute straight off the iterator in batch-sized
-        // critical sections — no buffer copy, and the block is computed
-        // only on misses (hits never need it). Policy-visible behaviour is
-        // identical to the buffered path: same per-shard order, same lock
-        // cadence, same deferred-fetch handling per window.
-        if self.rt.shards() == 1
-            && self.rt.engine_locked().is_some()
-            && !matches!(self.lookup, BlockLookup::Map)
-        {
-            return self.run_single(trace);
-        }
         let mut served = 0u64;
         for item in trace {
             self.push(item)?;
@@ -206,119 +157,28 @@ impl<'rt> Session<'rt> {
         Ok(served)
     }
 
-    /// The unbuffered single-shard hot loop behind [`Session::run`].
-    fn run_single<I>(&mut self, trace: I) -> Result<u64, GcError>
-    where
-        I: IntoIterator<Item = ItemId>,
-    {
-        use crate::core::AccessPhase;
-        // Drain anything buffered by earlier explicit `push` calls so the
-        // per-shard order stays arrival order.
-        self.flush()?;
-        // lint: allow(panic): run_single is only reachable through the
-        // locked-mode constructor path; the engine variant is fixed at build.
-        let core_mutex = &self.rt.engine_locked().expect("locked mode")[0];
-        let fetch = self.fetch;
-        let lookup = self.lookup;
-        let batch = self.batch;
-        let mut served = 0u64;
-        let mut it = trace.into_iter();
-        // The `Shift` + `Inline` combination is the measured hot
-        // configuration; a dedicated loop keeps the window body free of the
-        // deferred-fetch plumbing so the compiler sees one straight-line
-        // access + fetch sequence.
-        if let (BlockLookup::Shift(sh), FetchPath::Inline) = (lookup, fetch) {
-            let backend = self.rt.backend();
-            loop {
-                let mut in_window = 0usize;
-                {
-                    let mut core = core_mutex.lock();
-                    while in_window < batch {
-                        let Some(item) = it.next() else { break };
-                        in_window += 1;
-                        if let AccessPhase::MissNeedsFetch { .. } = core.access(item) {
-                            core.fetch_inline(backend, BlockId(item.0 >> sh), item)?;
-                        }
-                    }
-                }
-                served += in_window as u64;
-                if in_window < batch {
-                    return Ok(served);
-                }
-            }
-        }
-        loop {
-            let mut in_window = 0usize;
-            {
-                let mut core = core_mutex.lock();
-                while in_window < batch {
-                    let Some(item) = it.next() else { break };
-                    in_window += 1;
-                    match core.access(item) {
-                        AccessPhase::Hit { .. } => {}
-                        AccessPhase::MissNeedsFetch { admitted } => {
-                            let block = match lookup {
-                                BlockLookup::Shift(sh) => BlockId(item.0 >> sh),
-                                BlockLookup::Div(s) => BlockId(item.0 / s),
-                                // lint: allow(panic): the fast-path guard
-                                // above admits only Shift/Div lookups.
-                                BlockLookup::Map => unreachable!("fast path is strided-only"),
-                            };
-                            match fetch {
-                                FetchPath::Inline => {
-                                    core.fetch_inline(self.rt.backend(), block, item)?;
-                                }
-                                FetchPath::Coalesced => self.deferred.push(Deferred {
-                                    shard: 0,
-                                    item,
-                                    block,
-                                    admitted,
-                                }),
-                            }
-                        }
-                    }
-                }
-            }
-            if in_window == 0 {
-                break;
-            }
-            served += in_window as u64;
-            self.run_deferred()?;
-            self.fold();
-            if in_window < batch {
-                break;
-            }
-        }
-        Ok(served)
-    }
-
-    /// Serve a compiled trace end to end (including a final flush of the
-    /// tail window). Returns the number of requests served.
-    ///
-    /// The runtime must have been built against the same dense map the
-    /// trace was compiled with (a clone or identical recompilation also
-    /// passes) — dense ids are only meaningful against the map that
-    /// assigned them. Per-request work drops the block lookup (hash or
-    /// division) and the shard hash: both were precomputed at compile
-    /// time, so the hot loop streams flat `(item, block)` pairs and
-    /// routes through one table load. Policy-visible stats are
-    /// bit-identical to [`Session::run`] over the decoded trace on a
-    /// 1-shard runtime, and to the same dense stream at any shard count
-    /// (multi-shard routing hashes block *ids*, which renaming changes).
-    ///
-    /// # Errors
-    ///
-    /// [`GcError::InvalidParameter`] if the runtime's block map is not
-    /// the trace's dense map, or any error surfaced by a flush.
-    pub fn run_compiled(&mut self, compiled: &CompiledTrace) -> Result<u64, GcError> {
-        self.run_compiled_owned(compiled, 0, 1)
-    }
-
     /// Serve, in trace order, exactly the accesses of `compiled` routed to
     /// the shards worker `worker` of `workers` owns (shard `s` belongs to
     /// worker `s % workers`) — one worker's share in
     /// `serve_trace_compiled`. Every shard sees the same subsequence at
     /// any `workers`; `worker == 0`, `workers == 1` replays everything.
+    /// Includes a final flush; returns the number of requests served.
+    ///
+    /// The runtime must have been built against the same dense map the
+    /// trace was compiled with (a clone or identical recompilation also
+    /// passes) — dense ids are only meaningful against the map that
+    /// assigned them. Routing drops the block lookup and the shard hash:
+    /// blocks were precomputed at compile time and routes are one table
+    /// load (a miss still looks its block up in the map, as on every
+    /// path). Policy-visible stats are bit-identical to
+    /// [`Session::run`] over the decoded trace on a 1-shard runtime, and
+    /// to the same dense stream at any shard count (multi-shard routing
+    /// hashes block *ids*, which renaming changes).
+    ///
+    /// # Errors
+    ///
+    /// [`GcError::InvalidParameter`] if the runtime's block map is not
+    /// the trace's dense map, or any error surfaced by a flush.
     pub(crate) fn run_compiled_owned(
         &mut self,
         compiled: &CompiledTrace,
@@ -330,98 +190,25 @@ impl<'rt> Session<'rt> {
                 "compiled trace and runtime were built against different block maps".into(),
             ));
         }
-        // A single locked shard (always worker 0's) runs unbuffered — same
-        // fast path (and flush cadence) as the sparse `run`, but available
-        // for *any* lookup kind since blocks are precomputed.
-        if self.rt.shards() == 1 && self.rt.engine_locked().is_some() {
-            return self.run_single_compiled(compiled);
-        }
         let routes = self
             .rt
             .owned_block_routes(compiled.n_blocks() as usize, worker, workers);
         self.run_routed(compiled, &routes)
     }
 
-    /// The buffered loop behind [`Session::run_compiled_owned`]: one table
-    /// load routes each access, and [`NOT_OWNED`] routes are skipped.
+    /// The loop behind [`Session::run_compiled_owned`]: one table load
+    /// routes each access, and [`NOT_OWNED`] routes are skipped.
     // lint: hot-path
     fn run_routed(&mut self, compiled: &CompiledTrace, routes: &[u32]) -> Result<u64, GcError> {
-        let buffer_blocks = matches!(self.lookup, BlockLookup::Map);
         let mut served = 0u64;
         for a in compiled.accesses() {
             let shard = routes[a.block as usize];
-            if shard == NOT_OWNED {
-                continue;
-            }
-            let shard = shard as usize;
-            self.items[shard].push(ItemId(u64::from(a.item)));
-            if buffer_blocks {
-                self.blocks[shard].push(BlockId(u64::from(a.block)));
-            }
-            self.pending_total += 1;
-            served += 1;
-            if self.pending_total >= self.batch {
-                self.flush()?;
+            if shard != NOT_OWNED {
+                self.enqueue(shard as usize, ItemId(u64::from(a.item)))?;
+                served += 1;
             }
         }
         self.flush()?;
-        Ok(served)
-    }
-
-    /// The unbuffered single-shard hot loop behind
-    /// [`Session::run_compiled`]: one lock per batch window, accesses
-    /// streamed straight off the compiled array with their precomputed
-    /// block ids.
-    // lint: hot-path
-    fn run_single_compiled(&mut self, compiled: &CompiledTrace) -> Result<u64, GcError> {
-        use crate::core::AccessPhase;
-        // Drain anything buffered by earlier explicit `push` calls so the
-        // per-shard order stays arrival order.
-        self.flush()?;
-        // lint: allow(panic): the caller's guard admits locked mode only;
-        // the engine variant is fixed at build.
-        let core_mutex = &self.rt.engine_locked().expect("locked mode")[0];
-        let batch = self.batch.max(1);
-        let mut served = 0u64;
-        match self.fetch {
-            FetchPath::Inline => {
-                let backend = self.rt.backend();
-                for window in compiled.accesses().chunks(batch) {
-                    let mut core = core_mutex.lock();
-                    for a in window {
-                        let item = ItemId(u64::from(a.item));
-                        if let AccessPhase::MissNeedsFetch { .. } = core.access(item) {
-                            core.fetch_inline(backend, BlockId(u64::from(a.block)), item)?;
-                        }
-                    }
-                    served += window.len() as u64;
-                }
-            }
-            FetchPath::Coalesced => {
-                for window in compiled.accesses().chunks(batch) {
-                    {
-                        let mut core = core_mutex.lock();
-                        for a in window {
-                            let item = ItemId(u64::from(a.item));
-                            match core.access(item) {
-                                AccessPhase::Hit { .. } => {}
-                                AccessPhase::MissNeedsFetch { admitted } => {
-                                    self.deferred.push(Deferred {
-                                        shard: 0,
-                                        item,
-                                        block: BlockId(u64::from(a.block)),
-                                        admitted,
-                                    })
-                                }
-                            }
-                        }
-                    }
-                    served += window.len() as u64;
-                    self.run_deferred()?;
-                    self.fold();
-                }
-            }
-        }
         Ok(served)
     }
 
@@ -438,47 +225,24 @@ impl<'rt> Session<'rt> {
             return Ok(());
         }
         if let Some(shards) = self.rt.engine_locked() {
-            let fetch = self.fetch;
-            let lookup = self.lookup;
             for (shard, shard_mutex) in shards.iter().enumerate() {
-                if self.items[shard].is_empty() {
+                let items = &mut self.items[shard];
+                if items.is_empty() {
                     continue;
                 }
                 {
-                    let items = &self.items[shard];
-                    let blocks = &self.blocks[shard];
-                    let deferred = &mut self.deferred;
                     let mut core = shard_mutex.lock();
-                    for (k, &item) in items.iter().enumerate() {
-                        use crate::core::AccessPhase;
-                        match core.access(item) {
-                            AccessPhase::Hit { .. } => {}
-                            AccessPhase::MissNeedsFetch { admitted } => {
-                                // Loop-invariant match: the compiler
-                                // unswitches it; Map is the only arm that
-                                // touches the parallel blocks vec.
-                                let block = match lookup {
-                                    BlockLookup::Shift(sh) => BlockId(item.0 >> sh),
-                                    BlockLookup::Div(s) => BlockId(item.0 / s),
-                                    BlockLookup::Map => blocks[k],
-                                };
-                                match fetch {
-                                    FetchPath::Inline => {
-                                        core.fetch_inline(self.rt.backend(), block, item)?;
-                                    }
-                                    FetchPath::Coalesced => deferred.push(Deferred {
-                                        shard,
-                                        item,
-                                        block,
-                                        admitted,
-                                    }),
-                                }
-                            }
+                    for &item in items.iter() {
+                        if let Served::Deferred { admitted } = core.serve(item)? {
+                            self.deferred.push(Deferred {
+                                shard,
+                                item,
+                                admitted,
+                            });
                         }
                     }
                 }
-                self.items[shard].clear();
-                self.blocks[shard].clear();
+                items.clear();
             }
         } else {
             self.flush_owner()?;
@@ -515,37 +279,24 @@ impl<'rt> Session<'rt> {
         // Collect every outstanding reply before surfacing any error, so
         // the slots stay paired with flushes.
         let mut first_err: Option<GcError> = None;
-        for i in 0..self.sent.len() {
-            let shard = self.sent[i];
+        for &shard in &self.sent {
             let mut job = self.slots[shard].wait();
-            for (k, reply) in job.replies.iter().enumerate() {
+            for (&item, reply) in job.items.iter().zip(&job.replies) {
                 match reply {
-                    BatchReply::Hit { .. } | BatchReply::MissFetched { .. } => {}
-                    BatchReply::MissNeedsFetch { admitted } => {
-                        let item = job.items[k];
-                        let block = match self.lookup {
-                            BlockLookup::Shift(sh) => BlockId(item.0 >> sh),
-                            BlockLookup::Div(s) => BlockId(item.0 / s),
-                            BlockLookup::Map => self.blocks[shard][k],
-                        };
-                        self.deferred.push(Deferred {
-                            shard,
-                            item,
-                            block,
-                            admitted: *admitted,
-                        })
-                    }
-                    BatchReply::MissFailed(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e.clone());
-                        }
+                    Ok(Served::Deferred { admitted }) => self.deferred.push(Deferred {
+                        shard,
+                        item,
+                        admitted: *admitted,
+                    }),
+                    Ok(_) => {}
+                    Err(e) => {
+                        first_err.get_or_insert_with(|| e.clone());
                     }
                 }
             }
             job.items.clear();
             job.replies.clear();
             self.spare[shard] = job;
-            self.blocks[shard].clear();
         }
         match first_err {
             Some(e) => Err(e),
@@ -564,37 +315,29 @@ impl<'rt> Session<'rt> {
             return Ok(());
         }
         self.seen.clear();
-        for i in 0..self.deferred.len() {
-            let Deferred {
-                shard,
-                item,
-                block,
-                admitted,
-            } = self.deferred[i];
+        // Draining empties the queue even when a fetch fails part-way.
+        for Deferred {
+            shard,
+            item,
+            admitted,
+        } in self.deferred.drain(..)
+        {
+            let block = block_of(self.rt.map(), item)?;
             if self.seen.contains_key(&block.0) {
                 // Backend supply was accounted by the fetch that led (or
                 // joined) this block earlier in the flush.
                 self.fetch_local[shard].record_coalesced();
             } else {
-                let outcome = self.rt.coalesced_fetch(
+                self.rt.coalesced_fetch(
                     block,
                     item,
                     admitted,
                     &mut self.fetch_buf,
                     &mut self.fetch_local[shard],
-                );
-                match outcome {
-                    Ok(_) => {
-                        self.seen.insert(block.0, ());
-                    }
-                    Err(e) => {
-                        self.deferred.clear();
-                        return Err(e);
-                    }
-                }
+                )?;
+                self.seen.insert(block.0, ());
             }
         }
-        self.deferred.clear();
         Ok(())
     }
 
@@ -629,7 +372,7 @@ impl Drop for Session<'_> {
 mod tests {
     use super::*;
     use crate::backend::SyntheticBackend;
-    use crate::config::{ExecMode, RuntimeConfig};
+    use crate::config::{ExecMode, FetchPath, RuntimeConfig};
     use gc_policies::PolicyKind;
     use gc_types::BlockMap;
 
@@ -782,7 +525,7 @@ mod tests {
 
             let compiled_rt = build(cfg.clone());
             let mut s = compiled_rt.session();
-            assert_eq!(s.run_compiled(&compiled).unwrap(), 500);
+            assert_eq!(s.run_compiled_owned(&compiled, 0, 1).unwrap(), 500);
             s.finish().unwrap();
 
             assert_eq!(counters(&sparse_rt), counters(&compiled_rt), "{cfg:?}");
@@ -799,5 +542,100 @@ mod tests {
         let mut session = runtime.session();
         assert!(session.push(ItemId(9)).is_err());
         assert!(session.push(ItemId(1)).is_ok());
+    }
+
+    /// Every mode × fetch variant at `shards` shards and batch `batch`.
+    fn variants(shards: usize, batch: usize) -> Vec<RuntimeConfig> {
+        let mut cfgs = Vec::new();
+        for mode in [ExecMode::Locked, ExecMode::Owner] {
+            for fetch in [FetchPath::Coalesced, FetchPath::Inline] {
+                cfgs.push(
+                    RuntimeConfig::new(shards)
+                        .with_mode(mode)
+                        .with_fetch(fetch)
+                        .with_batch(batch),
+                );
+            }
+        }
+        cfgs
+    }
+
+    #[test]
+    fn items_past_a_compiled_map_are_refused_and_the_runtime_keeps_serving() {
+        // 48 blocks of 4 dense items: item 192 and beyond are outside the
+        // universe even though the map has a stride.
+        let trace = gc_types::Trace::from_ids((0..48u64).map(|b| b * 4_000));
+        let compiled = CompiledTrace::compile(&trace, &BlockMap::strided(4)).unwrap();
+        let map = compiled.map().clone();
+        let outside = [ItemId(192), ItemId(1_192), ItemId(u64::MAX)];
+        for shards in [1usize, 2] {
+            for cfg in variants(shards, 8) {
+                let backend = Arc::new(SyntheticBackend::new(map.clone()));
+                let runtime = GcRuntime::with_config(
+                    &PolicyKind::ItemLru,
+                    32,
+                    map.clone(),
+                    cfg.clone(),
+                    backend,
+                )
+                .unwrap();
+                let mut session = runtime.session();
+                for item in outside {
+                    let err = session.push(item).unwrap_err();
+                    assert!(matches!(err, GcError::InvalidParameter(_)), "{cfg:?}");
+                    let err = runtime.session().run([ItemId(0), item]).unwrap_err();
+                    assert!(matches!(err, GcError::InvalidParameter(_)), "{cfg:?}");
+                }
+                assert_eq!(session.pending(), 0, "a refused push queues nothing");
+                // Still serving: the same session, a fresh one, and `get`.
+                session.run((0..100u64).map(ItemId)).unwrap();
+                session.finish().unwrap();
+                let mut fresh = runtime.session();
+                assert_eq!(fresh.run((100..192u64).map(ItemId)).unwrap(), 92);
+                fresh.finish().unwrap();
+                assert!(runtime.get(ItemId(5)).is_ok());
+                // `run([0, bad])` served its valid item on each attempt, or
+                // left it queued in the dropped session.
+                let s = runtime.aggregate_stats();
+                assert!(s.accesses >= 193, "{cfg:?}: {}", s.accesses);
+                assert_eq!(s.misses, s.backend_fetches + s.coalesced_fetches, "{cfg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn pushed_requests_stay_ahead_of_a_compiled_replay() {
+        // A prefix pushed by hand and still pending when the compiled
+        // replay starts must reach the shards first: the result equals one
+        // session pushing every request in order.
+        let map = BlockMap::strided(4);
+        let ids: Vec<u64> = (0..400u64).map(|i| ((i * 37) % 90) * 11).collect();
+        let compiled = CompiledTrace::compile(&gc_types::Trace::from_ids(ids), &map).unwrap();
+        let dense: Vec<ItemId> = compiled.iter_items().collect();
+        for shards in [1usize, 3] {
+            for batch in [1usize, 7, 64] {
+                for cfg in variants(shards, batch) {
+                    let build = || {
+                        let m = compiled.map().clone();
+                        let backend = Arc::new(SyntheticBackend::new(m.clone()));
+                        GcRuntime::with_config(&PolicyKind::BlockLru, 24, m, cfg.clone(), backend)
+                            .unwrap()
+                    };
+                    let want = build();
+                    let mut s = want.session();
+                    s.run(dense[..5].iter().chain(&dense).copied()).unwrap();
+                    s.finish().unwrap();
+
+                    let got = build();
+                    let mut s = got.session();
+                    for &item in &dense[..5] {
+                        s.push(item).unwrap();
+                    }
+                    assert_eq!(s.run_compiled_owned(&compiled, 0, 1).unwrap(), 400);
+                    s.finish().unwrap();
+                    assert_eq!(counters(&got), counters(&want), "{cfg:?}");
+                }
+            }
+        }
     }
 }

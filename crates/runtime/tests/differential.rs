@@ -341,6 +341,60 @@ fn every_shard_matches_engine_on_its_subsequence_at_any_thread_count() {
     }
 }
 
+#[test]
+fn pushed_prefix_then_run_keeps_arrival_order() {
+    // A session that pushes part of the trace by hand and then runs the
+    // rest must serve the whole trace in arrival order, on the sparse map
+    // and on the compiled (dense) one: at 1 shard it equals the engine on
+    // the whole trace, at 3 shards a session that pushed every request.
+    let map = BlockMap::strided(BLOCK_SIZE);
+    let trace = synthetic::zipfian(2048, 0.8, 6_000, 13);
+    let compiled = CompiledTrace::compile(&trace, &map).unwrap();
+    let dense: Trace = compiled.iter_items().collect();
+    let arms = [
+        ("sparse", map, trace),
+        ("dense", compiled.map().clone(), dense),
+    ];
+    for kind in [PolicyKind::BlockLru, PolicyKind::IblpBalanced] {
+        for (label, map, trace) in &arms {
+            let expect = offline(&kind, trace, map);
+            for shards in [1usize, 3] {
+                for cfg in all_configs() {
+                    let cfg = RuntimeConfig { shards, ..cfg };
+                    let serve = |prefix: usize| {
+                        let backend = Arc::new(SyntheticBackend::new(map.clone()));
+                        let rt = GcRuntime::with_config(
+                            &kind,
+                            CAPACITY,
+                            map.clone(),
+                            cfg.clone(),
+                            backend,
+                        )
+                        .unwrap();
+                        let mut session = rt.session();
+                        for item in trace.iter().take(prefix) {
+                            session.push(item).unwrap();
+                        }
+                        session.run(trace.iter().skip(prefix)).unwrap();
+                        session.finish().unwrap();
+                        rt
+                    };
+                    let got = serve(1_001);
+                    if shards == 1 {
+                        assert_eq!(got.drain(), expect, "{kind:?} {label} {cfg:?}");
+                    } else {
+                        assert_eq!(
+                            aggregate_counters(&got),
+                            aggregate_counters(&serve(trace.len())),
+                            "{kind:?} {label} {cfg:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 mod randomized {
     use super::*;
     use testkit::prelude::*;

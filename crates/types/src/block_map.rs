@@ -251,19 +251,19 @@ impl BlockMap {
     }
 
     /// The block containing `item`, or `None` if the item is unknown to an
-    /// explicit map. Strided maps know every item.
+    /// explicit map or past the end of a compiled one. Sparse strided maps
+    /// know every item.
+    ///
+    /// This is the one item → block lookup of the workspace, serving hot
+    /// paths included: a power-of-two stride is a shift, not a division.
     #[inline]
     pub fn try_block_of(&self, item: ItemId) -> Option<BlockId> {
         match &self.repr {
-            Repr::Strided { block_size } => Some(BlockId(item.0 / block_size)),
+            Repr::Strided { block_size } => Some(stride_block(item, *block_size)),
             Repr::Explicit(e) => e.item_to_block.get(&item).copied(),
             Repr::Dense(d) => match &d.layout {
                 DenseLayout::Strided { block_size } => {
-                    if item.0 < d.n_items() {
-                        Some(BlockId(item.0 / block_size))
-                    } else {
-                        None
-                    }
+                    (item.0 < d.n_items()).then(|| stride_block(item, *block_size))
                 }
                 DenseLayout::Csr { item_to_block, .. } => item_to_block
                     .get(item.0 as usize)
@@ -364,9 +364,10 @@ impl BlockMap {
 
     /// The stride of a strided partition (`None` for explicit maps).
     ///
-    /// Hot paths use this to strength-reduce the per-item block lookup:
-    /// a strided map's `block_of` is a division the caller can turn into a
-    /// shift when the stride is a power of two.
+    /// A compiled strided map is bounded even though it has a stride: look
+    /// items up with [`try_block_of`](Self::try_block_of), which checks the
+    /// end of the universe and already shifts for power-of-two strides,
+    /// rather than dividing by the stride yourself.
     #[inline]
     pub fn stride(&self) -> Option<u64> {
         match &self.repr {
@@ -377,6 +378,17 @@ impl BlockMap {
                 DenseLayout::Csr { .. } => None,
             },
         }
+    }
+}
+
+/// `item / stride`, as a shift when the stride is a power of two — on a
+/// serving hot path the division is a measurable share of a request.
+#[inline]
+fn stride_block(item: ItemId, stride: u64) -> BlockId {
+    if stride.is_power_of_two() {
+        BlockId(item.0 >> stride.trailing_zeros())
+    } else {
+        BlockId(item.0 / stride)
     }
 }
 
@@ -457,6 +469,31 @@ mod tests {
         assert_eq!(m.max_block_size(), 4);
         assert_eq!(m.block_len(BlockId(9)), 4);
         assert!(m.num_blocks().is_none());
+    }
+
+    #[test]
+    fn strided_lookup_is_item_over_stride_for_any_stride() {
+        for stride in [1u64, 4, 6, 8, 64] {
+            let m = BlockMap::strided(stride as usize);
+            for id in (0..1_000u64).chain([u64::MAX - 1, u64::MAX]) {
+                assert_eq!(
+                    m.block_of(ItemId(id)),
+                    BlockId(id / stride),
+                    "stride {stride}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_strided_lookup_stops_at_the_end_of_the_universe() {
+        for stride in [4u64, 6] {
+            let decode = Arc::new((0..3 * stride).collect::<Vec<u64>>());
+            let m = BlockMap::dense_strided(stride, decode, Arc::new(vec![0, 1, 2]));
+            assert_eq!(m.try_block_of(ItemId(3 * stride - 1)), Some(BlockId(2)));
+            assert_eq!(m.try_block_of(ItemId(3 * stride)), None);
+            assert_eq!(m.try_block_of(ItemId(1_000_000)), None);
+        }
     }
 
     #[test]

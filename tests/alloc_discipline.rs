@@ -16,9 +16,12 @@
 //! holds the block stores below the runtime to their reuse discipline:
 //! `DiskBackend` encodes into its pending group and reads through a stack
 //! buffer, and `MemBackend` refills the allocation of the block it
-//! displaces. Above them, a `Session` on the coalesced fetch path loads
-//! every miss into its reuse buffer through the single-flight table, which
-//! recycles flights nobody joined, and folds its inline histograms.
+//! displaces. Above them, a `Session` at one shard and at eight takes every
+//! request through its one buffered path: on the inline fetch path the
+//! shard loads each miss into its own reuse buffer, and on the coalesced
+//! one the session loads it into its reuse buffer through the
+//! single-flight table, which recycles flights nobody joined, and folds
+//! its inline histograms.
 
 use gc_cache::gc_runtime::{BlockStore, DiskBackend, MemBackend};
 use gc_cache::prelude::*;
@@ -252,52 +255,56 @@ fn mem_store_staging_past_capacity_is_alloc_free() {
 }
 
 #[test]
-fn coalesced_session_steady_state_is_alloc_free() {
-    // 4 096 blocks of 16 against 1 024 lines over 8 shards: mostly misses,
-    // each led through the flight table, 8 requests per flush.
+fn session_steady_state_is_alloc_free() {
+    // 4 096 blocks of 16 against 1 024 lines: mostly misses, 8 requests
+    // per flush, at one shard and at eight, each miss fetched inline or
+    // led through the flight table.
     let trace = thrash_trace(50_000, 1 << 16);
     let compiled = CompiledTrace::compile(&trace, &BlockMap::strided(16)).unwrap();
     let map = compiled.map().clone();
-    let backends: [(&str, Arc<dyn BlockBackend>); 2] = [
-        (
-            "SyntheticBackend",
-            Arc::new(SyntheticBackend::new(map.clone())),
-        ),
-        (
-            "MemBackend",
-            Arc::new(MemBackend::new(map.clone(), 256).unwrap()),
-        ),
-    ];
-    for (name, backend) in backends {
-        let rt = GcRuntime::with_config(
-            &PolicyKind::IblpBalanced,
-            1024,
-            map.clone(),
-            RuntimeConfig::new(8)
-                .with_fetch(FetchPath::Coalesced)
-                .with_batch(8),
-            backend,
-        )
-        .unwrap();
-        let mut session = rt.session();
-        let window = steady_state_allocations(|| {
-            for a in compiled.accesses() {
-                session.push(ItemId(u64::from(a.item))).unwrap();
+    for shards in [1usize, 8] {
+        for fetch in [FetchPath::Coalesced, FetchPath::Inline] {
+            let backends: [(&str, Arc<dyn BlockBackend>); 2] = [
+                (
+                    "SyntheticBackend",
+                    Arc::new(SyntheticBackend::new(map.clone())),
+                ),
+                (
+                    "MemBackend",
+                    Arc::new(MemBackend::new(map.clone(), 256).unwrap()),
+                ),
+            ];
+            for (name, backend) in backends {
+                let label = format!("{name}, {shards} shards, {fetch} fetch");
+                let rt = GcRuntime::with_config(
+                    &PolicyKind::IblpBalanced,
+                    1024,
+                    map.clone(),
+                    RuntimeConfig::new(shards).with_fetch(fetch).with_batch(8),
+                    backend,
+                )
+                .unwrap();
+                let mut session = rt.session();
+                let window = steady_state_allocations(|| {
+                    for a in compiled.accesses() {
+                        session.push(ItemId(u64::from(a.item))).unwrap();
+                    }
+                    session.flush().unwrap();
+                });
+                drop(session);
+                let stats = rt.aggregate_stats();
+                assert!(
+                    stats.backend_fetches > 2000,
+                    "{label}: window must fetch many blocks, got {}",
+                    stats.backend_fetches
+                );
+                assert_eq!(
+                    window,
+                    0,
+                    "{label}: {window} heap allocations in a steady-state window of {} requests",
+                    compiled.len()
+                );
             }
-            session.flush().unwrap();
-        });
-        drop(session);
-        let stats = rt.aggregate_stats();
-        assert!(
-            stats.backend_fetches > 2000,
-            "{name}: window must lead many fetches, got {}",
-            stats.backend_fetches
-        );
-        assert_eq!(
-            window,
-            0,
-            "{name}: {window} heap allocations in a steady-state window of {} requests",
-            compiled.len()
-        );
+        }
     }
 }
