@@ -9,13 +9,12 @@ use gc_cache::gc_runtime::{
 use gc_cache::gc_types::json::{Json, ToJson, Value};
 use gc_cache::gc_types::{FxHashSet, LatencyHistogram};
 use gc_cache::prelude::*;
-use std::time::Duration;
 
 pub const USAGE: &str = "\
 replay a trace through the concurrent sharded runtime
 --policy <label> --capacity <k> [--shards S] [--threads T]
 [--mode locked|owner] [--batch N] [--fetch coalesced|inline]
-[--queue-depth D] [--backend-latency-us L] [--jitter-us J]
+[--queue-depth D]
 [--backend synthetic[:lat_us[,jit_us]]|mem[:blocks]|
 disk:<path>|tiered:<l1>+<l2>] (disk stores are prepopulated
 with the trace's blocks and recovered on open; tiered L1
@@ -40,8 +39,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         .parse()
         .map_err(|e: GcError| e.to_string())?;
     let queue_depth: usize = args.get_or("queue-depth", 4usize)?;
-    let latency = Duration::from_micros(args.get_or("backend-latency-us", 0u64)?);
-    let jitter = Duration::from_micros(args.get_or("jitter-us", 0u64)?);
 
     // Reject nonsense up front with structured errors. The config
     // builders floor `batch`/`queue_depth` at 1, which would silently
@@ -72,38 +69,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         Err(GcError::InvalidParameter(msg)) => return Err(invalid(format!("--backend: {msg}"))),
         Err(e) => return Err(e.to_string()),
     };
-    let backend_spec = match backend_spec {
-        // The latency flags predate --backend and keep working for the
-        // synthetic backend: an explicit flag overrides the spec's value.
-        BackendSpec::Synthetic {
-            latency: spec_latency,
-            jitter: spec_jitter,
-        } => BackendSpec::Synthetic {
-            latency: if args.get_str("backend-latency-us").is_some() {
-                latency
-            } else {
-                spec_latency
-            },
-            jitter: if args.get_str("jitter-us").is_some() {
-                jitter
-            } else {
-                spec_jitter
-            },
-        },
-        other => {
-            for flag in ["backend-latency-us", "jitter-us"] {
-                if args.get_str(flag).is_some() {
-                    return Err(invalid(format!(
-                        "--{flag} only applies to the synthetic backend; --backend {other} \
-                         models its own latency (drop the flag or use --backend \
-                         synthetic:<lat_us>,<jitter_us>)"
-                    )));
-                }
-            }
-            other
-        }
-    };
-
     let compile = args.switch("compile");
     let json = args.switch("json");
     let Workload { trace, map, .. } = workload(args)?;
@@ -160,6 +125,12 @@ pub fn run(args: &Args) -> Result<(), String> {
     let micros = |h: &LatencyHistogram, q: f64| h.quantile_nanos(q) as f64 / 1_000.0;
 
     if json {
+        // Only the synthetic backend has a configured latency; the others
+        // model their own.
+        let backend_latency_us = match &backend_spec {
+            BackendSpec::Synthetic { latency, .. } => latency.as_micros() as u64,
+            _ => 0,
+        };
         // Ratios and latencies keep the decimal places the report has
         // always had; a float written as is would print all seventeen.
         let fixed = |x: f64, decimals: i32| -> Json {
@@ -206,7 +177,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             ("fetch", fetch.to_string().to_json()),
             ("compiled", Value::Bool(compile).into()),
             ("backend", backend_spec.to_string().to_json()),
-            ("backend_latency_us", (latency.as_micros() as u64).to_json()),
+            ("backend_latency_us", backend_latency_us.to_json()),
             ("requests", report.requests.to_json()),
             ("wall_seconds", fixed(report.wall_seconds, 6)),
             (

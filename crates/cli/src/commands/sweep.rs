@@ -50,7 +50,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         .collect();
     let outcome = if compile {
         let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
-        run_sweep_compiled(&jobs, &compiled, threads)
+        run_sweep_compiled(&jobs, &compiled, threads).map_err(|e| e.to_string())?
     } else {
         let on_error: OnError = match on_error.unwrap_or("fail") {
             // The ingest policy name is accepted here too; cells have no

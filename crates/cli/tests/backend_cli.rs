@@ -4,6 +4,7 @@
 //! telemetry in `serve --json`.
 
 use gc_cache::gc_runtime::{BlockStore, DiskBackend};
+use gc_cache::gc_types::json::Json;
 use gc_cache::gc_types::{BlockId, BlockMap, ItemId};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -100,26 +101,22 @@ fn malformed_backend_specs_are_structured_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The synthetic-only latency flags are refused (naming both flags) when
-/// the backend models its own latency.
+/// The synthetic backend's latency comes from its spec alone, and
+/// `serve --json` reports the spec's value.
 #[test]
-fn latency_flags_are_refused_for_non_synthetic_backends() {
-    for flag in ["--backend-latency-us", "--jitter-us"] {
-        let out = run(&serve_args("mem:64", &[flag, "100"]));
-        assert!(!out.status.success(), "{flag} with mem backend must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("invalid parameter") && stderr.contains(flag),
-            "error must be structured and name {flag}: {stderr}"
-        );
-    }
-    // ...but they still work for the (default) synthetic backend.
-    let out = run(&serve_args("synthetic", &["--backend-latency-us", "10"]));
+fn synthetic_latency_is_reported_from_the_spec() {
+    let out = run(&serve_args("synthetic:50", &["--json"]));
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
-        "synthetic latency flags must keep working: {}",
+        "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let latency = Json::parse(&stdout)
+        .unwrap_or_else(|e| panic!("serve --json must emit valid JSON ({e}): {stdout}"))
+        .get("backend_latency_us")
+        .and_then(Json::as_u64);
+    assert_eq!(latency, Some(50), "{stdout}");
 }
 
 #[test]

@@ -118,8 +118,8 @@ fn sigkill_then_resume_is_bit_identical() {
 
 #[test]
 fn poisoned_cell_under_skip_leaves_survivors_bit_identical() {
-    // Capacity 0 panics in every policy's capacity check — a genuinely
-    // poisoned column through the full production path.
+    // Capacity 0 is below every policy's minimum, so each cell refuses it
+    // — a poisoned column through the full production path.
     let reference = stdout_of(&run(&[
         "sweep",
         "--capacities",

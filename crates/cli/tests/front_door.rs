@@ -319,7 +319,7 @@ fn paper_subcommands_print_their_pinned_rows() {
 /// and not a panic.
 #[test]
 fn undersized_capacities_are_errors_not_panics() {
-    let table: [(&[&str], &str); 4] = [
+    let table: [(&[&str], &str); 6] = [
         (
             &[
                 "simulate",
@@ -351,6 +351,23 @@ fn undersized_capacities_are_errors_not_panics() {
         (
             &["mrc", "--capacity", "16"],
             "cache capacity 16 is below the policy minimum 17",
+        ),
+        // Cell 6 is the first IBLP cell at capacity 16; both engines
+        // refuse it the same way.
+        (
+            &["sweep", "--capacities", "16,64", "--len", "2000"],
+            "cell 6 failed: cache capacity 16 is below the policy minimum 32",
+        ),
+        (
+            &[
+                "sweep",
+                "--capacities",
+                "16,64",
+                "--len",
+                "2000",
+                "--compile",
+            ],
+            "cell 6 failed: cache capacity 16 is below the policy minimum 32",
         ),
     ];
     for (argv, message) in table {

@@ -71,8 +71,8 @@ fn serve_json_satisfies_conservation_laws() {
         "1",
         "--threads",
         "8",
-        "--backend-latency-us",
-        "100",
+        "--backend",
+        "synthetic:100",
         "--workload",
         "zipf",
         "--items",

@@ -75,9 +75,8 @@ pub use gc_types;
 /// The most common imports, for examples and applications.
 pub mod prelude {
     pub use gc_policies::{
-        AdaptiveIblp, BlockFifo, BlockLru, GcPolicy, Gcm, Iblp, IblpConfig, IblpVariant, ItemClock,
-        ItemFifo, ItemLfu, ItemLru, ItemMarking, ItemRandom, LruK, PolicyKind, Slru, ThresholdLoad,
-        TwoQ, WTinyLfu,
+        AdaptiveIblp, BlockFifo, BlockLru, GcPolicy, Gcm, Iblp, IblpConfig, ItemClock, ItemFifo,
+        ItemLfu, ItemLru, ItemRandom, LruK, PolicyKind, Slru, ThresholdLoad, TwoQ, WTinyLfu,
     };
     pub use gc_runtime::{
         serve_trace, serve_trace_compiled, BlockBackend, ExecMode, FetchPath, GcRuntime,

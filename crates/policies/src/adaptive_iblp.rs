@@ -13,29 +13,24 @@
 //! phase-changing workloads the adaptive split tracks the better static
 //! split without knowing it in advance.
 
+use crate::iblp::Iblp;
 use crate::lru_list::LruList;
 use crate::slab::Universe;
 use crate::GcPolicy;
-use gc_types::{AccessKind, AccessScratch, BlockId, BlockMap, ItemId};
+use gc_types::{AccessKind, AccessScratch, BlockMap, ItemId};
 
-/// IBLP with epoch-based ghost-list adaptation of the layer split.
+/// IBLP with epoch-based ghost-list adaptation of the layer split: a
+/// paper-configured [`Iblp`] core, plus the ghost lists and votes.
 #[derive(Clone, Debug)]
 pub struct AdaptiveIblp {
-    capacity: usize,
-    item_size: usize,
+    core: Iblp,
     /// Where `reset` returns the boundary — the construction-time split,
     /// so a seeded policy re-seeds rather than snapping back to even.
     initial_item_size: usize,
-    map: BlockMap,
-    item_layer: LruList,
-    block_layer: LruList,
-    /// Block-layer lines, maintained incrementally (see [`crate::Iblp`]).
-    block_lines: usize,
     /// Recently evicted item-layer items (ids only).
     item_ghost: LruList,
     /// Recently evicted block-layer blocks (ids only).
     block_ghost: LruList,
-    ghost_cap: usize,
     epoch_len: u64,
     accesses_this_epoch: u64,
     grow_item_votes: u64,
@@ -48,8 +43,7 @@ pub struct AdaptiveIblp {
 impl AdaptiveIblp {
     /// An adaptive IBLP of `capacity` lines, starting from an even split.
     pub fn new(capacity: usize, map: BlockMap) -> Self {
-        let item_size = capacity / 2;
-        Self::with_split(capacity, item_size, map)
+        Self::with_split(capacity, capacity / 2, map)
     }
 
     /// An adaptive IBLP seeded at a specific split instead of the even
@@ -75,18 +69,16 @@ impl AdaptiveIblp {
             "seed split i={item_lines} leaves a layer below one block (capacity {capacity}, B {b})"
         );
         let universe = Universe::of(&map);
+        // Both layers are built at `capacity` lines, so either has room to
+        // grow into without reallocating, then cut to the seed split.
+        let mut core = Iblp::new(capacity, capacity, map);
+        core.set_split(item_lines, capacity - item_lines);
         AdaptiveIblp {
-            capacity,
-            item_size: item_lines,
+            core,
             initial_item_size: item_lines,
-            ghost_cap: capacity,
             epoch_len: (4 * capacity as u64).max(64),
-            item_layer: LruList::with_index(capacity, universe.item_index()),
-            block_layer: LruList::with_index(capacity / b, universe.block_index()),
-            block_lines: 0,
             item_ghost: LruList::with_index(capacity, universe.item_index()),
             block_ghost: LruList::with_index(capacity, universe.block_index()),
-            map,
             accesses_this_epoch: 0,
             grow_item_votes: 0,
             grow_block_votes: 0,
@@ -96,43 +88,24 @@ impl AdaptiveIblp {
 
     /// Current item-layer size (lines).
     pub fn item_layer_size(&self) -> usize {
-        self.item_size
+        self.core.item_layer_size()
     }
 
     /// Current block-layer size (lines).
     pub fn block_layer_size(&self) -> usize {
-        self.capacity - self.item_size
+        self.core.block_layer_size()
     }
 
-    fn block_slots(&self) -> usize {
-        self.block_layer_size() / self.map.max_block_size()
-    }
-
-    /// Shrink layers into their budgets after a boundary move, recording
-    /// overall evictions.
-    fn enforce_budgets(&mut self, evicted: &mut Vec<ItemId>) {
-        while self.item_layer.len() > self.item_size {
-            let victim = ItemId(self.item_layer.evict_lru().expect("nonempty"));
-            self.item_ghost.touch(victim.0);
-            if !self.block_layer.contains(self.map.block_of(victim).0) {
-                evicted.push(victim);
-            }
+    /// Record an item-layer victim, if any, in the item ghost (which holds
+    /// `capacity` ids), and in `evicted` if it left the cache.
+    fn ghost_item(&mut self, victim: Option<(ItemId, bool)>, evicted: &mut Vec<ItemId>) {
+        let Some((victim, left)) = victim else { return };
+        self.item_ghost.touch(victim.0);
+        if left {
+            evicted.push(victim);
         }
-        while self.block_layer.len() > self.block_slots() {
-            let victim = BlockId(self.block_layer.evict_lru().expect("nonempty"));
-            self.block_lines -= self.map.block_len(victim);
-            self.block_ghost.touch(victim.0);
-            for z in self.map.items_of(victim) {
-                if !self.item_layer.contains(z.0) {
-                    evicted.push(z);
-                }
-            }
-        }
-        while self.item_ghost.len() > self.ghost_cap {
+        if self.item_ghost.len() > self.core.capacity() {
             self.item_ghost.evict_lru();
-        }
-        while self.block_ghost.len() > self.ghost_cap {
-            self.block_ghost.evict_lru();
         }
     }
 
@@ -141,16 +114,27 @@ impl AdaptiveIblp {
         if self.accesses_this_epoch < self.epoch_len {
             return;
         }
-        let b = self.map.max_block_size();
-        if self.grow_item_votes > self.grow_block_votes && self.item_size + b <= self.capacity - b {
-            self.item_size += b;
-        } else if self.grow_block_votes > self.grow_item_votes && self.item_size >= 2 * b {
-            self.item_size -= b;
+        let b = self.core.map().max_block_size();
+        let (i, k) = (self.core.item_layer_size(), self.core.capacity());
+        if self.grow_item_votes > self.grow_block_votes && i + b <= k - b {
+            self.core.set_split(i + b, k - i - b);
+        } else if self.grow_block_votes > self.grow_item_votes && i >= 2 * b {
+            self.core.set_split(i - b, k - i + b);
         }
         self.accesses_this_epoch = 0;
         self.grow_item_votes = 0;
         self.grow_block_votes = 0;
-        self.enforce_budgets(evicted);
+        // Shrink both layers into their new budgets, recording overall
+        // evictions.
+        while let Some(victim) = self.core.evict_item_overflow() {
+            self.ghost_item(Some(victim), evicted);
+        }
+        while let Some(victim) = self.core.evict_block_overflow(evicted) {
+            self.block_ghost.touch(victim.0);
+        }
+        while self.block_ghost.len() > self.core.capacity() {
+            self.block_ghost.evict_lru();
+        }
     }
 }
 
@@ -158,85 +142,60 @@ impl GcPolicy for AdaptiveIblp {
     fn name(&self) -> String {
         format!(
             "AdaptiveIBLP(k={},i={},B={})",
-            self.capacity,
-            self.item_size,
-            self.map.max_block_size()
+            self.core.capacity(),
+            self.core.item_layer_size(),
+            self.core.map().max_block_size()
         )
     }
 
     fn capacity(&self) -> usize {
-        self.capacity
+        self.core.capacity()
     }
 
     fn len(&self) -> usize {
-        self.item_layer.len() + self.block_lines
+        self.core.len()
     }
 
     fn contains(&self, item: ItemId) -> bool {
-        self.item_layer.contains(item.0)
-            || self
-                .map
-                .try_block_of(item)
-                .is_some_and(|b| self.block_layer.contains(b.0))
+        self.core.contains(item)
     }
 
     // lint: hot-path
     fn access_into(&mut self, item: ItemId, out: &mut AccessScratch) -> AccessKind {
-        let block = self.map.block_of(item);
         // Epoch-boundary evictions accumulate in the policy-owned `pending`
         // buffer (taken and restored, so its allocation is reused) and are
-        // folded into the next miss's report.
+        // folded into the next miss's report, as are the evictions of a
+        // promotion on a hit (the access itself is still a hit).
         let mut pending = std::mem::take(&mut self.pending);
         self.maybe_adapt(&mut pending);
-
-        if self.item_layer.contains(item.0) {
-            self.item_layer.touch(item.0);
-            // Epoch evictions that coincide with a hit are folded into the
-            // next miss's report (the access itself is still a hit).
-            self.pending = pending;
-            return AccessKind::Hit;
-        }
-        if self.block_layer.contains(block.0) {
-            self.block_layer.touch(block.0);
-            self.item_layer.touch(item.0);
-            self.enforce_item_overflow(&mut pending);
-            self.pending = pending;
-            return AccessKind::Hit;
-        }
+        let block = match self.core.hit(item) {
+            Ok(victim) => {
+                self.ghost_item(victim, &mut pending);
+                self.pending = pending;
+                return AccessKind::Hit;
+            }
+            Err(block) => block,
+        };
 
         // Overall miss: ghost votes first.
-        if self.item_ghost.contains(item.0) {
-            self.item_ghost.remove(item.0);
+        if self.item_ghost.remove(item.0) {
             self.grow_item_votes += 1;
         }
-        if self.block_ghost.contains(block.0) {
-            self.block_ghost.remove(block.0);
+        if self.block_ghost.remove(block.0) {
             self.grow_block_votes += 1;
         }
 
         out.clear();
-        for z in self.map.items_of(block) {
-            if !self.item_layer.contains(z.0) {
-                out.loaded.push(z);
-            }
-        }
+        self.core.load_block(block, &mut out.loaded);
         let had_pending = !pending.is_empty();
         out.evicted.append(&mut pending);
         self.pending = pending;
-        self.block_layer.touch(block.0);
-        self.block_lines += self.map.block_len(block);
-        if self.block_layer.len() > self.block_slots() {
-            let victim = BlockId(self.block_layer.evict_lru().expect("nonempty"));
-            self.block_lines -= self.map.block_len(victim);
+        // The block ghost is trimmed only at epoch boundaries.
+        if let Some(victim) = self.core.evict_block_overflow(&mut out.evicted) {
             self.block_ghost.touch(victim.0);
-            for z in self.map.items_of(victim) {
-                if !self.item_layer.contains(z.0) {
-                    out.evicted.push(z);
-                }
-            }
         }
-        self.item_layer.touch(item.0);
-        self.enforce_item_overflow(&mut out.evicted);
+        let victim = self.core.promote(item);
+        self.ghost_item(victim, &mut out.evicted);
         // Epoch-boundary evictions may have been undone by this access
         // reloading the same block; report only what is really gone, once.
         // This access's own evictions are distinct and non-resident: the
@@ -255,31 +214,15 @@ impl GcPolicy for AdaptiveIblp {
     }
 
     fn reset(&mut self) {
-        self.item_layer.clear();
-        self.block_layer.clear();
-        self.block_lines = 0;
+        self.core.reset();
+        let i = self.initial_item_size;
+        self.core.set_split(i, self.core.capacity() - i);
         self.item_ghost.clear();
         self.block_ghost.clear();
-        self.item_size = self.initial_item_size;
         self.accesses_this_epoch = 0;
         self.grow_item_votes = 0;
         self.grow_block_votes = 0;
         self.pending.clear();
-    }
-}
-
-impl AdaptiveIblp {
-    fn enforce_item_overflow(&mut self, evicted: &mut Vec<ItemId>) {
-        while self.item_layer.len() > self.item_size {
-            let victim = ItemId(self.item_layer.evict_lru().expect("nonempty"));
-            self.item_ghost.touch(victim.0);
-            if !self.block_layer.contains(self.map.block_of(victim).0) {
-                evicted.push(victim);
-            }
-        }
-        while self.item_ghost.len() > self.ghost_cap {
-            self.item_ghost.evict_lru();
-        }
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::{
     AdaptiveIblp, BlockFifo, BlockLru, GcPolicy, Gcm, Iblp, ItemClock, ItemFifo, ItemLfu, ItemLru,
-    ItemMarking, ItemRandom, LruK, Slru, ThresholdLoad, TwoQ, Universe, WTinyLfu,
+    ItemRandom, LruK, Slru, ThresholdLoad, TwoQ, Universe, WTinyLfu,
 };
 use gc_types::{BlockMap, GcError};
 use std::fmt;
@@ -28,7 +28,7 @@ pub enum PolicyKind {
         /// RNG seed.
         seed: u64,
     },
-    /// [`ItemMarking`] with an RNG seed.
+    /// Classic marking: [`Gcm`] with no co-loads, with an RNG seed.
     ItemMarking {
         /// RNG seed.
         seed: u64,
@@ -114,7 +114,7 @@ impl PolicyKind {
                 Box::new(ItemRandom::with_universe(capacity, seed, &universe))
             }
             PolicyKind::ItemMarking { seed } => {
-                Box::new(ItemMarking::with_universe(capacity, seed, &universe))
+                Box::new(Gcm::with_coload_limit(capacity, map.clone(), seed, 0))
             }
             PolicyKind::BlockLru => Box::new(BlockLru::new(capacity, map.clone())),
             PolicyKind::BlockFifo => Box::new(BlockFifo::new(capacity, map.clone())),

@@ -12,6 +12,10 @@
 //! * in the common case where fewer than `B` unmarked lines remain, the
 //!   requested item is loaded and the remaining unmarked lines are
 //!   *replaced by* randomly chosen items of the accessed block.
+//!
+//! Without guests (`coload_limit == 0`) GCM is the classic marking
+//! algorithm of Fiat et al. (`item-marking`), which §6.1 shows pays a
+//! factor `B` on block-streaming traces.
 
 use crate::slab::{KeyIndex, KeySet, Universe};
 use crate::GcPolicy;
@@ -93,16 +97,6 @@ impl Gcm {
         }
     }
 
-    /// The configured co-load limit.
-    pub fn coload_limit(&self) -> usize {
-        self.coload_limit
-    }
-
-    /// Number of currently marked items (for diagnostics/tests).
-    pub fn marked_count(&self) -> usize {
-        self.marked.len()
-    }
-
     fn resident(&self, item: ItemId) -> bool {
         self.marked.contains(item.0) || self.unmarked_pos.contains(item.0)
     }
@@ -155,7 +149,9 @@ impl Gcm {
 impl GcPolicy for Gcm {
     fn name(&self) -> String {
         let b = self.map.max_block_size();
-        if self.coload_limit >= b.saturating_sub(1) {
+        if self.coload_limit == 0 {
+            format!("ItemMarking(k={})", self.capacity)
+        } else if self.coload_limit >= b.saturating_sub(1) {
             format!("GCM(k={},B={b})", self.capacity)
         } else {
             format!("GCM(k={},B={b},j={})", self.capacity, self.coload_limit)
@@ -174,6 +170,7 @@ impl GcPolicy for Gcm {
         self.resident(item)
     }
 
+    // lint: hot-path
     fn access_into(&mut self, item: ItemId, out: &mut AccessScratch) -> AccessKind {
         // Resident: mark (promote out of the unmarked pool) and hit.
         if self.marked.contains(item.0) {
@@ -188,15 +185,19 @@ impl GcPolicy for Gcm {
         // item evicted to make room is never re-loaded in the same access
         // (which would corrupt the load/evict accounting). The snapshot
         // lives in a policy-owned buffer; steady state never reallocates.
-        let block = self.map.block_of(item);
+        // Classic marking (`coload_limit == 0`) loads no guest, so it takes
+        // no snapshot and draws nothing from the RNG for one.
         let mut co = std::mem::take(&mut self.co_buf);
         co.clear();
-        co.extend(
-            self.map
-                .items_of(block)
-                .filter(|&z| z != item && !self.resident(z)),
-        );
-        self.rng.shuffle(&mut co);
+        if self.coload_limit > 0 {
+            let block = self.map.block_of(item);
+            co.extend(
+                self.map
+                    .items_of(block)
+                    .filter(|&z| z != item && !self.resident(z)),
+            );
+            self.rng.shuffle(&mut co);
+        }
 
         // Miss: make room for the requested item, insert it marked.
         out.clear();
@@ -256,10 +257,10 @@ mod tests {
         let r = c.access(ItemId(0));
         assert!(r.is_miss());
         assert_eq!(r.loaded().len(), 4, "whole block co-loads");
-        assert_eq!(c.marked_count(), 1, "only the request is marked");
+        assert_eq!(c.marked.len(), 1, "only the request is marked");
         // Sibling hits are spatial hits and mark the sibling.
         assert!(c.access(ItemId(1)).is_hit());
-        assert_eq!(c.marked_count(), 2);
+        assert_eq!(c.marked.len(), 2);
     }
 
     #[test]
@@ -279,7 +280,7 @@ mod tests {
         assert!(c.contains(ItemId(0)) && c.contains(ItemId(1)) && c.contains(ItemId(2)));
         assert!(c.contains(ItemId(4)));
         assert_eq!(c.len(), 4);
-        assert_eq!(c.marked_count(), 4);
+        assert_eq!(c.marked.len(), 4);
     }
 
     #[test]
@@ -292,7 +293,7 @@ mod tests {
         assert_eq!(r.evicted().len(), 1);
         assert_eq!(c.len(), 2);
         // After the reset, 3 is marked; the surviving old item is unmarked.
-        assert_eq!(c.marked_count(), 1);
+        assert_eq!(c.marked.len(), 1);
     }
 
     #[test]
@@ -321,7 +322,7 @@ mod tests {
         let r = c.access(ItemId(4));
         assert!(r.is_miss());
         assert_eq!(c.len(), 6, "cache exactly full");
-        assert!(c.marked_count() >= 5);
+        assert!(c.marked.len() >= 5);
         // Guests loaded = min(3 co-items, free=1 + unmarked=0… after insert)
         assert!(r.loaded().len() >= 2);
     }
@@ -368,7 +369,8 @@ mod tests {
             let r = c.access(ItemId(id));
             assert_eq!(r.loaded().len(), 1, "classic marking never co-loads");
         }
-        assert!(c.name().contains("j=0"));
+        // Without guests GCM is the classic marking algorithm, and says so.
+        assert_eq!(c.name(), "ItemMarking(k=8)");
     }
 
     #[test]
@@ -376,7 +378,7 @@ mod tests {
         let mut c = Gcm::with_coload_limit(16, map4(), 4, 2);
         let r = c.access(ItemId(0));
         assert!(r.loaded().len() <= 3, "request + at most 2 guests");
-        assert_eq!(c.coload_limit(), 2);
+        assert_eq!(c.coload_limit, 2);
     }
 
     #[test]
@@ -407,10 +409,9 @@ mod tests {
 
     #[test]
     fn beats_plain_marking_on_streaming() {
-        use crate::item::ItemMarking;
         let map = BlockMap::strided(8);
-        let mut gcm = Gcm::new(32, map, 8);
-        let mut plain = ItemMarking::new(32, 8);
+        let mut gcm = Gcm::new(32, map.clone(), 8);
+        let mut plain = Gcm::with_coload_limit(32, map, 8, 0);
         let mut gcm_misses = 0;
         let mut plain_misses = 0;
         for id in 0..4000u64 {

@@ -8,14 +8,21 @@
 //!   accesses that *miss* in the item layer, loading and evicting whole
 //!   blocks (spatial locality).
 //!
-//! Two design subtleties from §5.1 are honored here:
+//! Three design choices from §5.1 are honored here:
 //!
 //! 1. **Ordering** — item-layer hits do *not* touch the block layer's LRU
 //!    list, so a block with one hot item cannot pin itself in the block
 //!    layer and pollute it.
-//! 2. **Neither inclusive nor exclusive** — an item may occupy a line in
+//! 2. **Promotion** — every access loads the requested item into the item
+//!    layer, so temporal reuse is served there and stops perturbing the
+//!    block layer.
+//! 3. **Neither inclusive nor exclusive** — an item may occupy a line in
 //!    both layers at once; each copy consumes one line of its layer's
 //!    budget, exactly like a real partitioned cache.
+//!
+//! [`IblpConfig`] switches off the first two, one at a time, for the
+//! ablation tests below. [`AdaptiveIblp`](crate::AdaptiveIblp) drives the
+//! layer steps here and only moves the split.
 //!
 //! Theorem 7 bounds IBLP's competitive ratio; `gc-bounds` has the closed
 //! forms and the §5.3 optimal split.
@@ -24,6 +31,43 @@ use crate::lru_list::LruList;
 use crate::slab::Universe;
 use crate::GcPolicy;
 use gc_types::{AccessKind, AccessScratch, BlockId, BlockMap, ItemId};
+
+/// Switches for the first two §5.1 design choices of [`Iblp`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IblpConfig {
+    /// If `true`, an item-layer hit also touches the block's LRU entry —
+    /// the pollution mistake §5.1 warns against.
+    pub touch_block_on_item_hit: bool,
+    /// If `false`, block-layer hits do not promote the item into the item
+    /// layer (temporal reuse keeps hammering the block layer).
+    pub promote_on_block_hit: bool,
+}
+
+impl IblpConfig {
+    /// The paper's design (what [`Iblp::new`] builds).
+    pub fn paper() -> Self {
+        IblpConfig {
+            touch_block_on_item_hit: false,
+            promote_on_block_hit: true,
+        }
+    }
+
+    /// Ablation 1: item hits refresh block recency.
+    pub fn block_touching() -> Self {
+        IblpConfig {
+            touch_block_on_item_hit: true,
+            ..Self::paper()
+        }
+    }
+
+    /// Ablation 2: no promotion on block-layer hits.
+    pub fn no_promotion() -> Self {
+        IblpConfig {
+            promote_on_block_hit: false,
+            ..Self::paper()
+        }
+    }
+}
 
 /// The IBLP policy. See the module docs for semantics.
 ///
@@ -38,6 +82,7 @@ use gc_types::{AccessKind, AccessScratch, BlockId, BlockMap, ItemId};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Iblp {
+    config: IblpConfig,
     item_size: usize,
     block_size_lines: usize,
     block_slots: usize,
@@ -56,21 +101,31 @@ impl Iblp {
     /// # Panics
     /// Panics if `item_size == 0` or the block layer cannot hold one block.
     pub fn new(item_size: usize, block_size_lines: usize, map: BlockMap) -> Self {
+        Self::with_config(item_size, block_size_lines, map, IblpConfig::paper())
+    }
+
+    /// [`new`](Self::new) with the §5.1 design choices set by `config`.
+    pub fn with_config(
+        item_size: usize,
+        block_size_lines: usize,
+        map: BlockMap,
+        config: IblpConfig,
+    ) -> Self {
         assert!(item_size > 0, "item layer must hold at least one item");
         let b = map.max_block_size();
         assert!(
             block_size_lines >= b,
             "block layer of {block_size_lines} lines cannot hold a block of {b} items"
         );
-        let block_slots = block_size_lines / b;
         let universe = Universe::of(&map);
         Iblp {
+            config,
             item_size,
             block_size_lines,
-            block_slots,
-            map,
+            block_slots: block_size_lines / b,
             item_layer: LruList::with_index(item_size, universe.item_index()),
-            block_layer: LruList::with_index(block_slots, universe.block_index()),
+            block_layer: LruList::with_index(block_size_lines / b, universe.block_index()),
+            map,
             block_lines: 0,
         }
     }
@@ -92,34 +147,115 @@ impl Iblp {
         self.block_size_lines
     }
 
-    /// Whether the block layer currently holds `block`.
-    pub fn block_resident(&self, block: BlockId) -> bool {
-        self.block_layer.contains(block.0)
+    pub(crate) fn map(&self) -> &BlockMap {
+        &self.map
     }
 
-    /// Promote `item` into the item layer, returning an item evicted from
-    /// the cache as a whole (one that the block layer does not cover).
-    fn promote(&mut self, item: ItemId) -> Option<ItemId> {
-        self.item_layer.touch(item.0);
-        if self.item_layer.len() > self.item_size {
-            let victim = ItemId(self.item_layer.evict_lru().expect("nonempty"));
-            let covered = self.block_layer.contains(self.map.block_of(victim).0);
-            if !covered {
-                return Some(victim);
+    /// Resize the layers to `item_size` and `block_size_lines` lines; the
+    /// caller drains a shrunk layer with its `evict_*_overflow` step.
+    pub(crate) fn set_split(&mut self, item_size: usize, block_size_lines: usize) {
+        self.item_size = item_size;
+        self.block_size_lines = block_size_lines;
+        self.block_slots = block_size_lines / self.map.max_block_size();
+    }
+
+    /// Serve `item` if either layer holds it: `Ok` with the victim of the
+    /// hit's promotion, if any, or `Err` with the item's block on a miss.
+    /// The §5.1 switches are read here and nowhere else.
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn hit(&mut self, item: ItemId) -> Result<Option<(ItemId, bool)>, BlockId> {
+        // Item-layer hit: serve without disturbing the block layer.
+        if self.item_layer.contains(item.0) {
+            self.item_layer.touch(item.0);
+            if self.config.touch_block_on_item_hit {
+                let block = self.map.block_of(item);
+                if self.block_layer.contains(block.0) {
+                    self.block_layer.touch(block.0);
+                }
+            }
+            return Ok(None);
+        }
+        // Block-layer hit: refresh the block's recency, promote the item.
+        let block = self.map.block_of(item);
+        if !self.block_layer.contains(block.0) {
+            return Err(block);
+        }
+        self.block_layer.touch(block.0);
+        Ok(if self.config.promote_on_block_hit {
+            self.promote(item)
+        } else {
+            None
+        })
+    }
+
+    /// Load `block` into the block layer, reporting on `loaded` only the
+    /// items the item layer does not already hold.
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn load_block(&mut self, block: BlockId, loaded: &mut Vec<ItemId>) {
+        for z in self.map.items_of(block) {
+            if !self.item_layer.contains(z.0) {
+                loaded.push(z);
             }
         }
-        None
+        self.block_layer.touch(block.0);
+        self.block_lines += self.map.block_len(block);
+    }
+
+    /// Evict and return the block layer's LRU block if the layer is over
+    /// budget, reporting on `evicted` only its items the item layer lacks.
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn evict_block_overflow(&mut self, evicted: &mut Vec<ItemId>) -> Option<BlockId> {
+        if self.block_layer.len() <= self.block_slots {
+            return None;
+        }
+        let victim = BlockId(self.block_layer.evict_lru().expect("nonempty"));
+        self.block_lines -= self.map.block_len(victim);
+        for z in self.map.items_of(victim) {
+            if !self.item_layer.contains(z.0) {
+                evicted.push(z);
+            }
+        }
+        Some(victim)
+    }
+
+    /// Touch `item` into the item layer, then evict its overflow.
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn promote(&mut self, item: ItemId) -> Option<(ItemId, bool)> {
+        self.item_layer.touch(item.0);
+        self.evict_item_overflow()
+    }
+
+    /// Evict the item layer's LRU item if the layer is over budget, with
+    /// whether it left the cache (no copy of its block in the block layer).
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn evict_item_overflow(&mut self) -> Option<(ItemId, bool)> {
+        if self.item_layer.len() <= self.item_size {
+            return None;
+        }
+        let victim = ItemId(self.item_layer.evict_lru().expect("nonempty"));
+        let covered = self.block_layer.contains(self.map.block_of(victim).0);
+        Some((victim, !covered))
     }
 }
 
 impl GcPolicy for Iblp {
     fn name(&self) -> String {
-        format!(
-            "IBLP(i={},b={},B={})",
-            self.item_size,
-            self.block_size_lines,
-            self.map.max_block_size()
-        )
+        let (i, lines) = (self.item_size, self.block_size_lines);
+        let b = self.map.max_block_size();
+        let IblpConfig {
+            touch_block_on_item_hit: touch,
+            promote_on_block_hit: promote,
+        } = self.config;
+        if self.config == IblpConfig::paper() {
+            format!("IBLP(i={i},b={lines},B={b})")
+        } else {
+            format!("IBLP(i={i},b={lines},B={b},touch={touch},promote={promote})")
+        }
     }
 
     fn capacity(&self) -> usize {
@@ -141,46 +277,20 @@ impl GcPolicy for Iblp {
                 .is_some_and(|b| self.block_layer.contains(b.0))
     }
 
+    // lint: hot-path
     fn access_into(&mut self, item: ItemId, out: &mut AccessScratch) -> AccessKind {
-        // Item-layer hit: serve without disturbing the block layer (§5.1).
-        if self.item_layer.contains(item.0) {
-            self.item_layer.touch(item.0);
-            return AccessKind::Hit;
-        }
-
-        let block = self.map.block_of(item);
-
-        // Block-layer hit: refresh the block's recency, promote the item.
-        if self.block_layer.contains(block.0) {
-            self.block_layer.touch(block.0);
-            let _ = self.promote(item);
-            return AccessKind::Hit;
-        }
-
+        // A hit carries no payload, so a promotion's victim goes unreported.
+        let block = match self.hit(item) {
+            Ok(_) => return AccessKind::Hit,
+            Err(block) => block,
+        };
         // Overall miss: load the whole block into the block layer.
-        // Items of the block already held by the item layer were resident
-        // before, so they are not part of `loaded`.
         out.clear();
-        for z in self.map.items_of(block) {
-            if !self.item_layer.contains(z.0) {
-                out.loaded.push(z);
-            }
-        }
+        self.load_block(block, &mut out.loaded);
         debug_assert!(out.loaded.contains(&item));
-
-        self.block_layer.touch(block.0);
-        self.block_lines += self.map.block_len(block);
-        if self.block_layer.len() > self.block_slots {
-            let victim = BlockId(self.block_layer.evict_lru().expect("nonempty"));
-            debug_assert_ne!(victim, block, "just-loaded block cannot be LRU");
-            self.block_lines -= self.map.block_len(victim);
-            for z in self.map.items_of(victim) {
-                if !self.item_layer.contains(z.0) {
-                    out.evicted.push(z);
-                }
-            }
-        }
-        if let Some(victim) = self.promote(item) {
+        let victim = self.evict_block_overflow(&mut out.evicted);
+        debug_assert_ne!(victim, Some(block), "just-loaded block cannot be LRU");
+        if let Some((victim, true)) = self.promote(item) {
             out.evicted.push(victim);
         }
         AccessKind::Miss
@@ -196,6 +306,7 @@ impl GcPolicy for Iblp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gc_types::Trace;
 
     fn map4() -> BlockMap {
         BlockMap::strided(4)
@@ -227,8 +338,8 @@ mod tests {
         let r = c.access(ItemId(8)); // block 2
         assert!(r.is_miss());
         // Block 0 was LRU in the block layer despite the hot item.
-        assert!(!c.block_resident(BlockId(0)));
-        assert!(c.block_resident(BlockId(1)));
+        assert!(!c.block_layer.contains(0));
+        assert!(c.block_layer.contains(1));
         // Item 0 survives in the item layer.
         assert!(c.contains(ItemId(0)));
     }
@@ -370,6 +481,134 @@ mod tests {
             let pre = c.contains(ItemId(id));
             let r = c.access(ItemId(id));
             assert_eq!(pre, r.is_hit(), "at {id}");
+        }
+    }
+
+    fn misses(policy: &mut dyn GcPolicy, trace: &Trace) -> u64 {
+        trace.iter().filter(|&i| policy.access(i).is_miss()).count() as u64
+    }
+
+    /// The §5.1 pollution trace: one block with a single hot item that is
+    /// hammered between accesses to streaming blocks. If item hits refresh
+    /// block recency, the hot item's mostly-useless block pins a block slot.
+    fn pollution_trace(b: u64, blocks: u64, rounds: u64) -> Trace {
+        let mut t = Trace::new();
+        for round in 0..rounds {
+            // Hot item from block 0 (only item 0 is ever used there).
+            for _ in 0..b {
+                t.push(ItemId(0));
+            }
+            // Stream a handful of fully-used blocks (cycled).
+            let blk = 1 + (round % blocks);
+            for off in 0..b {
+                t.push(ItemId(blk * b + off));
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn paper_config_matches_canonical_iblp() {
+        let map = BlockMap::strided(4);
+        let trace = pollution_trace(4, 6, 300);
+        let mut canonical = Iblp::new(8, 8, map.clone());
+        let mut variant = Iblp::with_config(8, 8, map, IblpConfig::paper());
+        for item in trace.iter() {
+            assert_eq!(
+                canonical.access(item).is_hit(),
+                variant.access(item).is_hit(),
+                "diverged at {item}"
+            );
+        }
+    }
+
+    #[test]
+    fn ablation_block_touching_hurts_on_pollution_trace() {
+        // With touching, the hot item's block stays MRU in the block layer
+        // and the streaming blocks thrash in the remaining slot(s).
+        let map = BlockMap::strided(4);
+        let trace = pollution_trace(4, 3, 500);
+        let mut paper = Iblp::with_config(4, 8, map.clone(), IblpConfig::paper());
+        let mut spoiled = Iblp::with_config(4, 8, map, IblpConfig::block_touching());
+        let m_paper = misses(&mut paper, &trace);
+        let m_spoiled = misses(&mut spoiled, &trace);
+        assert!(
+            m_paper <= m_spoiled,
+            "paper {m_paper} should not lose to block-touching {m_spoiled}"
+        );
+    }
+
+    #[test]
+    fn ablation_no_promotion_loses_block_hit_reuse() {
+        // The promotion path matters when an item's first touch is a
+        // block-layer hit (a co-load) and the block then leaves the block
+        // layer: with promotion the item survives in the item layer; without
+        // it the next access misses. Micro-scenario with B = 4, 2 block
+        // slots, item layer of 8:
+        let map = BlockMap::strided(4);
+        let trace = Trace::from_ids([
+            1, // miss: loads block 0, promotes item 1
+            0, // BLOCK-LAYER hit on a co-load — the config decision point
+            4, // miss: block 1
+            8, // miss: block 2 — evicts block 0 from the block layer
+            0, // promoted ⇒ item-layer hit; unpromoted ⇒ miss
+        ]);
+        let mut paper = Iblp::with_config(8, 8, map.clone(), IblpConfig::paper());
+        let mut spoiled = Iblp::with_config(8, 8, map, IblpConfig::no_promotion());
+        assert_eq!(misses(&mut paper, &trace), 3);
+        assert_eq!(misses(&mut spoiled, &trace), 4, "lost the reuse of item 0");
+    }
+
+    #[test]
+    fn promotion_tradeoff_stream_pollution_is_real() {
+        // The flip side §5.1 accepts: promoting *every* access lets
+        // streaming items churn a tiny item layer. With a hot item whose
+        // reuse distance spans a whole streamed block, the paper config
+        // pays for its choice — documenting that the design is a trade-off,
+        // not a free lunch (the item layer must be sized for the hot set).
+        let map = BlockMap::strided(8);
+        let mut trace = Trace::new();
+        for round in 0..200u64 {
+            trace.push(ItemId(0));
+            let blk = 1 + (round % 2);
+            for off in 0..8 {
+                trace.push(ItemId(blk * 8 + off));
+            }
+        }
+        let mut tiny = Iblp::with_config(2, 16, map.clone(), IblpConfig::paper());
+        let mut sized = Iblp::with_config(16, 16, map, IblpConfig::paper());
+        let m_tiny = misses(&mut tiny, &trace);
+        let m_sized = misses(&mut sized, &trace);
+        assert!(
+            m_sized < m_tiny / 2,
+            "sizing the item layer for the hot set must pay off: {m_sized} vs {m_tiny}"
+        );
+    }
+
+    #[test]
+    fn invariants_hold_for_all_configs() {
+        for config in [
+            IblpConfig::paper(),
+            IblpConfig::block_touching(),
+            IblpConfig::no_promotion(),
+        ] {
+            let map = BlockMap::strided(4);
+            let mut c = Iblp::with_config(6, 8, map, config);
+            let mut x = 11u64;
+            for _ in 0..2000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let item = ItemId(x % 48);
+                let pre = c.contains(item);
+                let r = c.access(item);
+                assert_eq!(pre, r.is_hit(), "{config:?}");
+                assert!(c.contains(item));
+                assert!(c.len() <= c.capacity());
+                for e in r.evicted() {
+                    assert!(!c.contains(*e), "{config:?}: zombie {e}");
+                }
+            }
+            c.reset();
+            assert_eq!(c.len(), 0);
         }
     }
 }

@@ -508,136 +508,19 @@ impl GcPolicy for ItemRandom {
     }
 }
 
-/// The classic randomized marking algorithm (Fiat et al.), at item
-/// granularity.
-///
-/// Requested items are marked; evictions pick a uniformly random *unmarked*
-/// item, and when everything is marked a new phase begins (all marks
-/// cleared). §6.1 notes this policy ignores granularity change and pays a
-/// factor `B` on block-streaming traces — [`Gcm`](crate::Gcm) is the
-/// granularity-aware fix.
-#[derive(Clone, Debug)]
-pub struct ItemMarking {
-    capacity: usize,
-    marked: KeySet,
-    /// Marking order of the current phase; the phase-change drain walks
-    /// this so the unmark order (an input to the random victim choice) is
-    /// identical for the sparse and dense backings.
-    marked_order: Vec<ItemId>,
-    /// Unmarked resident items, in a vector for O(1) random choice.
-    unmarked: Vec<ItemId>,
-    unmarked_pos: KeyIndex,
-    rng: SmallRng,
-}
-
-impl ItemMarking {
-    /// A marking cache holding up to `capacity` items.
-    pub fn new(capacity: usize, seed: u64) -> Self {
-        Self::with_universe(capacity, seed, &Universe::sparse())
-    }
-
-    /// A marking cache whose mark set and position index are backed by
-    /// `universe`.
-    pub fn with_universe(capacity: usize, seed: u64, universe: &Universe) -> Self {
-        ItemMarking {
-            capacity: check_capacity(capacity),
-            marked: universe.item_set(),
-            marked_order: Vec::new(),
-            unmarked: Vec::new(),
-            unmarked_pos: universe.item_index(),
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    fn mark(&mut self, item: ItemId) {
-        if self.marked.insert(item.0) {
-            self.marked_order.push(item);
-        }
-    }
-
-    fn remove_unmarked(&mut self, item: ItemId) -> bool {
-        if let Some(pos) = self.unmarked_pos.remove(item.0) {
-            let pos = pos as usize;
-            self.unmarked.swap_remove(pos);
-            if pos < self.unmarked.len() {
-                self.unmarked_pos.insert(self.unmarked[pos].0, pos as u32);
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Evict one item: random unmarked, starting a new phase if none exist.
-    fn evict_one(&mut self) -> ItemId {
-        if self.unmarked.is_empty() {
-            // New phase: clear all marks, in marking order.
-            for &item in &self.marked_order {
-                self.marked.remove(item.0);
-                self.unmarked_pos.insert(item.0, self.unmarked.len() as u32);
-                self.unmarked.push(item);
-            }
-            self.marked_order.clear();
-        }
-        let pos = self.rng.gen_range(0..self.unmarked.len());
-        let victim = self.unmarked.swap_remove(pos);
-        self.unmarked_pos.remove(victim.0);
-        if pos < self.unmarked.len() {
-            self.unmarked_pos.insert(self.unmarked[pos].0, pos as u32);
-        }
-        victim
-    }
-}
-
-impl GcPolicy for ItemMarking {
-    fn name(&self) -> String {
-        format!("ItemMarking(k={})", self.capacity)
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.marked.len() + self.unmarked.len()
-    }
-
-    fn contains(&self, item: ItemId) -> bool {
-        self.marked.contains(item.0) || self.unmarked_pos.contains(item.0)
-    }
-
-    fn access_into(&mut self, item: ItemId, out: &mut AccessScratch) -> AccessKind {
-        if self.marked.contains(item.0) {
-            return AccessKind::Hit;
-        }
-        if self.remove_unmarked(item) {
-            self.mark(item);
-            return AccessKind::Hit;
-        }
-        out.clear();
-        out.loaded.push(item);
-        if self.len() == self.capacity {
-            let victim = self.evict_one();
-            out.evicted.push(victim);
-        }
-        self.mark(item);
-        AccessKind::Miss
-    }
-
-    fn reset(&mut self) {
-        self.marked.clear();
-        self.marked_order.clear();
-        self.unmarked.clear();
-        self.unmarked_pos.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::slab::both_universes;
+    use crate::Gcm;
     use gc_types::AccessResult;
+    use gc_types::BlockMap;
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// The classic marking algorithm: GCM that never co-loads.
+    fn marking(capacity: usize, seed: u64) -> Gcm {
+        Gcm::with_coload_limit(capacity, BlockMap::singleton(), seed, 0)
+    }
 
     fn drive(policy: &mut impl GcPolicy, ids: &[u64]) -> (u64, u64) {
         let mut hits = 0;
@@ -757,7 +640,7 @@ mod tests {
 
     #[test]
     fn marking_hits_mark_items() {
-        let mut c = ItemMarking::new(3, 1);
+        let mut c = marking(3, 1);
         c.access(ItemId(1));
         c.access(ItemId(2));
         c.access(ItemId(3));
@@ -770,7 +653,7 @@ mod tests {
 
     #[test]
     fn marking_never_evicts_marked_while_unmarked_exist() {
-        let mut c = ItemMarking::new(3, 7);
+        let mut c = marking(3, 7);
         c.access(ItemId(1)); // marked
         c.access(ItemId(2)); // marked
         c.access(ItemId(3)); // marked
@@ -791,7 +674,7 @@ mod tests {
         invariants(&mut ItemClock::new(32), &ids);
         invariants(&mut ItemLfu::new(32), &ids);
         invariants(&mut ItemRandom::new(32, 3), &ids);
-        invariants(&mut ItemMarking::new(32, 3), &ids);
+        invariants(&mut marking(32, 3), &ids);
     }
 
     #[test]
@@ -813,7 +696,7 @@ mod tests {
             Box::new(ItemClock::new(1)),
             Box::new(ItemLfu::new(1)),
             Box::new(ItemRandom::new(1, 0)),
-            Box::new(ItemMarking::new(1, 0)),
+            Box::new(marking(1, 0)),
         ] {
             let mut p = policy;
             assert!(p.access(ItemId(1)).is_miss());

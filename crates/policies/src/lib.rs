@@ -12,8 +12,9 @@
 //! ## Policy families
 //!
 //! * **Item caches** ([`item`]) load only the requested item: [`ItemLru`],
-//!   [`ItemFifo`], [`ItemClock`], [`ItemLfu`], [`ItemRandom`],
-//!   [`ItemMarking`]. They capture temporal locality and ignore spatial
+//!   [`ItemFifo`], [`ItemClock`], [`ItemLfu`], [`ItemRandom`], and the
+//!   classic marking algorithm, which is [`Gcm`] with no co-loads
+//!   (`item-marking`). They capture temporal locality and ignore spatial
 //!   locality (Theorem 2 shows they forfeit a factor `≈ B`).
 //! * **Block caches** ([`block`]) load *and evict* whole blocks:
 //!   [`BlockLru`], [`BlockFifo`]. They capture spatial locality but one
@@ -23,6 +24,8 @@
 //!   policy (§5): an item-granular LRU front layer of size `i` backed by a
 //!   block-granular LRU layer of size `b`. Loads whole blocks, evicts
 //!   items; competitive ratio within ~3× of the general lower bound.
+//!   [`IblpConfig`] switches the two §5.1 design choices off one at a time
+//!   for the ablations ([`Iblp::with_config`]).
 //! * **GCM** ([`gcm`]) — *Granularity-Change Marking* (§6): a randomized
 //!   marking policy that co-loads a block's items unmarked, so spatial
 //!   guesses never displace items with proven temporal locality.
@@ -33,10 +36,9 @@
 //!   [`WTinyLfu`] (with its [`CountMinSketch`] substrate): production
 //!   scan-resistant policies, all still subject to the Theorem 2 item-cache
 //!   lower bound.
-//! * **Extensions** ([`iblp_variants`], [`adaptive_iblp`]) — ablations of
-//!   the §5.1 design choices, and an ARC-style ghost-list adaptation of the
-//!   IBLP split (§5.3 shows no static split is right for every comparison
-//!   size).
+//! * **Extensions** ([`adaptive_iblp`]) — an ARC-style ghost-list
+//!   adaptation of the IBLP split, built on IBLP's own layers (§5.3 shows
+//!   no static split is right for every comparison size).
 //!
 //! All policies implement [`GcPolicy`] and report per-access
 //! [`AccessResult`]s precise enough for the simulator to attribute hits to
@@ -50,7 +52,6 @@ pub mod block;
 pub mod factory;
 pub mod gcm;
 pub mod iblp;
-pub mod iblp_variants;
 pub mod item;
 pub mod loadk;
 pub mod lru_list;
@@ -65,9 +66,8 @@ pub use adaptive_iblp::AdaptiveIblp;
 pub use block::{BlockFifo, BlockLru};
 pub use factory::PolicyKind;
 pub use gcm::Gcm;
-pub use iblp::Iblp;
-pub use iblp_variants::{IblpConfig, IblpVariant};
-pub use item::{ItemClock, ItemFifo, ItemLfu, ItemLru, ItemMarking, ItemRandom};
+pub use iblp::{Iblp, IblpConfig};
+pub use item::{ItemClock, ItemFifo, ItemLfu, ItemLru, ItemRandom};
 pub use loadk::ThresholdLoad;
 pub use lruk::LruK;
 pub use sketch::CountMinSketch;

@@ -68,12 +68,6 @@ impl BackendSpec {
         }
     }
 
-    /// Whether this spec is the synthetic backend (the only one whose
-    /// latency the `--backend-latency-us`/`--jitter-us` flags may adjust).
-    pub fn is_synthetic(&self) -> bool {
-        matches!(self, BackendSpec::Synthetic { .. })
-    }
-
     /// Short label for telemetry ("synthetic", "mem", "disk", "tiered").
     pub fn label(&self) -> &'static str {
         match self {

@@ -60,21 +60,63 @@ pub fn run_cell(job: &SweepJob, trace: &Trace, map: &BlockMap) -> SweepResult {
 /// [`run_sweep`] over a compiled trace: the one-time compilation pass is
 /// amortized across every cell, each of which builds its policy against
 /// the dense map and streams the flat access array. Results are
-/// bit-identical to [`run_sweep`] on the source trace. Cells are not
-/// isolated: a panicking cell panics the run, naming its index.
+/// bit-identical to [`run_sweep`] on the source trace. Cells fail as under
+/// [`run_sweep`] with [`OnError::Fail`]: the run returns
+/// [`GcError::CellFailed`] for the first failed cell in job order.
 pub fn run_sweep_compiled(
     jobs: &[SweepJob],
     compiled: &CompiledTrace,
     threads: usize,
-) -> SweepOutcome {
-    let results = pool::run_indexed(jobs.len(), threads, |idx| {
-        Some(run_cell_compiled(&jobs[idx], compiled))
-    });
-    SweepOutcome {
+) -> Result<SweepOutcome, GcError> {
+    let block_size = compiled.map().max_block_size();
+    let outcomes = pool::run_indexed_checked(
+        jobs.len(),
+        threads,
+        |_, _| {},
+        |idx| {
+            checked_cell(&jobs[idx], block_size, || {
+                run_cell_compiled(&jobs[idx], compiled)
+            })
+        },
+    );
+    let results = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(index, outcome)| match cell_reason(outcome) {
+            Ok(result) => Ok(Some(result)),
+            Err(reason) => Err(GcError::CellFailed { index, reason }),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(SweepOutcome {
         results,
         failures: Vec::new(),
         resumed_cells: 0,
+    })
+}
+
+/// Run `cell` unless `job`'s capacity is below the minimum its policy can
+/// be built with; such a cell fails with the error `simulate` gives for the
+/// same capacity instead of panicking in the policy's constructor.
+fn checked_cell(
+    job: &SweepJob,
+    block_size: usize,
+    cell: impl FnOnce() -> SweepResult,
+) -> Result<SweepResult, String> {
+    let required = job.kind.min_capacity(block_size);
+    match job.capacity {
+        0 => Err(GcError::ZeroCapacity.to_string()),
+        capacity if capacity < required => {
+            Err(GcError::CapacityTooSmall { capacity, required }.to_string())
+        }
+        _ => Ok(cell()),
     }
+}
+
+/// A cell's result, or why it failed: its refusal or its panic payload.
+fn cell_reason(
+    outcome: Result<Result<SweepResult, String>, JobError>,
+) -> Result<SweepResult, String> {
+    outcome.map_err(|e| e.payload).and_then(|cell| cell)
 }
 
 /// Compiled analogue of [`run_cell`].
@@ -124,7 +166,8 @@ pub fn to_csv(outcome: &SweepOutcome, jobs: &[SweepJob]) -> String {
     out
 }
 
-/// What a sweep does when a cell panics.
+/// What a sweep does when a cell fails: it panics, or its capacity is
+/// below its policy's minimum.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OnError {
     /// Abort the run with [`GcError::CellFailed`] at the first failed
@@ -154,7 +197,7 @@ impl std::str::FromStr for OnError {
 pub struct SweepRunConfig<'a> {
     /// Worker threads (`0` = one per core).
     pub threads: usize,
-    /// What to do when a cell panics. Default: [`OnError::Fail`].
+    /// What to do when a cell fails. Default: [`OnError::Fail`].
     pub on_error: OnError,
     /// Where to write periodic JSON checkpoints (atomically). `None`
     /// disables checkpointing.
@@ -175,7 +218,8 @@ pub struct SweepOutcome {
     /// Per-job results in job order; `None` exactly for failed cells
     /// (only possible under [`OnError::Skip`]).
     pub results: Vec<Option<SweepResult>>,
-    /// `(cell index, rendered panic payload)` for every failed cell.
+    /// `(cell index, reason)` for every failed cell: the capacity error or
+    /// the rendered panic payload.
     pub failures: Vec<(usize, String)>,
     /// How many cells were served from the resume checkpoint instead of
     /// being re-run.
@@ -241,8 +285,9 @@ impl CheckpointSink<'_> {
 ///
 /// Jobs are claimed dynamically, so wildly uneven job costs (a 1 Ki cache
 /// vs a 1 Mi cache) still balance. Every cell runs fault-isolated on the
-/// checked [`pool`] path, so one panicking cell cannot take down the run:
-/// under [`OnError::Skip`] the remaining cells complete with results
+/// checked [`pool`] path, so one panicking cell cannot take down the run,
+/// and a cell whose capacity is below its policy's minimum fails with that
+/// error instead of panicking. Under [`OnError::Skip`] the remaining cells complete with results
 /// **bit-identical** to a fault-free run, and under [`OnError::Fail`] the
 /// error names the failing cell index. With a checkpoint path configured,
 /// completed cells are flushed to disk every
@@ -290,13 +335,16 @@ pub fn run_sweep(
     let pending: Vec<usize> = (0..jobs.len()).filter(|&i| done[i].is_none()).collect();
     let resumed_cells = jobs.len() - pending.len();
 
-    let on_complete = |slot: usize, outcome: &Result<SweepResult, JobError>| {
+    let on_complete = |slot: usize, outcome: &Result<Result<SweepResult, String>, JobError>| {
         let Some(sink) = &sink else { return };
         let index = pending[slot];
         let outcome = match outcome {
-            Ok(result) => SweepCellOutcome::Done {
+            Ok(Ok(result)) => SweepCellOutcome::Done {
                 policy_name: result.policy_name.clone(),
                 stats: result.stats.clone(),
+            },
+            Ok(Err(reason)) => SweepCellOutcome::Failed {
+                reason: reason.clone(),
             },
             Err(e) => SweepCellOutcome::Failed {
                 reason: e.to_string(),
@@ -305,8 +353,10 @@ pub fn run_sweep(
         let record = SweepCellRecord { index, outcome };
         sink.lock().expect(SINK_POISONED).record(record);
     };
+    let block_size = map.max_block_size();
     let fresh = pool::run_indexed_checked(pending.len(), cfg.threads, on_complete, |slot| {
-        run_cell(&jobs[pending[slot]], trace, map)
+        let job = &jobs[pending[slot]];
+        checked_cell(job, block_size, || run_cell(job, trace, map))
     });
 
     if let Some(sink) = sink {
@@ -331,19 +381,16 @@ pub fn run_sweep(
             }));
             continue;
         }
-        match fresh
+        let slot = fresh
             .next()
-            .expect("every non-resumed cell has a pool slot")
-        {
+            .expect("every non-resumed cell has a pool slot");
+        match cell_reason(slot) {
             Ok(result) => results.push(Some(result)),
-            Err(JobError { payload, .. }) => {
+            Err(reason) => {
                 if cfg.on_error == OnError::Fail {
-                    return Err(GcError::CellFailed {
-                        index,
-                        reason: payload,
-                    });
+                    return Err(GcError::CellFailed { index, reason });
                 }
-                failures.push((index, payload));
+                failures.push((index, reason));
                 results.push(None);
             }
         }
@@ -418,7 +465,7 @@ mod tests {
         let compiled = CompiledTrace::compile(&trace, &map).unwrap();
         let jobs = grid();
         let sparse = sweep(&jobs, &trace, &map, 2);
-        let dense = run_sweep_compiled(&jobs, &compiled, 2);
+        let dense = run_sweep_compiled(&jobs, &compiled, 2).unwrap();
         assert_eq!(sparse.results.len(), dense.results.len());
         for (s, d) in sparse.completed().zip(dense.completed()) {
             assert_eq!(s.stats, d.stats, "job {:?}", s.job);
@@ -489,8 +536,8 @@ mod tests {
     fn poisoned_cell_under_skip_leaves_survivors_bit_identical() {
         let (trace, map) = trace_and_map();
         let mut jobs = grid();
-        // Capacity 0 fails the policies' capacity check — a genuinely
-        // panicking cell through the full production path.
+        // Capacity 0 is below the policy's minimum — a failing cell
+        // through the full production path.
         jobs.insert(
             4,
             SweepJob {

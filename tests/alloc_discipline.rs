@@ -11,8 +11,9 @@
 //! access touches no allocator at all.
 //!
 //! The window check covers the list-backed policies (ItemLru, BlockLru,
-//! Iblp, AdaptiveIblp, 2Q) and the pooled order structures of ItemLfu
-//! (frequency buckets) and LruK (history arena and heap). The same window
+//! Iblp and its ablations, AdaptiveIblp, 2Q), the pooled order structures
+//! of ItemLfu (frequency buckets) and LruK (history arena and heap), and
+//! GCM with and without co-loads. The same window
 //! holds the block stores below the runtime to their reuse discipline:
 //! `DiskBackend` encodes into its pending group and reads through a stack
 //! buffer, and `MemBackend` refills the allocation of the block it
@@ -185,6 +186,22 @@ fn adaptive_iblp_steady_state_is_alloc_free() {
     let trace = thrash_trace(50_000, 2048);
     let map = BlockMap::strided(8);
     let mut policy = AdaptiveIblp::new(256, map);
+    assert_steady_state_alloc_free(&mut policy, &trace);
+}
+
+#[test]
+fn gcm_steady_state_is_alloc_free() {
+    // GCM's co-load snapshot lives in a policy-owned buffer; classic
+    // marking (GCM without co-loads) takes no snapshot at all. The §5.1
+    // block-touching ablation runs through the same IBLP layer steps.
+    let trace = thrash_trace(50_000, 2048);
+    let map = BlockMap::strided(8);
+    for spec in ["gcm", "item-marking"] {
+        let kind = PolicyKind::parse(spec).expect("roster spec parses");
+        let mut policy = kind.build(256, &map);
+        assert_steady_state_alloc_free(policy.as_mut(), &trace);
+    }
+    let mut policy = Iblp::with_config(128, 128, map, IblpConfig::block_touching());
     assert_steady_state_alloc_free(&mut policy, &trace);
 }
 

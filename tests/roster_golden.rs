@@ -2,13 +2,19 @@
 //!
 //! The compiled ≡ sparse suites prove that the two key representations
 //! agree with each other, but an edit to a policy's order structure changes
-//! both sides at once. This file pins every [`SimStats`] field of twelve
-//! policies (the ten of the `sim-roster` benchmark, plus LRU-K at `k = 1`
-//! and `k = 3`) on two seeded `gc-trace` traces, through both
-//! [`simulate`] and [`simulate_compiled`]. The pinned values were recorded
-//! from the implementation that predates the O(1) order structures of
-//! 2Q, LRU-K and LFU, so a rewrite that changes any eviction decision
-//! fails here even when its sparse and compiled paths agree.
+//! both sides at once. This file pins every [`SimStats`] field of thirteen
+//! policies (the ten of the `sim-roster` benchmark, LRU-K at `k = 1` and
+//! `k = 3`, and item-granular marking) on two seeded `gc-trace` traces,
+//! through both [`simulate`] and [`simulate_compiled`]. The pinned values
+//! were recorded from the implementation that predates the O(1) order
+//! structures of 2Q, LRU-K and LFU, so a rewrite that changes any eviction
+//! decision fails here even when its sparse and compiled paths agree.
+//!
+//! The same traces pin the three [`IblpConfig`] ablations, and a
+//! phase-changing trace pins where a seeded [`AdaptiveIblp`] moves its
+//! split. Those values, and the `item-marking` rows, were recorded before
+//! the IBLP variants and the marking caches were merged into one
+//! implementation each.
 
 use gc_cache::gc_trace::synthetic::{block_runs, uniform, BlockRunConfig};
 use gc_cache::prelude::*;
@@ -17,8 +23,9 @@ const CAPACITY: usize = 512;
 const BLOCK: usize = 16;
 const LEN: usize = 20_000;
 
-/// Policy specs: the `sim-roster` ten, then LRU-K at the other depths.
-const SPECS: [&str; 12] = [
+/// Policy specs: the `sim-roster` ten, then LRU-K at the other depths,
+/// then classic marking.
+const SPECS: [&str; 13] = [
     "item-lru",
     "item-lfu",
     "block-lru",
@@ -31,6 +38,7 @@ const SPECS: [&str; 12] = [
     "tinylfu",
     "lru-k:k=1",
     "lru-k:k=3",
+    "item-marking",
 ];
 
 /// `(accesses, misses, temporal_hits, spatial_hits, items_loaded,
@@ -81,7 +89,7 @@ fn run(trace: &Trace) -> Vec<(Golden, Golden)> {
         .collect()
 }
 
-fn check(name: &str, trace: &Trace, golden: &[Golden; 12]) {
+fn check(name: &str, trace: &Trace, golden: &[Golden; 13]) {
     for ((spec, (sparse, dense)), want) in SPECS.iter().zip(run(trace)).zip(golden) {
         assert_eq!(sparse, *want, "{spec} on {name}: simulate moved");
         assert_eq!(dense, *want, "{spec} on {name}: simulate_compiled moved");
@@ -106,6 +114,7 @@ fn block_runs_trace_is_pinned() {
             (20000, 12806, 7194, 0, 12806, 12294, 512),    // tinylfu
             (20000, 14371, 5629, 0, 14371, 13859, 512),    // lru-k:k=1
             (20000, 12596, 7404, 0, 12596, 12084, 512),    // lru-k:k=3
+            (20000, 14577, 5423, 0, 14577, 14065, 512),    // item-marking
         ],
     );
 }
@@ -128,6 +137,82 @@ fn uniform_trace_is_pinned() {
             (20000, 18836, 1164, 0, 18836, 18324, 512),    // tinylfu
             (20000, 18806, 1194, 0, 18806, 18294, 512),    // lru-k:k=1
             (20000, 18801, 1199, 0, 18801, 18289, 512),    // lru-k:k=3
+            (20000, 18819, 1181, 0, 18819, 18307, 512),    // item-marking
         ],
+    );
+}
+
+/// The §5.1 ablations at the balanced split of [`CAPACITY`], in
+/// `paper, block_touching, no_promotion` order.
+const CONFIGS: [fn() -> IblpConfig; 3] = [
+    IblpConfig::paper,
+    IblpConfig::block_touching,
+    IblpConfig::no_promotion,
+];
+
+fn check_configs(name: &str, trace: &Trace, golden: &[Golden; 3]) {
+    let map = BlockMap::strided(BLOCK);
+    let compiled = CompiledTrace::compile(trace, &map).expect("generated items are in the map");
+    let half = CAPACITY / 2;
+    for (config, want) in CONFIGS.iter().zip(golden) {
+        let config = config();
+        let mut sparse = Iblp::with_config(half, half, map.clone(), config);
+        let mut dense = Iblp::with_config(half, half, compiled.map().clone(), config);
+        let sparse = flatten(&simulate(&mut sparse, trace));
+        let dense = flatten(&simulate_compiled(&mut dense, &compiled));
+        assert_eq!(sparse, *want, "{config:?} on {name}: simulate moved");
+        assert_eq!(
+            dense, *want,
+            "{config:?} on {name}: simulate_compiled moved"
+        );
+    }
+}
+
+#[test]
+fn iblp_ablations_are_pinned() {
+    check_configs(
+        "runs",
+        &runs_trace(),
+        &[
+            (20000, 6248, 3843, 9909, 92106, 82590, 512), // paper
+            (20000, 6200, 3899, 9901, 91966, 82471, 512), // block_touching
+            (20000, 6149, 4387, 9464, 90013, 89544, 512), // no_promotion
+        ],
+    );
+    check_configs(
+        "uniform",
+        &uniform_trace(),
+        &[
+            (20000, 18822, 584, 594, 292840, 291791, 512), // paper
+            (20000, 18822, 584, 594, 292840, 291791, 512), // block_touching
+            (20000, 18821, 586, 593, 292738, 292249, 512), // no_promotion
+        ],
+    );
+}
+
+/// A seeded adaptive IBLP on a trace that changes phase: a block-friendly
+/// loop over whole blocks, then a sparse loop of one item per block, then
+/// the runs trace. Its item-layer size is read every 4 096 accesses.
+#[test]
+fn adaptive_split_trajectory_is_pinned() {
+    let map = BlockMap::strided(BLOCK);
+    let mut ids: Vec<u64> = Vec::new();
+    for round in 0..1_000u64 {
+        let block = round % 48;
+        ids.extend((0..BLOCK as u64).map(|off| block * BLOCK as u64 + off));
+    }
+    ids.extend((0..16_000u64).map(|n| (n % 600) * BLOCK as u64));
+    ids.extend(runs_trace().iter().map(|item| item.0));
+    let mut policy = AdaptiveIblp::with_split(CAPACITY, 3 * CAPACITY / 4, map);
+    let mut splits = Vec::new();
+    for (n, &id) in ids.iter().enumerate() {
+        policy.access(ItemId(id));
+        if (n + 1) % 4096 == 0 {
+            splits.push(policy.item_layer_size());
+        }
+    }
+    assert_eq!(
+        splits,
+        [384, 384, 384, 384, 400, 432, 464, 464, 432, 400, 368, 336]
     );
 }
