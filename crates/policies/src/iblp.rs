@@ -92,6 +92,9 @@ pub struct Iblp {
     /// Lines held by the block layer, maintained incrementally so `len`
     /// is O(1) — the simulator reads it after every access for `peak_len`.
     block_lines: usize,
+    /// Items a hit's promotion pushed out of the cache; a hit carries no
+    /// report, so they are reported with the next miss.
+    pending: Vec<ItemId>,
 }
 
 impl Iblp {
@@ -127,6 +130,7 @@ impl Iblp {
             block_layer: LruList::with_index(block_size_lines / b, universe.block_index()),
             map,
             block_lines: 0,
+            pending: Vec::new(),
         }
     }
 
@@ -279,15 +283,27 @@ impl GcPolicy for Iblp {
 
     // lint: hot-path
     fn access_into(&mut self, item: ItemId, out: &mut AccessScratch) -> AccessKind {
-        // A hit carries no payload, so a promotion's victim goes unreported.
         let block = match self.hit(item) {
-            Ok(_) => return AccessKind::Hit,
+            Ok(victim) => {
+                if let Some((victim, true)) = victim {
+                    self.pending.push(victim);
+                }
+                return AccessKind::Hit;
+            }
             Err(block) => block,
         };
         // Overall miss: load the whole block into the block layer.
         out.clear();
         self.load_block(block, &mut out.loaded);
         debug_assert!(out.loaded.contains(&item));
+        // Report what the hits since the last miss pushed out, except the
+        // items this load brought back: each left the cache when its block
+        // was not cached, and no block is loaded between two misses.
+        if !self.pending.is_empty() {
+            let map = &self.map;
+            out.evicted
+                .extend(self.pending.drain(..).filter(|&z| map.block_of(z) != block));
+        }
         let victim = self.evict_block_overflow(&mut out.evicted);
         debug_assert_ne!(victim, Some(block), "just-loaded block cannot be LRU");
         if let Some((victim, true)) = self.promote(item) {
@@ -300,6 +316,7 @@ impl GcPolicy for Iblp {
         self.item_layer.clear();
         self.block_layer.clear();
         self.block_lines = 0;
+        self.pending.clear();
     }
 }
 
@@ -366,6 +383,28 @@ mod tests {
         let r1 = c.access(ItemId(5)); // hit via block layer; item layer [5,4], 0 evicted
         assert!(r1.is_hit());
         assert!(!c.contains(ItemId(0)), "item 0 fully evicted");
+    }
+
+    #[test]
+    fn hit_victims_are_reported_by_the_next_miss() {
+        // As above, the hit on 5 pushes item 0 out of the cache; the next
+        // miss reports it — unless that miss reloads 0's block.
+        let evicted = |next: u64| {
+            let mut c = Iblp::new(2, 4, map4());
+            for id in [0, 4, 5] {
+                c.access(ItemId(id));
+            }
+            let r = c.access(ItemId(next));
+            assert!(r.is_miss());
+            let mut evicted = r.evicted().to_vec();
+            evicted.sort_unstable();
+            evicted
+        };
+        // Block 2 replaces block 1: 6 and 7 go with it, then item 4
+        // (uncovered now) falls off the item layer.
+        assert_eq!(evicted(8), [0, 4, 6, 7].map(ItemId));
+        // Block 0 comes back with item 0 in it: 0 is loaded, not evicted.
+        assert_eq!(evicted(1), [4, 6, 7].map(ItemId));
     }
 
     #[test]

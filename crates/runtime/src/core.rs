@@ -14,6 +14,12 @@
 //! ([`FetchPath::Coalesced`]). The core is built with the block map, fetch
 //! path and backend of its runtime, so no caller decides the fetch again.
 //!
+//! Requests arrive in the runtime's ids. Over a compiled map each shard's
+//! policy is built against the shard's own dense universe (only the blocks
+//! routed to it, see [`BlockMap::partition_dense`]), so `serve` first
+//! translates the item into that universe; the policy and the spatial
+//! candidates see only local ids, and the fetch keeps the runtime's block.
+//!
 //! The core is generic over the policy's unsized type so owner threads,
 //! which build and drive their policy entirely on one thread, do not need
 //! the `Send` bound that locked mode's cross-thread mutex requires.
@@ -23,7 +29,9 @@ use crate::config::FetchPath;
 use crate::sync::Arc;
 use gc_policies::GcPolicy;
 use gc_sim::SpatialSet;
-use gc_types::{AccessKind, AccessScratch, BlockId, BlockMap, GcError, ItemId, RuntimeStats};
+use gc_types::{
+    AccessKind, AccessScratch, BlockId, BlockMap, GcError, ItemId, LocalIds, RuntimeStats,
+};
 
 /// What one request did inside its shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,6 +65,11 @@ pub(crate) struct ShardCore<P: GcPolicy + ?Sized> {
     scratch: AccessScratch,
     /// Items resident only by virtue of a co-load, not yet re-requested.
     candidates: SpatialSet,
+    /// Runtime id → the shard's own dense id (compiled maps only; the
+    /// sparse maps' hash-backed policy state takes runtime ids as they
+    /// are). Shared by every shard of the runtime.
+    local: Option<Arc<LocalIds>>,
+    /// The runtime's map, which names the block a miss fetches.
     map: BlockMap,
     fetch: FetchPath,
     backend: Arc<dyn BlockBackend>,
@@ -69,6 +82,7 @@ pub(crate) struct ShardCore<P: GcPolicy + ?Sized> {
 impl<P: GcPolicy + ?Sized> ShardCore<P> {
     pub fn new(
         policy: Box<P>,
+        local: Option<Arc<LocalIds>>,
         map: BlockMap,
         fetch: FetchPath,
         backend: Arc<dyn BlockBackend>,
@@ -77,6 +91,7 @@ impl<P: GcPolicy + ?Sized> ShardCore<P> {
             policy,
             scratch: AccessScratch::new(),
             candidates: SpatialSet::new(),
+            local,
             map,
             fetch,
             backend,
@@ -104,9 +119,13 @@ impl<P: GcPolicy + ?Sized> ShardCore<P> {
     // lint: hot-path
     #[inline]
     pub fn serve(&mut self, item: ItemId) -> Result<Served, GcError> {
-        match self.policy.access_into(item, &mut self.scratch) {
+        let local = match &self.local {
+            Some(ids) => ids.item(item),
+            None => item,
+        };
+        match self.policy.access_into(local, &mut self.scratch) {
             AccessKind::Hit => {
-                let spatial = self.candidates.remove(item);
+                let spatial = self.candidates.remove(local);
                 self.stats.accesses += 1;
                 if spatial {
                     self.stats.spatial_hits += 1;
@@ -117,19 +136,7 @@ impl<P: GcPolicy + ?Sized> ShardCore<P> {
                 Ok(Served::Hit { spatial })
             }
             AccessKind::Miss => {
-                debug_assert!(
-                    self.scratch.loaded.contains(&item),
-                    "a miss must load the requested item"
-                );
-                for &z in &self.scratch.loaded {
-                    if z != item {
-                        self.candidates.insert(z);
-                    }
-                }
-                self.candidates.remove(item);
-                for &z in &self.scratch.evicted {
-                    self.candidates.remove(z);
-                }
+                self.candidates.record_miss(local, &self.scratch);
                 let admitted = self.scratch.loaded.len();
                 self.stats.accesses += 1;
                 self.stats.misses += 1;

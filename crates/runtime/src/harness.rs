@@ -75,7 +75,7 @@ pub fn serve_trace(
 /// shard-affine closed-loop workers — the dense-ID counterpart of
 /// [`serve_trace`]. Each worker scans the precompiled `(item, block)` array
 /// and serves the accesses its shards own, skipping the per-request block
-/// lookup and shard hash entirely.
+/// lookup.
 ///
 /// The runtime must have been built against the trace's dense map — dense
 /// ids mean nothing under any other; on one shard, counters are

@@ -326,7 +326,8 @@ fn owner_pool_shutdown_drains_every_queued_job() {
         let backend: Arc<dyn BlockBackend> = Arc::new(SyntheticBackend::new(map.clone()));
         let pool = OwnerPool::new(
             &PolicyKind::ItemLru,
-            &[8],
+            [8].map(|c| (c, map.clone())).to_vec(),
+            &None,
             &map,
             &backend,
             FetchPath::Inline,

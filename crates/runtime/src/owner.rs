@@ -32,7 +32,7 @@ use crate::sync::mpsc::{Receiver, SyncSender};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{self, Arc, Barrier, Condvar, Mutex};
 use gc_policies::PolicyKind;
-use gc_types::{BlockMap, GcError, ItemId, RuntimeStats};
+use gc_types::{BlockMap, GcError, ItemId, LocalIds, RuntimeStats};
 
 /// A recyclable request/reply exchange: producers fill `items`, owners
 /// fill `replies` (one [`ShardCore::serve`] result per item, same order)
@@ -108,8 +108,8 @@ pub(crate) struct OwnerPool {
 }
 
 impl OwnerPool {
-    /// Spawn one owner per capacity entry. Each owner builds its own
-    /// policy instance on its own thread.
+    /// Spawn one owner per `(capacity, policy map)` entry. Each owner
+    /// builds its own policy instance on its own thread.
     ///
     /// # Panics
     /// A policy constructor that panics (e.g. IBLP refusing a capacity
@@ -122,18 +122,20 @@ impl OwnerPool {
     /// failure has.
     pub fn new(
         kind: &PolicyKind,
-        capacities: &[usize],
+        shards: Vec<(usize, BlockMap)>,
+        local: &Option<Arc<LocalIds>>,
         map: &BlockMap,
         backend: &Arc<dyn BlockBackend>,
         fetch: FetchPath,
         queue_depth: usize,
     ) -> Self {
-        let mut txs = Vec::with_capacity(capacities.len());
-        let mut joins: Vec<JoinHandle<()>> = Vec::with_capacity(capacities.len());
-        for (i, &capacity) in capacities.iter().enumerate() {
+        let mut txs = Vec::with_capacity(shards.len());
+        let mut joins: Vec<JoinHandle<()>> = Vec::with_capacity(shards.len());
+        for (i, (capacity, policy_map)) in shards.into_iter().enumerate() {
             let (tx, rx) = sync::mpsc::sync_channel(queue_depth);
             let (ready_tx, ready_rx) = sync::mpsc::sync_channel::<()>(1);
             let kind = kind.clone();
+            let local = local.clone();
             let map = map.clone();
             let backend = Arc::clone(backend);
             let join = sync::thread::Builder::new()
@@ -141,7 +143,8 @@ impl OwnerPool {
                 .spawn(move || {
                     // Built here, on the owner thread: the policy never
                     // crosses a thread boundary, so no `Send` bound.
-                    let core = ShardCore::new(kind.build(capacity, &map), map, fetch, backend);
+                    let policy = kind.build(capacity, &policy_map);
+                    let core = ShardCore::new(policy, local, map, fetch, backend);
                     // Ack construction; if `build` panicked, `ready_tx`
                     // drops un-sent and `new` re-raises on the caller.
                     let _ = ready_tx.send(());
@@ -284,7 +287,8 @@ mod tests {
         let backend: Arc<dyn BlockBackend> = Arc::new(SyntheticBackend::new(map.clone()));
         let pool = OwnerPool::new(
             &PolicyKind::ItemLru,
-            &[8, 8],
+            [8, 8].map(|c| (c, map.clone())).to_vec(),
+            &None,
             &map,
             &backend,
             fetch,
@@ -357,7 +361,8 @@ mod tests {
         let backend: Arc<dyn BlockBackend> = Arc::new(SyntheticBackend::new(map.clone()));
         let _pool = OwnerPool::new(
             &PolicyKind::IblpBalanced,
-            &[8, 8],
+            [8, 8].map(|c| (c, map.clone())).to_vec(),
+            &None,
             &map,
             &backend,
             FetchPath::Inline,

@@ -211,11 +211,19 @@ impl ShardRoute {
             ShardRoute::Mod(shards as u64)
         }
     }
-}
 
-/// Route-table entry of a block whose shard the replaying worker does not
-/// own; see `GcRuntime::owned_block_routes`.
-pub(crate) const NOT_OWNED: u32 = u32::MAX;
+    /// Shard index of a block (block-affine hash). For power-of-two shard
+    /// counts `hash & (S-1) == hash % S`, so the strength reduction never
+    /// changes placement.
+    #[inline]
+    fn shard(self, block: BlockId) -> usize {
+        match self {
+            ShardRoute::Single => 0,
+            ShardRoute::Mask(mask) => (mix64(block.0) & mask) as usize,
+            ShardRoute::Mod(n) => (mix64(block.0) % n) as usize,
+        }
+    }
+}
 
 /// Split `capacity` lines over `shards` shards as evenly as possible
 /// (first `capacity % shards` shards get one extra line).
@@ -271,21 +279,37 @@ impl GcRuntime {
         if capacity < required {
             return Err(GcError::CapacityTooSmall { capacity, required });
         }
-        let capacities = shard_capacities(capacity, config.shards);
+        let route = ShardRoute::new(config.shards);
+        // Over a compiled map each shard's policy gets a dense universe of
+        // the blocks routed to it alone, so its arrays scale with its share
+        // of the universe; sparse maps serve every shard as they are.
+        let (policy_maps, local) = match map.partition_dense(config.shards, |b| route.shard(b)) {
+            Some(split) => (split.parts, Some(Arc::new(split.local))),
+            None => (vec![map.clone(); config.shards], None),
+        };
+        let shards: Vec<(usize, BlockMap)> = shard_capacities(capacity, config.shards)
+            .into_iter()
+            .zip(policy_maps)
+            .collect();
         let engine = match config.mode {
             ExecMode::Locked => Engine::Locked(
-                capacities
+                shards
                     .iter()
-                    .map(|&c| {
-                        let policy = kind.build_send(c, &map);
-                        let backend = Arc::clone(&backend);
-                        Mutex::new(ShardCore::new(policy, map.clone(), config.fetch, backend))
+                    .map(|(c, policy_map)| {
+                        Mutex::new(ShardCore::new(
+                            kind.build_send(*c, policy_map),
+                            local.clone(),
+                            map.clone(),
+                            config.fetch,
+                            Arc::clone(&backend),
+                        ))
                     })
                     .collect(),
             ),
             ExecMode::Owner => Engine::Owner(OwnerPool::new(
                 kind,
-                &capacities,
+                shards,
+                &local,
                 &map,
                 &backend,
                 config.fetch,
@@ -296,7 +320,7 @@ impl GcRuntime {
             .map(|_| Mutex::new(FetchStats::default()))
             .collect();
         Ok(GcRuntime {
-            route: ShardRoute::new(config.shards),
+            route,
             config,
             map,
             backend,
@@ -320,16 +344,10 @@ impl GcRuntime {
         &self.map
     }
 
-    /// Shard index of a block (block-affine hash). For power-of-two shard
-    /// counts `hash & (S-1) == hash % S`, so the strength reduction never
-    /// changes placement.
+    /// Shard index of a block (block-affine hash).
     #[inline]
     pub(crate) fn shard_index(&self, block: BlockId) -> usize {
-        match self.route {
-            ShardRoute::Single => 0,
-            ShardRoute::Mask(mask) => (mix64(block.0) & mask) as usize,
-            ShardRoute::Mod(n) => (mix64(block.0) % n) as usize,
-        }
+        self.route.shard(block)
     }
 
     /// The shard serving `item` — block-affine: every item of a block maps
@@ -337,25 +355,6 @@ impl GcRuntime {
     pub fn shard_of(&self, item: ItemId) -> Option<usize> {
         let block = self.map.try_block_of(item)?;
         Some(self.shard_index(block))
-    }
-
-    /// Precompute the shard route of every dense block id `0..n_blocks` —
-    /// the compiled serving path replaces the per-request `mix64` +
-    /// mask/mod with one flat table load. Blocks on shards that worker
-    /// `worker` of `workers` does not own (`shard % workers != worker`)
-    /// route to [`NOT_OWNED`].
-    pub(crate) fn owned_block_routes(
-        &self,
-        n_blocks: usize,
-        worker: usize,
-        workers: usize,
-    ) -> Vec<u32> {
-        (0..n_blocks as u64)
-            .map(|b| match self.shard_index(BlockId(b)) {
-                s if s % workers == worker => s as u32,
-                _ => NOT_OWNED,
-            })
-            .collect()
     }
 
     /// Whether this runtime was built against the same dense map as

@@ -35,9 +35,9 @@
 
 use crate::core::{block_of, Served};
 use crate::owner::{BatchJob, Msg, ReplySlot};
-use crate::runtime::{FetchStats, GcRuntime, NOT_OWNED};
+use crate::runtime::{FetchStats, GcRuntime};
 use crate::sync::Arc;
-use gc_types::{CompiledTrace, FxHashMap, GcError, ItemId};
+use gc_types::{BlockId, CompiledTrace, FxHashMap, GcError, ItemId};
 
 /// A per-worker batched request handle over a [`GcRuntime`].
 ///
@@ -167,18 +167,19 @@ impl<'rt> Session<'rt> {
     /// The runtime must have been built against the same dense map the
     /// trace was compiled with (a clone or identical recompilation also
     /// passes) — dense ids are only meaningful against the map that
-    /// assigned them. Routing drops the block lookup and the shard hash:
-    /// blocks were precomputed at compile time and routes are one table
-    /// load (a miss still looks its block up in the map, as on every
-    /// path). Policy-visible stats are bit-identical to
-    /// [`Session::run`] over the decoded trace on a 1-shard runtime, and
-    /// to the same dense stream at any shard count (multi-shard routing
-    /// hashes block *ids*, which renaming changes).
+    /// assigned them. Routing drops the block lookup: blocks were
+    /// precomputed at compile time, and each access costs one shard hash
+    /// (a miss still looks its block up in the map, as on every path).
+    /// Policy-visible stats are bit-identical to [`Session::run`] over the
+    /// decoded trace on a 1-shard runtime, and to the same dense stream at
+    /// any shard count (multi-shard routing hashes block *ids*, which
+    /// renaming changes).
     ///
     /// # Errors
     ///
     /// [`GcError::InvalidParameter`] if the runtime's block map is not
     /// the trace's dense map, or any error surfaced by a flush.
+    // lint: hot-path
     pub(crate) fn run_compiled_owned(
         &mut self,
         compiled: &CompiledTrace,
@@ -190,21 +191,15 @@ impl<'rt> Session<'rt> {
                 "compiled trace and runtime were built against different block maps".into(),
             ));
         }
-        let routes = self
-            .rt
-            .owned_block_routes(compiled.n_blocks() as usize, worker, workers);
-        self.run_routed(compiled, &routes)
-    }
-
-    /// The loop behind [`Session::run_compiled_owned`]: one table load
-    /// routes each access, and [`NOT_OWNED`] routes are skipped.
-    // lint: hot-path
-    fn run_routed(&mut self, compiled: &CompiledTrace, routes: &[u32]) -> Result<u64, GcError> {
+        // Whether each shard is this worker's.
+        let owned: Vec<bool> = (0..self.rt.shards())
+            .map(|s| s % workers == worker)
+            .collect();
         let mut served = 0u64;
         for a in compiled.accesses() {
-            let shard = routes[a.block as usize];
-            if shard != NOT_OWNED {
-                self.enqueue(shard as usize, ItemId(u64::from(a.item)))?;
+            let shard = self.rt.shard_index(BlockId(u64::from(a.block)));
+            if owned[shard] {
+                self.enqueue(shard, ItemId(u64::from(a.item)))?;
                 served += 1;
             }
         }

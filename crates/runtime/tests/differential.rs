@@ -342,6 +342,96 @@ fn every_shard_matches_engine_on_its_subsequence_at_any_thread_count() {
 }
 
 #[test]
+fn shard_universes_of_compiled_maps_match_engine_per_shard() {
+    // Over a compiled map each shard's policy runs on a dense universe of
+    // its own blocks. That renaming is monotone and its decode tables
+    // compose, so shard `s` must still count exactly what the engine
+    // counts on `s`'s subsequence against the whole compiled map — on a
+    // strided map and on a ragged explicit (CSR) one, with a TinyLFU that
+    // hashes original keys through the shard's decode table.
+    const CAP: usize = 384;
+    let strided = BlockMap::strided(BLOCK_SIZE);
+    let groups: Vec<Vec<gc_types::ItemId>> = (0..300u64)
+        .map(|b| {
+            (0..1 + b % BLOCK_SIZE as u64)
+                .rev()
+                .map(|i| gc_types::ItemId(i * 100_003 + b * 7))
+                .collect()
+        })
+        .collect();
+    let flat: Vec<u64> = groups.iter().flatten().map(|z| z.0).collect();
+    let explicit = BlockMap::from_groups(groups).unwrap();
+    let zipf = synthetic::zipfian(flat.len() as u64, 0.8, 3_000, 17);
+    let arms = [
+        (
+            "strided",
+            CompiledTrace::compile(
+                &Trace::from_ids(zipf.iter().map(|item| item.0 * 7_919)),
+                &strided,
+            )
+            .unwrap(),
+        ),
+        (
+            "explicit",
+            CompiledTrace::compile(
+                &Trace::from_ids(zipf.iter().map(|item| flat[item.0 as usize])),
+                &explicit,
+            )
+            .unwrap(),
+        ),
+    ];
+    let kinds = [
+        PolicyKind::IblpBalanced,
+        PolicyKind::WTinyLfu,
+        PolicyKind::ItemLfu,
+        PolicyKind::Gcm { seed: 5 },
+    ];
+    for (label, compiled) in &arms {
+        let map = compiled.map().clone();
+        let dense: Trace = compiled.iter_items().collect();
+        for kind in &kinds {
+            for shards in [1usize, 3, 8] {
+                let build = |cfg: RuntimeConfig| {
+                    let backend = Arc::new(SyntheticBackend::new(map.clone()));
+                    GcRuntime::with_config(kind, CAP, map.clone(), cfg, backend).unwrap()
+                };
+                let router = build(RuntimeConfig::new(shards));
+                let capacities = shard_capacities(CAP, shards);
+                let expect: Vec<[u64; 6]> = (0..shards)
+                    .map(|s| {
+                        let mine: Trace = dense
+                            .iter()
+                            .filter(|&i| router.shard_of(i) == Some(s))
+                            .collect();
+                        let mut policy = kind.build(capacities[s], &map);
+                        sim_shape(&gc_sim::simulate(&mut policy, &mine))
+                    })
+                    .collect();
+                for mode in [ExecMode::Locked, ExecMode::Owner] {
+                    for fetch in [FetchPath::Inline, FetchPath::Coalesced] {
+                        let cfg = RuntimeConfig::new(shards)
+                            .with_mode(mode)
+                            .with_fetch(fetch)
+                            .with_batch(16);
+                        for threads in [1usize, 2] {
+                            let compiled_rt = build(cfg.clone());
+                            serve_trace_compiled(&compiled_rt, compiled, threads).unwrap();
+                            let pushed_rt = build(cfg.clone());
+                            serve_trace(&pushed_rt, &dense, threads).unwrap();
+                            for rt in [&compiled_rt, &pushed_rt] {
+                                let got: Vec<[u64; 6]> =
+                                    rt.per_shard_stats().iter().map(shard_shape).collect();
+                                assert_eq!(got, expect, "{kind:?} {label} T={threads} {cfg:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn pushed_prefix_then_run_keeps_arrival_order() {
     // A session that pushes part of the trace by hand and then runs the
     // rest must serve the whole trace in arrival order, on the sparse map

@@ -96,6 +96,30 @@ impl SpatialSet {
         }
     }
 
+    /// The §2 attribution step of a miss on `item` whose policy report is
+    /// `scratch`: every co-loaded item becomes a candidate, the requested
+    /// item is resident on its own merits, and evicted items stop being
+    /// candidates. A later hit asks [`remove`](Self::remove) whether it was
+    /// spatial.
+    // Always inlined: the engine loop and the shard's critical section
+    // keep their miss step free of a call, as when it was written out.
+    #[inline(always)]
+    pub fn record_miss(&mut self, item: ItemId, scratch: &AccessScratch) {
+        debug_assert!(
+            scratch.loaded.contains(&item),
+            "a miss must load the request"
+        );
+        for &z in &scratch.loaded {
+            if z != item {
+                self.insert(z);
+            }
+        }
+        self.remove(item);
+        for &z in &scratch.evicted {
+            self.remove(z);
+        }
+    }
+
     /// Empty the set, keeping the bitmap's allocation.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -187,17 +211,7 @@ fn run_loop<P: GcPolicy + ?Sized>(
                 }
             }
             AccessKind::Miss => {
-                debug_assert!(scratch.loaded.contains(&item), "miss must load the request");
-                for &z in &scratch.loaded {
-                    if z != item {
-                        spatial_candidates.insert(z);
-                    }
-                }
-                // The requested item is resident on its own merits now.
-                spatial_candidates.remove(item);
-                for &z in &scratch.evicted {
-                    spatial_candidates.remove(z);
-                }
+                spatial_candidates.record_miss(item, &scratch);
                 if counted {
                     stats.accesses += 1;
                     stats.misses += 1;

@@ -93,15 +93,7 @@ where
                 stats.l2.misses += 1;
                 stats.l2.items_loaded += scratch.loaded.len() as u64;
                 stats.l2.items_evicted += scratch.evicted.len() as u64;
-                for &z in &scratch.loaded {
-                    if z != item {
-                        l2_spatial.insert(z);
-                    }
-                }
-                l2_spatial.remove(item);
-                for &z in &scratch.evicted {
-                    l2_spatial.remove(z);
-                }
+                l2_spatial.record_miss(item, &scratch);
             }
         }
         stats.l1.peak_len = stats.l1.peak_len.max(l1.len());

@@ -140,6 +140,64 @@ impl DenseMap {
 /// `Vec`-backed state and decode ids for reporting.
 pub type DenseUniverse = DenseMap;
 
+/// A compiled map split block-wise into parts, each a dense map of its
+/// own, built by [`BlockMap::partition_dense`].
+///
+/// Part `p` holds exactly the source blocks assigned to it, renumbered
+/// `0..` in ascending source order, and their items renumbered `0..` in
+/// ascending source order — both renamings are monotone, so
+/// order-sensitive policy state behaves in a part as it does in the
+/// source. A part's decode tables are the source's composed with its
+/// renaming: they map straight back to the original keys, and every part
+/// keeps the source's [`max_block_size`](BlockMap::max_block_size).
+#[derive(Clone, Debug)]
+pub struct DensePartition {
+    /// One dense map per part, in part order.
+    pub parts: Vec<BlockMap>,
+    /// Source dense item id → the id the item has in its own part.
+    pub local: LocalIds,
+}
+
+/// The source → part translation of a [`DensePartition`]: one table over
+/// the source universe, shared by every part (each block, and so each
+/// item, lives in exactly one part).
+#[derive(Clone, Debug)]
+pub struct LocalIds {
+    layout: LocalLayout,
+}
+
+#[derive(Clone, Debug)]
+enum LocalLayout {
+    /// Source block → its block id in its part; an item keeps its offset.
+    Strided {
+        block_size: u64,
+        block_local: Vec<u32>,
+    },
+    /// Source item → its item id in its part.
+    Csr { item_local: Vec<u32> },
+}
+
+impl LocalIds {
+    /// The id source item `item` has in its part.
+    ///
+    /// # Panics
+    /// Panics if `item` is outside the source universe.
+    #[inline]
+    pub fn item(&self, item: ItemId) -> ItemId {
+        match &self.layout {
+            LocalLayout::Strided {
+                block_size,
+                block_local,
+            } => {
+                let block = stride_block(item, *block_size).0;
+                let base = u64::from(block_local[block as usize]) * block_size;
+                ItemId(base + (item.0 - block * block_size))
+            }
+            LocalLayout::Csr { item_local } => ItemId(u64::from(item_local[item.0 as usize])),
+        }
+    }
+}
+
 impl BlockMap {
     /// The strided partition: item `i` belongs to block `i / block_size`,
     /// and every block holds exactly `block_size` consecutive items.
@@ -379,6 +437,116 @@ impl BlockMap {
             },
         }
     }
+
+    /// Split a compiled map into `parts` dense maps, block `b` going to
+    /// part `part_of(b)`, plus the translation of every source item into
+    /// its part (see [`DensePartition`]). Each part's state then scales
+    /// with its own blocks, not the whole universe. `None` for the sparse
+    /// representations, whose hash-backed state already does.
+    ///
+    /// # Panics
+    /// Panics if `part_of` returns a part `>= parts`.
+    pub fn partition_dense(
+        &self,
+        parts: usize,
+        part_of: impl Fn(BlockId) -> usize,
+    ) -> Option<DensePartition> {
+        let d = self.dense_universe()?;
+        let n_blocks = d.n_blocks() as usize;
+        // Each block's part and its rank there; ascending source order
+        // makes the block renaming monotone.
+        let mut block_part = Vec::with_capacity(n_blocks);
+        let mut block_local = Vec::with_capacity(n_blocks);
+        let mut block_decode: Vec<Vec<u64>> = vec![Vec::new(); parts];
+        for b in 0..n_blocks {
+            let p = part_of(BlockId(b as u64));
+            assert!(p < parts, "block {b} sent to part {p} of {parts}");
+            block_part.push(p);
+            block_local.push(block_decode[p].len() as u32);
+            block_decode[p].push(d.block_decode[b]);
+        }
+        let mut decode: Vec<Vec<u64>> = vec![Vec::new(); parts];
+        let (layouts, local): (Vec<DenseLayout>, LocalLayout) = match &d.layout {
+            DenseLayout::Strided { block_size } => {
+                let bs = *block_size as usize;
+                for (decode, blocks) in decode.iter_mut().zip(&block_decode) {
+                    decode.reserve_exact(blocks.len() * bs);
+                }
+                for (b, &p) in block_part.iter().enumerate() {
+                    decode[p].extend_from_slice(&d.decode[b * bs..(b + 1) * bs]);
+                }
+                let layouts = (0..parts)
+                    .map(|_| DenseLayout::Strided {
+                        block_size: *block_size,
+                    })
+                    .collect();
+                let local = LocalLayout::Strided {
+                    block_size: *block_size,
+                    block_local,
+                };
+                (layouts, local)
+            }
+            DenseLayout::Csr {
+                item_to_block,
+                block_starts,
+                block_items,
+            } => {
+                // Items in ascending source order: a monotone renaming.
+                let mut item_local = Vec::with_capacity(item_to_block.len());
+                let mut local_item_to_block: Vec<Vec<u32>> = vec![Vec::new(); parts];
+                for (z, &b) in item_to_block.iter().enumerate() {
+                    let p = block_part[b as usize];
+                    item_local.push(decode[p].len() as u32);
+                    decode[p].push(d.decode[z]);
+                    local_item_to_block[p].push(block_local[b as usize]);
+                }
+                // Each part's blocks list their items in the source group
+                // order, renamed.
+                let mut starts: Vec<Vec<u32>> = vec![Vec::new(); parts];
+                let mut items: Vec<Vec<ItemId>> = vec![Vec::new(); parts];
+                for (b, &p) in block_part.iter().enumerate() {
+                    starts[p].push(items[p].len() as u32);
+                    let range = block_starts[b] as usize..block_starts[b + 1] as usize;
+                    items[p].extend(
+                        block_items[range]
+                            .iter()
+                            .map(|z| ItemId(u64::from(item_local[z.0 as usize]))),
+                    );
+                }
+                let layouts = local_item_to_block
+                    .into_iter()
+                    .zip(starts)
+                    .zip(items)
+                    .map(|((item_to_block, mut block_starts), block_items)| {
+                        block_starts.push(block_items.len() as u32);
+                        DenseLayout::Csr {
+                            item_to_block,
+                            block_starts,
+                            block_items,
+                        }
+                    })
+                    .collect();
+                (layouts, LocalLayout::Csr { item_local })
+            }
+        };
+        let parts = layouts
+            .into_iter()
+            .zip(decode)
+            .zip(block_decode)
+            .map(|((layout, decode), block_decode)| BlockMap {
+                repr: Repr::Dense(Arc::new(DenseMap {
+                    layout,
+                    decode: Arc::new(decode),
+                    block_decode: Arc::new(block_decode),
+                    max_block_size: d.max_block_size,
+                })),
+            })
+            .collect();
+        Some(DensePartition {
+            parts,
+            local: LocalIds { layout: local },
+        })
+    }
 }
 
 /// `item / stride`, as a shift when the stride is a power of two — on a
@@ -572,6 +740,97 @@ mod tests {
         let m = BlockMap::from_groups(vec![vec![ItemId(1), ItemId(2)]]).unwrap();
         let m2 = m.clone();
         assert_eq!(m2.block_of(ItemId(2)), BlockId(0));
+    }
+
+    /// Check a partition of `source` against its contract: every block and
+    /// item lands in exactly one part, the renamings are monotone and
+    /// bijective per part, group order survives, and decode tables compose.
+    fn check_partition(source: &BlockMap, parts: usize, part_of: impl Fn(BlockId) -> usize) {
+        let d = source.dense_universe().unwrap();
+        let split = source.partition_dense(parts, &part_of).unwrap();
+        assert_eq!(split.parts.len(), parts);
+        let (mut items, mut blocks) = (0, 0);
+        for part in &split.parts {
+            let pd = part.dense_universe().unwrap();
+            items += pd.n_items();
+            blocks += pd.n_blocks();
+            assert_eq!(part.max_block_size(), source.max_block_size());
+            assert_eq!(part.stride(), source.stride());
+        }
+        assert_eq!((items, blocks), (d.n_items(), d.n_blocks()));
+        let mut seen: Vec<Vec<bool>> = split
+            .parts
+            .iter()
+            .map(|m| vec![false; m.dense_universe().unwrap().n_items() as usize])
+            .collect();
+        let mut last: Vec<Option<u64>> = vec![None; parts];
+        for g in (0..d.n_items()).map(ItemId) {
+            let block = source.block_of(g);
+            let p = part_of(block);
+            let local = split.local.item(g);
+            let part = &split.parts[p];
+            let pd = part.dense_universe().unwrap();
+            assert!(!std::mem::replace(&mut seen[p][local.0 as usize], true));
+            assert!(
+                last[p].map_or(true, |prev| prev < local.0),
+                "monotone items"
+            );
+            last[p] = Some(local.0);
+            assert_eq!(pd.decode_item(local), d.decode_item(g));
+            let local_block = part.block_of(local);
+            assert_eq!(pd.decode_block(local_block), d.decode_block(block));
+            let renamed: Vec<ItemId> = source
+                .items_of(block)
+                .map(|z| split.local.item(z))
+                .collect();
+            assert_eq!(part.items_of(local_block).collect::<Vec<_>>(), renamed);
+        }
+        assert!(seen.iter().flatten().all(|&s| s), "every local id used");
+    }
+
+    #[test]
+    fn partition_of_a_strided_map_is_a_monotone_split() {
+        for stride in [4u64, 6] {
+            let trace = crate::Trace::from_ids((0..40u64).map(|b| b * 977 * stride + b % stride));
+            let compiled =
+                crate::CompiledTrace::compile(&trace, &BlockMap::strided(stride as usize)).unwrap();
+            for parts in [1usize, 3, 8] {
+                check_partition(compiled.map(), parts, |b| {
+                    (crate::mix64(b.0) % parts as u64) as usize
+                });
+            }
+            // A part with no blocks is an empty universe, not an error.
+            check_partition(compiled.map(), 2, |_| 1);
+        }
+    }
+
+    #[test]
+    fn partition_of_a_csr_map_keeps_group_order() {
+        // Ragged groups listed out of id order, interleaved across blocks.
+        let groups: Vec<Vec<ItemId>> = (0..30u64)
+            .map(|b| {
+                (0..1 + b % 5)
+                    .rev()
+                    .map(|i| ItemId(i * 1_000 + b))
+                    .collect()
+            })
+            .collect();
+        let map = BlockMap::from_groups(groups).unwrap();
+        let trace = crate::Trace::from_ids((0..30u64).map(|b| b * 7 % 30));
+        let compiled = crate::CompiledTrace::compile(&trace, &map).unwrap();
+        assert_eq!(compiled.map().stride(), None);
+        for parts in [1usize, 3, 8] {
+            check_partition(compiled.map(), parts, |b| {
+                (crate::mix64(b.0) % parts as u64) as usize
+            });
+        }
+    }
+
+    #[test]
+    fn sparse_maps_do_not_partition() {
+        assert!(BlockMap::strided(4).partition_dense(2, |_| 0).is_none());
+        let m = BlockMap::from_groups(vec![vec![ItemId(1)]]).unwrap();
+        assert!(m.partition_dense(2, |_| 0).is_none());
     }
 
     fn roundtrip(m: &BlockMap) -> (String, BlockMap) {

@@ -22,7 +22,8 @@
 //! shard loads each miss into its own reuse buffer, and on the coalesced
 //! one the session loads it into its reuse buffer through the
 //! single-flight table, which recycles flights nobody joined, and folds
-//! its inline histograms.
+//! its inline histograms. A compiled explicit map at three shards takes
+//! the same path through per-shard CSR universes.
 
 use gc_cache::gc_runtime::{BlockStore, DiskBackend, MemBackend};
 use gc_cache::prelude::*;
@@ -88,15 +89,7 @@ fn assert_steady_state_alloc_free(policy: &mut dyn GcPolicy, trace: &Trace) {
     // high-water marks here.
     for item in trace.iter() {
         if policy.access_into(item, &mut scratch).is_miss() {
-            for &z in &scratch.loaded {
-                if z != item {
-                    spatial.insert(z);
-                }
-            }
-            spatial.remove(item);
-            for &z in &scratch.evicted {
-                spatial.remove(z);
-            }
+            spatial.record_miss(item, &scratch);
         } else {
             spatial.remove(item);
         }
@@ -107,15 +100,7 @@ fn assert_steady_state_alloc_free(policy: &mut dyn GcPolicy, trace: &Trace) {
     for item in trace.iter() {
         if policy.access_into(item, &mut scratch).is_miss() {
             misses += 1;
-            for &z in &scratch.loaded {
-                if z != item {
-                    spatial.insert(z);
-                }
-            }
-            spatial.remove(item);
-            for &z in &scratch.evicted {
-                spatial.remove(z);
-            }
+            spatial.record_miss(item, &scratch);
         } else {
             spatial.remove(item);
         }
@@ -323,5 +308,48 @@ fn session_steady_state_is_alloc_free() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn session_over_explicit_shard_universes_is_alloc_free() {
+    // A compiled explicit map gives each of three shards a CSR universe of
+    // its own blocks; translating every request into it is a table load,
+    // not an allocation.
+    let groups: Vec<Vec<ItemId>> = (0..4096u64)
+        .map(|b| (0..1 + b % 16).map(|i| ItemId(i * 1_000_003 + b)).collect())
+        .collect();
+    let flat: Vec<u64> = groups.iter().flatten().map(|z| z.0).collect();
+    let map = BlockMap::from_groups(groups).unwrap();
+    let trace = Trace::from_ids(
+        thrash_trace(50_000, flat.len() as u64)
+            .iter()
+            .map(|item| flat[item.0 as usize]),
+    );
+    let compiled = CompiledTrace::compile(&trace, &map).unwrap();
+    let map = compiled.map().clone();
+    for fetch in [FetchPath::Coalesced, FetchPath::Inline] {
+        let backend: Arc<dyn BlockBackend> = Arc::new(SyntheticBackend::new(map.clone()));
+        let rt = GcRuntime::with_config(
+            &PolicyKind::IblpBalanced,
+            1024,
+            map.clone(),
+            RuntimeConfig::new(3).with_fetch(fetch).with_batch(8),
+            backend,
+        )
+        .unwrap();
+        let mut session = rt.session();
+        let window = steady_state_allocations(|| {
+            for a in compiled.accesses() {
+                session.push(ItemId(u64::from(a.item))).unwrap();
+            }
+            session.flush().unwrap();
+        });
+        drop(session);
+        assert!(rt.aggregate_stats().misses > 2000, "{fetch} fetch");
+        assert_eq!(
+            window, 0,
+            "3 explicit shards, {fetch} fetch: {window} heap allocations in a steady-state window"
+        );
     }
 }

@@ -10,6 +10,9 @@
 //! structures of 2Q, LRU-K and LFU, so a rewrite that changes any eviction
 //! decision fails here even when its sparse and compiled paths agree.
 //!
+//! Every policy must also report every eviction: on both traces, items
+//! loaded minus items reported evicted stays within the capacity.
+//!
 //! The same traces pin the three [`IblpConfig`] ablations, and a
 //! phase-changing trace pins where a seeded [`AdaptiveIblp`] moves its
 //! split. Those values, and the `item-marking` rows, were recorded before
@@ -93,6 +96,14 @@ fn check(name: &str, trace: &Trace, golden: &[Golden; 13]) {
     for ((spec, (sparse, dense)), want) in SPECS.iter().zip(run(trace)).zip(golden) {
         assert_eq!(sparse, *want, "{spec} on {name}: simulate moved");
         assert_eq!(dense, *want, "{spec} on {name}: simulate_compiled moved");
+        // Every eviction is reported: what was loaded and never reported
+        // evicted is still resident, and no more than the cache holds.
+        let (loaded, evicted) = (sparse.4, sparse.5);
+        assert!(
+            loaded - evicted <= CAPACITY as u64,
+            "{spec} on {name}: {loaded} items loaded, {evicted} reported evicted, \
+             more than {CAPACITY} left resident"
+        );
     }
 }
 
@@ -105,7 +116,7 @@ fn block_runs_trace_is_pinned() {
             (20000, 14371, 5629, 0, 14371, 13859, 512),    // item-lru
             (20000, 12676, 7324, 0, 12676, 12164, 512),    // item-lfu
             (20000, 5753, 2804, 11443, 92048, 91536, 512), // block-lru
-            (20000, 6248, 3843, 9909, 92106, 82590, 512),  // iblp
+            (20000, 6248, 3843, 9909, 92106, 91623, 512),  // iblp
             (20000, 6168, 3197, 10635, 93909, 93431, 512), // adaptive-iblp
             (20000, 6533, 4202, 9265, 88355, 87843, 512),  // gcm
             (20000, 6078, 1922, 12000, 95674, 95162, 512), // loadk:a=1
@@ -128,7 +139,7 @@ fn uniform_trace_is_pinned() {
             (20000, 18806, 1194, 0, 18806, 18294, 512),    // item-lru
             (20000, 18804, 1196, 0, 18804, 18292, 512),    // item-lfu
             (20000, 18696, 88, 1216, 299136, 298624, 512), // block-lru
-            (20000, 18822, 584, 594, 292840, 291791, 512), // iblp
+            (20000, 18822, 584, 594, 292840, 292351, 512), // iblp
             (20000, 18832, 424, 744, 295576, 295092, 512), // adaptive-iblp
             (20000, 18751, 672, 577, 282958, 282446, 512), // gcm
             (20000, 18695, 84, 1221, 299066, 298554, 512), // loadk:a=1
@@ -174,8 +185,8 @@ fn iblp_ablations_are_pinned() {
         "runs",
         &runs_trace(),
         &[
-            (20000, 6248, 3843, 9909, 92106, 82590, 512), // paper
-            (20000, 6200, 3899, 9901, 91966, 82471, 512), // block_touching
+            (20000, 6248, 3843, 9909, 92106, 91623, 512), // paper
+            (20000, 6200, 3899, 9901, 91966, 91486, 512), // block_touching
             (20000, 6149, 4387, 9464, 90013, 89544, 512), // no_promotion
         ],
     );
@@ -183,8 +194,8 @@ fn iblp_ablations_are_pinned() {
         "uniform",
         &uniform_trace(),
         &[
-            (20000, 18822, 584, 594, 292840, 291791, 512), // paper
-            (20000, 18822, 584, 594, 292840, 291791, 512), // block_touching
+            (20000, 18822, 584, 594, 292840, 292351, 512), // paper
+            (20000, 18822, 584, 594, 292840, 292351, 512), // block_touching
             (20000, 18821, 586, 593, 292738, 292249, 512), // no_promotion
         ],
     );
