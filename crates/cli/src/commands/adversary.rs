@@ -1,15 +1,17 @@
 //! `adversary`: one §4 lower-bound construction against a live policy.
 
+use super::Failure;
 use crate::args::Args;
 use gc_cache::gc_trace::adversary;
 use gc_cache::prelude::*;
+use std::io::Write;
 
 pub const USAGE: &str = "\
 run a §4 adversary against a live policy
 --which st|thm2|thm3|thm4 --k K --h H [--block-size B
 --rounds R --a A]";
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let which = args.get_str("which").unwrap_or("thm2");
     let k: usize = args.require("k")?;
     let h: usize = args.require("h")?;
@@ -34,19 +36,21 @@ pub fn run(args: &Args) -> Result<(), String> {
             let mut probe = ProbeAdapter::new(ThresholdLoad::new(k, a, BlockMap::strided(b)));
             adversary::general(&mut probe, k, h, b, rounds)
         }
-        other => return Err(format!("unknown adversary {other:?} (st|thm2|thm3|thm4)")),
+        other => return Err(format!("unknown adversary {other:?} (st|thm2|thm3|thm4)").into()),
     };
-    println!(
+    writeln!(
+        out,
         "trace: {} ({} requests, warmup {})",
         rep.trace.name,
         rep.trace.len(),
         rep.warmup_len
-    );
-    println!("online misses  {}", rep.online_misses);
-    println!("offline misses {}", rep.opt_misses);
-    println!(
+    )?;
+    writeln!(out, "online misses  {}", rep.online_misses)?;
+    writeln!(out, "offline misses {}", rep.opt_misses)?;
+    writeln!(
+        out,
         "certified competitive ratio ≥ {:.3}",
         rep.competitive_ratio()
-    );
+    )?;
     Ok(())
 }

@@ -1,15 +1,16 @@
 //! `figure6`: the paper's Figure 6, fixed vs optimal IBLP splits, as CSV.
 
-use super::cell;
+use super::{cell, Failure};
 use crate::args::Args;
 use gc_cache::gc_bounds::figures::{figure6, geometric_h_values};
 use gc_cache::gc_bounds::iblp_optimal_split;
+use std::io::Write;
 
 pub const USAGE: &str = "\
 fixed vs optimal IBLP splits (paper Figure 6)
 [--k 1280000 --block-size 64]";
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let k: usize = args.get_or("k", 1_280_000usize)?;
     let b: usize = args.get_or("block-size", 64usize)?;
     args.finish()?;
@@ -21,10 +22,10 @@ pub fn run(args: &Args) -> Result<(), String> {
         .collect();
     let hs = geometric_h_values(b * 2, k / 2, 6);
     let header: Vec<String> = fixed.iter().map(|i| format!("fixed_i_{i}")).collect();
-    println!("h,optimal,{}", header.join(","));
+    writeln!(out, "h,optimal,{}", header.join(","))?;
     for p in figure6(k, b, &hs, &fixed) {
         let cells: Vec<String> = p.fixed_splits.iter().map(|&v| cell(v)).collect();
-        println!("{},{},{}", p.h, cell(p.optimal_split), cells.join(","));
+        writeln!(out, "{},{},{}", p.h, cell(p.optimal_split), cells.join(","))?;
     }
     Ok(())
 }

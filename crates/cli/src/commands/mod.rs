@@ -1,10 +1,13 @@
 //! One module per subcommand. Each holds its `USAGE` text next to the
 //! flags it reads and one `run`; [`COMMANDS`] drives both dispatch and
-//! `gc-cache help`, so the help text cannot drift from the code.
+//! `gc-cache help`, so the help text cannot drift from the code. Every
+//! `run` writes its report to the one writer it is handed, so a failed
+//! write reaches the caller as a [`Failure`] instead of a panic.
 
 use crate::args::Args;
 use gc_cache::gc_types::GcError;
-use std::fmt::Write;
+use std::fmt::{self, Write as _};
+use std::io::{self, Write};
 
 mod adversary;
 mod bracket;
@@ -22,7 +25,43 @@ mod table1;
 mod table2;
 mod workload;
 
-type Run = fn(&Args) -> Result<(), String>;
+/// Why a subcommand stopped early.
+#[derive(Debug)]
+pub enum Failure {
+    /// Refused input or a failed computation, for the operator to read.
+    Refused(String),
+    /// Writing the report failed, e.g. because its reader went away.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Refused(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Refused(msg.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Output(e)
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Refused(msg) => f.write_str(msg),
+            Failure::Output(e) => write!(f, "writing output: {e}"),
+        }
+    }
+}
+
+type Run = fn(&Args, &mut dyn Write) -> Result<(), Failure>;
 
 /// Every subcommand: its name, its usage (a summary line, then its flags)
 /// and its entry point, in the order `help` lists them.
@@ -44,10 +83,10 @@ const COMMANDS: [(&str, &str, Run); 15] = [
     ("help", "this text", print_help),
 ];
 
-/// Dispatch on the first positional argument.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// Dispatch on the first positional argument, writing the report to `out`.
+pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let Some((cmd, rest)) = argv.split_first() else {
-        print!("{}", help());
+        out.write_all(help().as_bytes())?;
         return Ok(());
     };
     let name = match cmd.as_str() {
@@ -59,12 +98,12 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         .iter()
         .find(|(listed, ..)| *listed == name)
         .ok_or_else(|| format!("unknown command {cmd:?}"))?;
-    run(&args)
+    run(&args, out)
 }
 
-fn print_help(args: &Args) -> Result<(), String> {
+fn print_help(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     args.finish()?;
-    print!("{}", help());
+    out.write_all(help().as_bytes())?;
     Ok(())
 }
 
@@ -85,13 +124,13 @@ fn help() -> String {
 }
 
 /// An `invalid parameter` error, the structured refusal of operator input.
-fn invalid(msg: String) -> String {
-    GcError::InvalidParameter(msg).to_string()
+fn invalid(msg: String) -> Failure {
+    Failure::Refused(GcError::InvalidParameter(msg).to_string())
 }
 
 /// `--capacity`, refused when zero: every policy constructor asserts a
 /// positive capacity, and an operator typo should not surface as a panic.
-fn positive_capacity(args: &Args) -> Result<usize, String> {
+fn positive_capacity(args: &Args) -> Result<usize, Failure> {
     match args.require("capacity")? {
         0 => Err(invalid("--capacity must be >= 1".into())),
         capacity => Ok(capacity),

@@ -1,11 +1,13 @@
 //! `mrc`: item and block miss-ratio curves plus the IBLP split grid.
 
 use super::workload::{workload, Workload};
+use super::Failure;
 use crate::args::Args;
 use gc_cache::gc_sim::checkpoint::{load_json, MrcCheckpoint};
 use gc_cache::gc_sim::mrc::{mrc_bundle, mrc_bundle_compiled, MrcMode, MrcRunConfig};
 use gc_cache::gc_sim::shards::SamplerConfig;
 use gc_cache::prelude::*;
+use std::io::Write;
 
 pub const USAGE: &str = "\
 item/block miss-ratio curves + IBLP split grid (Mattson),
@@ -17,7 +19,7 @@ only, not combinable with checkpointing
 [--checkpoint <path>] [--resume <path>] persist each curve
 as it completes and resume an interrupted bundle";
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let capacity: usize = args.require("capacity")?;
     let threads: usize = args.get_or("threads", 0usize)?;
     let sample_rate: Option<f64> = args.get("sample-rate")?;
@@ -44,7 +46,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             None => {
                 let rate = sample_rate.expect("sampled mode implies a rate or an s_max");
                 if !(rate > 0.0 && rate <= 1.0) {
-                    return Err(format!("--sample-rate must be in (0,1], got {rate}"));
+                    return Err(format!("--sample-rate must be in (0,1], got {rate}").into());
                 }
                 SamplerConfig::fixed(rate)
             }
@@ -81,7 +83,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     if let (MrcMode::Sampled(cfg), Some(item_stats), Some(block_stats)) =
         (&mode, &bundle.item_stats, &bundle.block_stats)
     {
-        println!(
+        writeln!(
+            out,
             "# sampled MRC: {} seed={} | items: {}/{} accesses kept, {} distinct, final rate {:.5} | blocks: {} kept, {} distinct, final rate {:.5}",
             match &cfg.s_max {
                 Some(n) => format!("s_max={n}"),
@@ -95,29 +98,32 @@ pub fn run(args: &Args) -> Result<(), String> {
             block_stats.sampled_accesses,
             block_stats.distinct_sampled,
             block_stats.final_rate,
-        );
+        )?;
     }
-    println!("size,item_miss_ratio,block_slots,block_miss_ratio");
+    writeln!(out, "size,item_miss_ratio,block_slots,block_miss_ratio")?;
     let mut k = 1usize;
     while k <= capacity {
         let slots = (k / block_size).max(1);
-        println!(
+        writeln!(
+            out,
             "{k},{:.6},{slots},{:.6}",
             bundle.item.miss_ratio(k),
             bundle.block.miss_ratio(slots)
-        );
+        )?;
         k *= 2;
     }
     let best = bundle.best_split().ok_or("empty split grid")?;
-    println!(
+    writeln!(
+        out,
         "# best IBLP split estimate at budget {capacity}: i={} b={} (≈{} misses)",
         best.item_lines, best.block_lines, best.miss_estimate
-    );
+    )?;
     if !exact {
-        println!(
+        writeln!(
+            out,
             "# seed an adaptive policy with it: AdaptiveIblp::with_split({capacity}, {}, map)",
             best.item_lines
-        );
+        )?;
     }
     Ok(())
 }

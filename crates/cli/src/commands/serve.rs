@@ -1,7 +1,7 @@
 //! `serve`: replay a trace through the concurrent sharded runtime.
 
 use super::workload::{workload, Workload};
-use super::{invalid, positive_capacity};
+use super::{invalid, positive_capacity, Failure};
 use crate::args::Args;
 use gc_cache::gc_runtime::{
     serve_trace, serve_trace_compiled, BackendSpec, ExecMode, FetchPath, GcRuntime, RuntimeConfig,
@@ -9,6 +9,7 @@ use gc_cache::gc_runtime::{
 use gc_cache::gc_types::json::{Json, ToJson, Value};
 use gc_cache::gc_types::{FxHashSet, LatencyHistogram};
 use gc_cache::prelude::*;
+use std::io::Write;
 
 pub const USAGE: &str = "\
 replay a trace through the concurrent sharded runtime
@@ -21,7 +22,7 @@ with the trace's blocks and recovered on open; tiered L1
 must be mem|disk)
 [--compile] [--json] [--trace <file> | workload flags]";
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let label = args.get_str("policy").unwrap_or("iblp");
     let kind = PolicyKind::parse(label).map_err(|e| e.to_string())?;
     let capacity = positive_capacity(args)?;
@@ -67,7 +68,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let backend_spec: BackendSpec = match args.get_str("backend").unwrap_or("synthetic").parse() {
         Ok(spec) => spec,
         Err(GcError::InvalidParameter(msg)) => return Err(invalid(format!("--backend: {msg}"))),
-        Err(e) => return Err(e.to_string()),
+        Err(e) => return Err(e.to_string().into()),
     };
     let compile = args.switch("compile");
     let json = args.switch("json");
@@ -112,7 +113,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             // store file is a bad parameter from the caller's seat — name
             // the flag so the fix is obvious.
             e @ GcError::Io { .. } => invalid(format!("--backend: {e}")),
-            e => e.to_string(),
+            e => e.to_string().into(),
         })?;
     let runtime = GcRuntime::with_config(&kind, capacity, serve_map, config, backend)
         .map_err(|e| e.to_string())?;
@@ -202,69 +203,77 @@ pub fn run(args: &Args) -> Result<(), String> {
             ("tiers", Value::Array(tiers).into()),
             ("per_shard", Value::Array(per_shard).into()),
         ]);
-        println!("{}", doc.to_string_pretty());
+        writeln!(out, "{}", doc.to_string_pretty())?;
         return Ok(());
     }
 
-    println!("workload: {} ({} requests)", trace.name, trace.len());
-    println!(
+    writeln!(out, "workload: {} ({} requests)", trace.name, trace.len())?;
+    writeln!(
+        out,
         "runtime:  {} | capacity {capacity} | {shards} shard(s) | {threads} thread(s), {} worker(s) | mode {mode} | batch {batch} | fetch {fetch}{} | backend {backend_spec}",
         kind.label(),
         report.workers,
         if compile { " | compiled" } else { "" },
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "served {} requests in {:.3}s  ({:.0} req/s)",
         report.requests, report.wall_seconds, report.throughput_rps
-    );
-    println!("hit rate         {:.6}", s.hit_rate());
-    println!("temporal hits    {}", s.temporal_hits);
-    println!("spatial hits     {}", s.spatial_hits);
-    println!("misses           {}", s.misses);
-    println!(
+    )?;
+    writeln!(out, "hit rate         {:.6}", s.hit_rate())?;
+    writeln!(out, "temporal hits    {}", s.temporal_hits)?;
+    writeln!(out, "spatial hits     {}", s.spatial_hits)?;
+    writeln!(out, "misses           {}", s.misses)?;
+    writeln!(
+        out,
         "backend fetches  {}  (+{} coalesced, rate {:.3})",
         s.backend_fetches,
         s.coalesced_fetches,
         s.coalescing_rate()
-    );
+    )?;
     if s.delayed_hits > 0 {
-        println!(
+        writeln!(
+            out,
             "delayed hits     {}  (rate {:.3}; waited p50 {:.1} µs, p99 {:.1} µs)",
             s.delayed_hits,
             s.delayed_hit_rate(),
             micros(&s.waiter_wait, 0.50),
             micros(&s.waiter_wait, 0.99)
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "admission        {} of {} fetched items ({:.3})",
         s.admitted_items,
         s.fetched_items,
         s.admission_ratio()
-    );
+    )?;
     if !s.fetch_latency.is_empty() {
-        println!(
+        writeln!(
+            out,
             "fetch latency    p50 {:.1} µs, p99 {:.1} µs, max {:.1} µs",
             micros(&s.fetch_latency, 0.50),
             micros(&s.fetch_latency, 0.99),
             s.fetch_latency.max_nanos() as f64 / 1_000.0
-        );
+        )?;
     }
     for t in &s.tiers {
-        println!(
+        writeln!(
+            out,
             "  tier {:<5} {} fetches, {} stores, fetch p50 {:.1} µs, p99 {:.1} µs",
             t.label,
             t.fetches,
             t.stores,
             micros(&t.latency, 0.50),
             micros(&t.latency, 0.99)
-        );
+        )?;
     }
     for (i, p) in report.per_shard.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "  shard {i}: {} accesses, {} misses, {} fetches",
             p.accesses, p.misses, p.backend_fetches
-        );
+        )?;
     }
     Ok(())
 }

@@ -1,17 +1,18 @@
 //! `simulate`: one policy over one workload, with the offline reference.
 
-use super::positive_capacity;
 use super::workload::{workload, Workload};
+use super::{positive_capacity, Failure};
 use crate::args::Args;
 use gc_cache::gc_offline::gc_belady_heuristic;
 use gc_cache::prelude::*;
+use std::io::Write;
 
 pub const USAGE: &str = "\
 run one policy over a synthetic workload
 --policy <label> --capacity <k> [--warmup W] [--compile]
 [workload flags]";
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let label = args.get_str("policy").unwrap_or("iblp");
     let kind = PolicyKind::parse(label).map_err(|e| e.to_string())?;
     let capacity = positive_capacity(args)?;
@@ -20,18 +21,21 @@ pub fn run(args: &Args) -> Result<(), String> {
     let Workload { trace, map, .. } = workload(args)?;
     let required = kind.min_capacity(map.max_block_size());
     if capacity < required {
-        return Err(GcError::CapacityTooSmall { capacity, required }.to_string());
+        return Err(GcError::CapacityTooSmall { capacity, required }
+            .to_string()
+            .into());
     }
 
     let (policy_name, stats) = if compile {
         let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
         let mut policy = kind.build(capacity, compiled.map());
         let stats = gc_cache::gc_sim::simulate_compiled_with_warmup(&mut policy, &compiled, warmup);
-        println!(
+        writeln!(
+            out,
             "# compiled: {} dense items in {} blocks",
             compiled.n_items(),
             compiled.n_blocks()
-        );
+        )?;
         (policy.name(), stats)
     } else {
         let mut policy = kind.build(capacity, &map);
@@ -40,19 +44,20 @@ pub fn run(args: &Args) -> Result<(), String> {
             gc_cache::gc_sim::simulate_with_warmup(&mut policy, &trace, warmup),
         )
     };
-    println!("workload: {} ({} requests)", trace.name, trace.len());
-    println!("policy:   {policy_name}");
-    println!("accesses        {}", stats.accesses);
-    println!("misses          {}", stats.misses);
-    println!("fault rate      {:.6}", stats.fault_rate());
-    println!("temporal hits   {}", stats.temporal_hits);
-    println!("spatial hits    {}", stats.spatial_hits);
-    println!("avg load width  {:.3}", stats.load_width());
+    writeln!(out, "workload: {} ({} requests)", trace.name, trace.len())?;
+    writeln!(out, "policy:   {policy_name}")?;
+    writeln!(out, "accesses        {}", stats.accesses)?;
+    writeln!(out, "misses          {}", stats.misses)?;
+    writeln!(out, "fault rate      {:.6}", stats.fault_rate())?;
+    writeln!(out, "temporal hits   {}", stats.temporal_hits)?;
+    writeln!(out, "spatial hits    {}", stats.spatial_hits)?;
+    writeln!(out, "avg load width  {:.3}", stats.load_width())?;
     let offline = gc_belady_heuristic(&trace, &map, capacity);
-    println!(
+    writeln!(
+        out,
         "offline block-Belady: {} misses (ratio {:.3})",
         offline,
         stats.misses as f64 / offline.max(1) as f64
-    );
+    )?;
     Ok(())
 }

@@ -1,6 +1,6 @@
 //! `store`: populate (or extend) a persistent disk block store.
 
-use super::invalid;
+use super::{invalid, Failure};
 use crate::args::Args;
 use gc_cache::gc_runtime::{BlockStore, DiskBackend};
 use gc_cache::prelude::*;
@@ -16,7 +16,7 @@ loses acked blocks)";
 /// Fsyncs every `--sync-every` blocks and prints an `acked <last_block>`
 /// line per durable batch. Crash-safety harnesses kill this process
 /// mid-run and assert every acked block survives bit-identically.
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let Some(path) = args.get_str("path") else {
         return Err(invalid(
             "--path is required (segment file to populate)".into(),
@@ -41,7 +41,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let store = DiskBackend::open(path, BlockMap::strided(block_size)).map_err(|e| match e {
         GcError::InvalidParameter(msg) => invalid(format!("--path: {msg}")),
         e @ GcError::Io { .. } => invalid(format!("--path: {e}")),
-        e => e.to_string(),
+        e => e.to_string().into(),
     })?;
     let already = store.stored_blocks();
     let mut appended = 0usize;
@@ -54,13 +54,14 @@ pub fn run(args: &Args) -> Result<(), String> {
         store.sync().map_err(|e| e.to_string())?;
         // The ack line is the durability contract: by the time it is
         // visible, every block up to `end - 1` has been fsynced.
-        println!("acked {}", end - 1);
-        std::io::stdout().flush().map_err(|e| e.to_string())?;
+        writeln!(out, "acked {}", end - 1)?;
+        out.flush()?;
         start = end;
     }
-    println!(
+    writeln!(
+        out,
         "store {path}: {} blocks held ({already} pre-existing, {appended} appended)",
         store.stored_blocks()
-    );
+    )?;
     Ok(())
 }

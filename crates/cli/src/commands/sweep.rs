@@ -1,6 +1,7 @@
 //! `sweep`: the standard policy roster across capacities.
 
 use super::workload::{workload, Workload};
+use super::Failure;
 use crate::args::Args;
 use gc_cache::gc_sim::checkpoint::{load_json, SweepCheckpoint};
 use gc_cache::gc_sim::compare::render_table;
@@ -8,6 +9,7 @@ use gc_cache::gc_sim::sweep::{
     run_sweep, run_sweep_compiled, to_csv, OnError, SweepJob, SweepResult, SweepRunConfig,
 };
 use gc_cache::prelude::*;
+use std::io::Write;
 
 pub const USAGE: &str = "\
 compare the standard policy roster across capacities
@@ -19,7 +21,7 @@ fault isolation: [--checkpoint <path> --checkpoint-every N]
 switches to checked CSV output, isolating panicking cells
 and persisting progress for crash-safe resume";
 
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let capacities: Vec<usize> = args
         .get_list("capacities")?
         .unwrap_or_else(|| vec![256, 1024, 4096]);
@@ -85,16 +87,16 @@ pub fn run(args: &Args) -> Result<(), String> {
         eprintln!("# cell {index} failed: {reason}");
     }
     if csv || checked {
-        print!("{}", to_csv(&outcome, &jobs));
+        write!(out, "{}", to_csv(&outcome, &jobs))?;
         return Ok(());
     }
     // Jobs are capacity-major and no cell failed, so each chunk is one
     // capacity's roster.
     let cells: Vec<&SweepResult> = outcome.completed().collect();
     for cells in cells.chunks(kinds.len()) {
-        println!("== capacity {} ==", cells[0].job.capacity);
-        print!("{}", render_table(cells));
-        println!();
+        writeln!(out, "== capacity {} ==", cells[0].job.capacity)?;
+        write!(out, "{}", render_table(cells))?;
+        writeln!(out)?;
     }
     Ok(())
 }

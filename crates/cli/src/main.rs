@@ -16,12 +16,17 @@
 mod args;
 mod commands;
 
+use commands::Failure;
+use std::io::ErrorKind;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&argv) {
+    match commands::dispatch(&argv, &mut std::io::stdout()) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader stopped reading (`gc-cache ... | head`): it has all
+        // the output it wanted.
+        Err(Failure::Output(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!("run `gc-cache help` for usage");

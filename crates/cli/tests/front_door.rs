@@ -433,3 +433,49 @@ fn mrc_output_is_pinned_across_engines_and_checkpoints() {
     assert!(out.stdout.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reader that closes the pipe after the first line (`| head -1`) ends
+/// the run quietly with success: no panic, no error message. The first
+/// line comes out before the simulation runs, so the later lines meet a
+/// closed pipe.
+#[test]
+fn a_reader_that_stops_early_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gc-cache"))
+        .args([
+            "simulate",
+            "--policy",
+            "iblp",
+            "--capacity",
+            "2048",
+            "--workload",
+            "block-runs",
+            "--len",
+            "400000",
+            "--seed",
+            "7",
+            "--compile",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("gc-cache binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("# compiled:"), "{first}");
+    // The reader, and with it the pipe's only read end, is gone here.
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut err)
+        .expect("stderr");
+    let status = child.wait().expect("gc-cache exits");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(status.success(), "{status}: {err}");
+    assert!(err.is_empty(), "{err}");
+}

@@ -6,8 +6,7 @@
 //! hashes. After `sample_size` increments every counter is halved (the
 //! *reset* operation), which ages out stale popularity.
 
-use gc_types::ItemId;
-use std::sync::Arc;
+use gc_types::{DenseDecode, ItemId};
 
 const ROWS: usize = 4;
 const COUNTER_MAX: u8 = 15;
@@ -20,10 +19,10 @@ pub struct CountMinSketch {
     increments: u64,
     sample_size: u64,
     seeds: [u64; ROWS],
-    /// Dense-ID traces hash through this inverse table so the bucket
-    /// choices — and therefore every admission duel — are bit-identical to
-    /// the run over the original sparse ids.
-    decode: Option<Arc<Vec<u64>>>,
+    /// Dense-ID traces hash through this inverse translation so the
+    /// bucket choices — and therefore every admission duel — are
+    /// bit-identical to the run over the original sparse ids.
+    decode: Option<DenseDecode>,
 }
 
 impl CountMinSketch {
@@ -49,7 +48,7 @@ impl CountMinSketch {
 
     /// A sketch over a dense-renamed universe: items are translated back to
     /// their original ids via `decode` before hashing.
-    pub fn with_decode(expected_items: usize, decode: Arc<Vec<u64>>) -> Self {
+    pub fn with_decode(expected_items: usize, decode: DenseDecode) -> Self {
         let mut s = Self::new(expected_items);
         s.decode = Some(decode);
         s
@@ -58,7 +57,7 @@ impl CountMinSketch {
     #[inline]
     fn raw_key(&self, item: ItemId) -> u64 {
         match &self.decode {
-            Some(table) => table[item.0 as usize],
+            Some(decode) => decode.item(item).0,
             None => item.0,
         }
     }

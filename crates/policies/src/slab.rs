@@ -26,8 +26,7 @@
 //! uncompiled / streamed traces and stays bit-identical to the historic
 //! hash-map implementation.
 
-use gc_types::{BlockMap, FxHashMap, FxHashSet};
-use std::sync::Arc;
+use gc_types::{BlockMap, DenseDecode, FxHashMap, FxHashSet};
 
 /// First valid generation; stamp 0 always reads as absent.
 const GEN_FIRST: u32 = 1;
@@ -44,7 +43,7 @@ pub struct Universe {
 struct DenseInfo {
     n_items: usize,
     n_blocks: usize,
-    decode: Arc<Vec<u64>>,
+    decode: DenseDecode,
 }
 
 impl Universe {
@@ -60,7 +59,7 @@ impl Universe {
             dense: map.dense_universe().map(|d| DenseInfo {
                 n_items: d.n_items() as usize,
                 n_blocks: d.n_blocks() as usize,
-                decode: Arc::clone(d.decode_table()),
+                decode: d.decoder().clone(),
             }),
         }
     }
@@ -70,11 +69,11 @@ impl Universe {
         self.dense.is_some()
     }
 
-    /// Dense item → original sparse id table (dense universes only).
-    /// Sketches and samplers hash through this so their bucket choices
-    /// match the uncompiled run bit for bit.
-    pub fn decode(&self) -> Option<Arc<Vec<u64>>> {
-        self.dense.as_ref().map(|d| Arc::clone(&d.decode))
+    /// Dense item → original sparse id translation (dense universes
+    /// only). Sketches and samplers hash through this so their bucket
+    /// choices match the uncompiled run bit for bit.
+    pub fn decode(&self) -> Option<DenseDecode> {
+        self.dense.as_ref().map(|d| d.decode.clone())
     }
 
     /// A position index keyed by item ids.
@@ -484,7 +483,8 @@ mod tests {
         assert_eq!(u.n_items(), Some(12));
         assert_eq!(u.n_blocks(), Some(3));
         assert!(matches!(u.item_index(), KeyIndex::Dense { .. }));
-        assert_eq!(u.decode().unwrap().len(), 12);
+        let decode = u.decode().unwrap();
+        assert_eq!(decode.item(gc_types::ItemId(11)), gc_types::ItemId(103));
     }
 
     #[test]

@@ -362,14 +362,10 @@ impl GcRuntime {
     /// recompilation both pass). Compiled serving requires this: dense ids
     /// are only meaningful against the map that assigned them.
     pub(crate) fn same_dense_map(&self, other: &BlockMap) -> bool {
-        // Pointer check first: map clones share their decode tables, so
-        // the common case never walks the vectors.
-        let eq = |x: &Vec<u64>, y: &Vec<u64>| x.as_ptr() == y.as_ptr() || x == y;
+        // Decoder equality checks pointers first: map clones share their
+        // decode tables, so the common case never walks the vectors.
         match (self.map.dense_universe(), other.dense_universe()) {
-            (Some(a), Some(b)) => {
-                eq(a.decode_table(), b.decode_table())
-                    && eq(a.block_decode_table(), b.block_decode_table())
-            }
+            (Some(a), Some(b)) => a.decoder() == b.decoder(),
             _ => false,
         }
     }

@@ -48,12 +48,25 @@
 //!
 //! # Concurrency
 //!
-//! Reads of written records are positional (`pread`) against a shared
-//! file handle and take the state lock only for the segment lookup, so
-//! concurrent leaders for different blocks read in parallel. A record
-//! still in the pending group is copied out under the state lock. Appends
-//! and group writes serialize on the state lock (index, group and file
-//! offset move together).
+//! Every read takes the state lock for the segment lookup only. A record
+//! still in the pending group is copied out under the lock. A record that
+//! [`open`](DiskBackend::open) recovered is decoded straight from a
+//! read-only shared map of the recovered prefix, which the store keeps for
+//! its lifetime: no syscall, and nothing in the mapped bytes can change,
+//! since appends only ever land past it. Records written since open are
+//! read positionally (`pread`) against the shared file handle, as are
+//! recovered ones on targets without the map (anything but 64-bit unix)
+//! or where `mmap` failed. Concurrent leaders for different blocks
+//! therefore read in parallel. Appends and group writes serialize on the
+//! state lock (index, group and file offset move together).
+//!
+//! # One opener per file
+//!
+//! A file is served by at most one open `DiskBackend` at a time. A second
+//! `open` of the same path recovers and may truncate the file; if it cut a
+//! corrupt tail inside the prefix the first store mapped, the first
+//! store's next read of a cut record would fault (`SIGBUS`) instead of
+//! returning an error. Drop a store before reopening its path.
 
 use super::BlockStore;
 use crate::backend::{materialize_block, BlockBackend};
@@ -74,7 +87,8 @@ const MAX_BLOCK_ITEMS: u32 = 1 << 24;
 /// Encoded records are held until the next one would take the pending
 /// group past this many bytes; then the group goes out in one write.
 const GROUP_BYTES: usize = 256 << 10;
-/// A written record is read through a stack buffer of this many bytes.
+/// A record written since open is read through a stack buffer of this
+/// many bytes.
 const READ_CHUNK: usize = 4096;
 
 /// Where a block's payload lives in the segment file.
@@ -108,6 +122,9 @@ pub struct DiskBackend {
     map: BlockMap,
     file: File,
     state: Mutex<DiskState>,
+    /// The prefix `open` recovered, mapped read-only; `None` when it held
+    /// no record, on targets without `mmap`, or when mapping failed.
+    recovered: Option<mapped::Mapping>,
     path: PathBuf,
 }
 
@@ -186,6 +203,13 @@ impl DiskBackend {
             .open(&path)
             .map_err(|e| io_err(&path, e))?;
         let (index, written) = recover(&mut file, &path)?;
+        // Every byte before `written` was validated and is never written
+        // again: appends start at `written`.
+        let recovered = if index.is_empty() {
+            None
+        } else {
+            mapped::Mapping::of(&file, written)
+        };
         Ok(DiskBackend {
             map,
             file,
@@ -194,6 +218,7 @@ impl DiskBackend {
                 written,
                 pending: Vec::new(),
             }),
+            recovered,
             path,
         })
     }
@@ -441,6 +466,15 @@ impl BlockStore for DiskBackend {
         drop(state);
         // Written records never move, so the lookup above stays valid
         // without the lock.
+        let at = segment.payload as usize;
+        if let Some(bytes) = self
+            .recovered
+            .as_ref()
+            .and_then(|m| m.bytes().get(at..at + len))
+        {
+            decode_items(bytes, out);
+            return Ok(true);
+        }
         let mut chunk = [0u8; READ_CHUNK];
         let mut at = segment.payload;
         let end = at + len as u64;
@@ -459,6 +493,109 @@ impl BlockStore for DiskBackend {
 
     fn stored_blocks(&self) -> usize {
         self.state.lock().index.len()
+    }
+}
+
+/// A read-only shared map of a store file's recovered prefix.
+#[cfg(all(unix, target_pointer_width = "64"))]
+mod mapped {
+    use std::ffi::{c_int, c_void};
+    use std::fs::File;
+    use std::os::unix::io::AsRawFd;
+    use std::ptr::NonNull;
+
+    // Linux and the BSDs (macOS included) share these values.
+    const PROT_READ: c_int = 1;
+    const MAP_SHARED: c_int = 1;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    /// `len` bytes of a file from offset 0, mapped `PROT_READ` and
+    /// `MAP_SHARED`, unmapped on drop.
+    pub(super) struct Mapping {
+        ptr: NonNull<u8>,
+        len: usize,
+    }
+
+    // SAFETY: the mapping is read-only memory owned by this value alone;
+    // sharing or moving it between threads is as safe as a `&[u8]`.
+    unsafe impl Send for Mapping {}
+    // SAFETY: as above; no method mutates through the pointer.
+    unsafe impl Sync for Mapping {}
+
+    impl Mapping {
+        /// Map the first `len` bytes of `file`; `None` if `mmap` refused
+        /// (as it does a zero `len`).
+        pub(super) fn of(file: &File, len: u64) -> Option<Mapping> {
+            let len = usize::try_from(len).ok()?;
+            // SAFETY: a fresh mapping at an address the kernel chooses
+            // aliases no Rust object; the descriptor is open for reading.
+            let ptr = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    len,
+                    PROT_READ,
+                    MAP_SHARED,
+                    file.as_raw_fd(),
+                    0,
+                )
+            };
+            // `MAP_FAILED` is `(void *) -1`.
+            if ptr as usize == usize::MAX {
+                return None;
+            }
+            Some(Mapping {
+                ptr: NonNull::new(ptr.cast())?,
+                len,
+            })
+        }
+
+        /// The mapped bytes.
+        pub(super) fn bytes(&self) -> &[u8] {
+            // SAFETY: `ptr` maps `len` readable bytes until `drop`. They
+            // are the recovered, validated prefix of a file whose appends
+            // land past it, so nothing writes them while they are mapped
+            // and the file is never truncated below them while its one
+            // opener lives (see the module docs, "One opener per file").
+            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    impl Drop for Mapping {
+        fn drop(&mut self) {
+            // SAFETY: `ptr`/`len` are exactly what `mmap` returned, and no
+            // borrow of `bytes` outlives `self`.
+            unsafe {
+                munmap(self.ptr.as_ptr().cast(), self.len);
+            }
+        }
+    }
+}
+
+/// Targets without the map read every written record positionally.
+#[cfg(not(all(unix, target_pointer_width = "64")))]
+mod mapped {
+    /// Never constructed: `of` always declines.
+    pub(super) enum Mapping {}
+
+    impl Mapping {
+        pub(super) fn of(_file: &std::fs::File, _len: u64) -> Option<Mapping> {
+            None
+        }
+
+        pub(super) fn bytes(&self) -> &[u8] {
+            match *self {}
+        }
     }
 }
 
@@ -722,7 +859,12 @@ mod tests {
     fn two_threads_store_and_load_disjoint_blocks_while_groups_flush() {
         let path = temp_store("threads");
         let map = BlockMap::strided(64);
+        // Every block starts out recovered, with its canonical contents,
+        // so each thread overwrites mapped records while it reads others.
+        drop(DiskBackend::create_with(&path, map.clone(), (0..4_000).map(BlockId)).unwrap());
         let store = DiskBackend::open(&path, map.clone()).unwrap();
+        assert_eq!(store.stored_blocks(), 4_000);
+        let canonical = |b: u64| -> Vec<ItemId> { (b * 64..b * 64 + 64).map(ItemId).collect() };
         // 4 000 records of 532 bytes fill about eight groups; the barrier
         // makes the two threads' appends and group writes overlap.
         let start = std::sync::Barrier::new(2);
@@ -738,6 +880,13 @@ mod tests {
                         let probe = 2 * (i / 2) + t;
                         assert!(store.try_load_into(BlockId(probe), &mut out).unwrap());
                         assert_eq!(out, items_of(probe, 64), "block {probe}");
+                        // Only this thread stores this parity, and not yet
+                        // this block: it still reads from the map.
+                        let ahead = b + 2;
+                        if ahead < 4_000 {
+                            assert!(store.try_load_into(BlockId(ahead), &mut out).unwrap());
+                            assert_eq!(out, canonical(ahead), "recovered block {ahead}");
+                        }
                     }
                 });
             }
@@ -751,5 +900,148 @@ mod tests {
             assert!(store.try_load_into(BlockId(b), &mut out).unwrap());
             assert_eq!(out, items_of(b, 64), "block {b} after reopen");
         }
+    }
+
+    /// Whether this target maps the recovered prefix at all.
+    const MAPS: bool = cfg!(all(unix, target_pointer_width = "64"));
+
+    /// Bytes of the file `store` mapped at open.
+    fn mapped_len(store: &DiskBackend) -> usize {
+        store.recovered.as_ref().map_or(0, |m| m.bytes().len())
+    }
+
+    #[test]
+    fn every_recovered_record_reads_bit_identically_from_the_map() {
+        let path = temp_store("mapped");
+        let store = DiskBackend::open(&path, BlockMap::strided(1)).unwrap();
+        // Records of 1 to 1 000 items, some past one read chunk, and
+        // overwrites whose earlier records stay in the file.
+        let n_items = |b: u64| if b % 5 == 0 { 1_000 } else { 1 + b % 23 };
+        for b in 0..300u64 {
+            store
+                .store_block(BlockId(b), &items_of(b, n_items(b)))
+                .unwrap();
+        }
+        for b in (0..300u64).step_by(9) {
+            store.store_block(BlockId(b), &items_of(b + 1, 7)).unwrap();
+        }
+        let expect = |b: u64| {
+            if b % 9 == 0 {
+                items_of(b + 1, 7)
+            } else {
+                items_of(b, n_items(b))
+            }
+        };
+        store.sync().unwrap();
+        drop(store);
+
+        let mut store = DiskBackend::open(&path, BlockMap::strided(1)).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len() as usize;
+        assert_eq!(mapped_len(&store), if MAPS { len } else { 0 });
+        let (mut mapped, mut positioned) = (Vec::new(), Vec::new());
+        let from_map: Vec<Vec<ItemId>> = (0..300u64)
+            .map(|b| {
+                assert!(store.try_load_into(BlockId(b), &mut mapped).unwrap());
+                assert_eq!(mapped, expect(b), "block {b} from the map");
+                mapped.clone()
+            })
+            .collect();
+        // The same store without its map reads every record with `pread`.
+        store.recovered = None;
+        for b in 0..300u64 {
+            assert!(store.try_load_into(BlockId(b), &mut positioned).unwrap());
+            assert_eq!(positioned, from_map[b as usize], "block {b}");
+        }
+    }
+
+    #[test]
+    fn a_recovered_block_stored_again_reads_its_new_record() {
+        let path = temp_store("restore");
+        let map = BlockMap::strided(4);
+        drop(DiskBackend::create_with(&path, map.clone(), (0..50).map(BlockId)).unwrap());
+        let store = DiskBackend::open(&path, map.clone()).unwrap();
+        let mut out = Vec::new();
+        // Pending, then written past the map: the newest record wins both
+        // times, and the blocks beside it still read from the map.
+        store.store_block(BlockId(7), &items_of(7, 3)).unwrap();
+        assert!(has_pending(&store));
+        assert!(store.try_load_into(BlockId(7), &mut out).unwrap());
+        assert_eq!(out, items_of(7, 3));
+        store.sync().unwrap();
+        assert!(!has_pending(&store));
+        assert!(store.try_load_into(BlockId(7), &mut out).unwrap());
+        assert_eq!(out, items_of(7, 3));
+        assert!(store.try_load_into(BlockId(8), &mut out).unwrap());
+        assert_eq!(out, (32..36).map(ItemId).collect::<Vec<_>>());
+        store.store_block(BlockId(7), &items_of(70, 5)).unwrap();
+        drop(store);
+
+        // After a reopen the last record is the one in the map.
+        let store = DiskBackend::open(&path, map).unwrap();
+        assert_eq!(store.stored_blocks(), 50);
+        assert!(store.try_load_into(BlockId(7), &mut out).unwrap());
+        assert_eq!(out, items_of(70, 5));
+    }
+
+    #[test]
+    fn a_torn_tail_is_cut_before_the_map_and_later_appends_read_back() {
+        let path = temp_store("torn-map");
+        let map = BlockMap::strided(8);
+        drop(DiskBackend::create_with(&path, map.clone(), (0..20).map(BlockId)).unwrap());
+        let clean_len = std::fs::metadata(&path).unwrap().len() as usize;
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(&[0xCD; RECORD_HEADER + 11]).unwrap();
+        }
+        let store = DiskBackend::open(&path, map.clone()).unwrap();
+        assert_eq!(mapped_len(&store), if MAPS { clean_len } else { 0 });
+        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, clean_len);
+        // Appends start at the cut, past the map, and read back pending,
+        // written and after another reopen.
+        let mut out = Vec::new();
+        for b in 100..140u64 {
+            store.store_block(BlockId(b), &items_of(b, 8)).unwrap();
+        }
+        for b in 100..140u64 {
+            assert!(store.try_load_into(BlockId(b), &mut out).unwrap());
+            assert_eq!(out, items_of(b, 8), "pending block {b}");
+        }
+        store.sync().unwrap();
+        for b in (0..20u64).chain(100..140) {
+            let want = if b < 20 {
+                (b * 8..b * 8 + 8).map(ItemId).collect()
+            } else {
+                items_of(b, 8)
+            };
+            assert!(store.try_load_into(BlockId(b), &mut out).unwrap());
+            assert_eq!(out, want, "block {b}");
+        }
+        drop(store);
+        let store = DiskBackend::open(&path, map).unwrap();
+        assert_eq!(store.stored_blocks(), 60);
+        assert!(mapped_len(&store) > clean_len || !MAPS);
+        for b in 100..140u64 {
+            assert!(store.try_load_into(BlockId(b), &mut out).unwrap());
+            assert_eq!(out, items_of(b, 8), "block {b} after reopen");
+        }
+    }
+
+    #[test]
+    fn a_header_only_store_maps_nothing() {
+        let path = temp_store("header-only");
+        let store = DiskBackend::open(&path, BlockMap::strided(4)).unwrap();
+        assert!(store.recovered.is_none());
+        drop(store);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), MAGIC.len() as u64);
+        let store = DiskBackend::open(&path, BlockMap::strided(4)).unwrap();
+        assert!(store.recovered.is_none(), "a reopened empty store");
+        // Its first loads materialize, append and read back as before.
+        assert_eq!(
+            store.load_block(BlockId(2)).unwrap(),
+            (8..12).map(ItemId).collect::<Vec<_>>()
+        );
+        let mut out = Vec::new();
+        assert!(store.try_load_into(BlockId(2), &mut out).unwrap());
+        assert_eq!(out, (8..12).map(ItemId).collect::<Vec<_>>());
     }
 }

@@ -255,3 +255,119 @@ fn tiered_snapshot_accounts_every_backend_fetch() {
     assert_eq!(l1.latency.count(), l1.fetches);
     assert_eq!(l2.latency.count(), l2.fetches);
 }
+
+/// Populate a store at `path` with `blocks`, then drop it, so the next
+/// open recovers every record from the file.
+fn populate_and_close(path: &std::path::Path, map: &BlockMap, blocks: &[BlockId]) -> u64 {
+    let spec: BackendSpec = format!("disk:{}", path.display()).parse().unwrap();
+    drop(spec.build(map, blocks).unwrap());
+    std::fs::metadata(path).unwrap().len()
+}
+
+/// The specs that serve a reopened store at `path`: the store alone, and
+/// as the authoritative tier under a RAM tier.
+fn reopened_specs(path: &std::path::Path) -> [BackendSpec; 2] {
+    [
+        format!("disk:{}", path.display()).parse().unwrap(),
+        format!("tiered:mem:64+disk:{}", path.display())
+            .parse()
+            .unwrap(),
+    ]
+}
+
+#[test]
+fn reopened_disk_and_tiered_match_synthetic_across_roster() {
+    // Every block the trace touches was stored, synced and the store
+    // dropped before serving: each open recovers the file, and every
+    // disk-tier load reads a recovered record. No load appends, so the
+    // file's length never moves.
+    let dir = temp_dir("reopened");
+    let path = dir.join("populated.gcs");
+    let map = BlockMap::strided(BLOCK_SIZE);
+    let trace = synthetic::zipfian(4096, 0.9, 10_000, 42);
+    let len = populate_and_close(&path, &map, &touched_blocks(&trace, &map));
+
+    for kind in PolicyKind::extended_roster(7) {
+        for cfg in configs() {
+            let reference = serve_with(
+                &kind,
+                &trace,
+                &map,
+                cfg.clone(),
+                BackendSpec::synthetic_default().build(&map, &[]).unwrap(),
+            );
+            for spec in reopened_specs(&path) {
+                let got = serve_with(
+                    &kind,
+                    &trace,
+                    &map,
+                    cfg.clone(),
+                    spec.build(&map, &[]).unwrap(),
+                );
+                assert_eq!(
+                    got, reference,
+                    "reopened {spec} diverged from synthetic for {kind:?} under {cfg:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        std::fs::metadata(&path).unwrap().len(),
+        len,
+        "nothing appended"
+    );
+}
+
+#[test]
+fn reopened_tiered_matches_synthetic_on_compiled_traces() {
+    let dir = temp_dir("reopened-compiled");
+    let path = dir.join("populated.gcs");
+    let map = BlockMap::strided(BLOCK_SIZE);
+    let trace = synthetic::zipfian(8192, 0.8, 10_000, 5);
+    let compiled = CompiledTrace::compile(&trace, &map).unwrap();
+    let dense_map = compiled.map().clone();
+    let dense_blocks: Vec<BlockId> = (0..compiled.n_blocks()).map(BlockId).collect();
+    let len = populate_and_close(&path, &dense_map, &dense_blocks);
+
+    for kind in [
+        PolicyKind::IblpBalanced,
+        PolicyKind::WTinyLfu,
+        PolicyKind::Gcm { seed: 3 },
+    ] {
+        for cfg in configs() {
+            let serve_compiled = |backend: Arc<dyn BlockBackend>| {
+                let rt = GcRuntime::with_config(
+                    &kind,
+                    CAPACITY,
+                    dense_map.clone(),
+                    cfg.clone(),
+                    backend,
+                )
+                .unwrap();
+                serve_trace_compiled(&rt, &compiled, 1).unwrap();
+                let mut stats = rt.aggregate_stats();
+                stats.fetch_latency = Default::default();
+                stats.waiter_wait = Default::default();
+                stats.tiers.clear();
+                stats
+            };
+            let reference = serve_compiled(
+                BackendSpec::synthetic_default()
+                    .build(&dense_map, &[])
+                    .unwrap(),
+            );
+            for spec in reopened_specs(&path) {
+                let got = serve_compiled(spec.build(&dense_map, &[]).unwrap());
+                assert_eq!(
+                    got, reference,
+                    "reopened compiled {spec} diverged from synthetic for {kind:?} under {cfg:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        std::fs::metadata(&path).unwrap().len(),
+        len,
+        "nothing appended"
+    );
+}

@@ -39,7 +39,7 @@
 //! CLI's `--exact` flag.
 
 use crate::mrc::{Fenwick, MissRatioCurve};
-use gc_types::{mix64, BlockMap, CompiledTrace, FxHashMap, Trace};
+use gc_types::{mix64, BlockMap, CompiledTrace, FxHashMap, ItemId, Trace};
 use std::collections::BinaryHeap;
 
 /// Hash-space size `P` for the `hash(id) mod P < T` filter. 24 bits gives
@@ -270,9 +270,12 @@ pub fn sampled_item_mrc_compiled(
         .map()
         .dense_universe()
         .expect("compiled trace always carries a dense map");
-    let decode = dense.decode_table();
+    let decode = dense.decoder();
     sampled_mrc_over_ids(
-        compiled.accesses().iter().map(|a| decode[a.item as usize]),
+        compiled
+            .accesses()
+            .iter()
+            .map(|a| decode.item(ItemId(u64::from(a.item))).0),
         compiled.len(),
         max_size,
         cfg,

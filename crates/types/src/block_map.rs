@@ -62,16 +62,96 @@ struct Explicit {
 /// The dense partition produced by trace compilation.
 ///
 /// Items are `0..n_items` and blocks `0..n_blocks`; `decode` maps each
-/// dense item back to its original sparse id. The item→block relation is
-/// either strided (every block is a full, contiguous `B`-run of dense ids —
-/// always the case when the source map was strided) or a CSR table for
-/// ragged explicit groupings.
+/// dense item and block back to its original sparse id. The item→block
+/// relation is either strided (every block is a full, contiguous `B`-run
+/// of dense ids — always the case when the source map was strided) or a
+/// CSR table for ragged explicit groupings.
 #[derive(Clone, Debug)]
 pub struct DenseMap {
     layout: DenseLayout,
-    decode: Arc<Vec<u64>>,
-    block_decode: Arc<Vec<u64>>,
+    n_items: u64,
+    n_blocks: u64,
+    decode: DenseDecode,
     max_block_size: usize,
+}
+
+/// The way from a dense map's ids back to the original keys. Cloning is
+/// cheap: every table is shared behind an [`Arc`].
+///
+/// A compiled map indexes its own decode tables. A part of a
+/// [`DensePartition`] shares its source's tables and keeps only a
+/// translation into the source's ids: 4 bytes per block for a strided
+/// part, plus 4 bytes per item for a CSR part.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DenseDecode {
+    /// Original item id of every item the tables are indexed by.
+    items: Arc<Vec<u64>>,
+    /// Original block id of every block the tables are indexed by.
+    blocks: Arc<Vec<u64>>,
+    via: Via,
+}
+
+/// How a dense map's own ids index [`DenseDecode`]'s tables.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Via {
+    /// The tables are indexed by the map's own ids.
+    Own,
+    /// A strided part: local block → source block; an item keeps its
+    /// offset in its block.
+    Strided {
+        block_size: u64,
+        block_source: Arc<Vec<u32>>,
+    },
+    /// A CSR part: local item → source item, local block → source block.
+    Csr {
+        item_source: Arc<Vec<u32>>,
+        block_source: Arc<Vec<u32>>,
+    },
+}
+
+impl DenseDecode {
+    fn own(items: Arc<Vec<u64>>, blocks: Arc<Vec<u64>>) -> Self {
+        DenseDecode {
+            items,
+            blocks,
+            via: Via::Own,
+        }
+    }
+
+    /// The original sparse id of dense item `item`.
+    ///
+    /// # Panics
+    /// Panics if `item` is outside the dense universe.
+    #[inline]
+    pub fn item(&self, item: ItemId) -> ItemId {
+        let at = match &self.via {
+            Via::Own => item.0,
+            Via::Strided {
+                block_size,
+                block_source,
+            } => {
+                let block = stride_block(item, *block_size).0;
+                u64::from(block_source[block as usize]) * block_size + (item.0 - block * block_size)
+            }
+            Via::Csr { item_source, .. } => u64::from(item_source[item.0 as usize]),
+        };
+        ItemId(self.items[at as usize])
+    }
+
+    /// The original sparse id of dense block `block`.
+    ///
+    /// # Panics
+    /// Panics if `block` is outside the dense universe.
+    #[inline]
+    pub fn block(&self, block: BlockId) -> BlockId {
+        let at = match &self.via {
+            Via::Own => block.0,
+            Via::Strided { block_source, .. } | Via::Csr { block_source, .. } => {
+                u64::from(block_source[block.0 as usize])
+            }
+        };
+        BlockId(self.blocks[at as usize])
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -89,16 +169,16 @@ enum DenseLayout {
 }
 
 impl DenseMap {
-    /// Number of dense items (`decode.len()`).
+    /// Number of dense items.
     #[inline]
     pub fn n_items(&self) -> u64 {
-        self.decode.len() as u64
+        self.n_items
     }
 
     /// Number of dense blocks.
     #[inline]
     pub fn n_blocks(&self) -> u64 {
-        self.block_decode.len() as u64
+        self.n_blocks
     }
 
     /// The original sparse id of dense item `item`.
@@ -107,14 +187,7 @@ impl DenseMap {
     /// Panics if `item` is outside the dense universe.
     #[inline]
     pub fn decode_item(&self, item: ItemId) -> ItemId {
-        ItemId(self.decode[item.0 as usize])
-    }
-
-    /// The dense → original id table, shared behind an `Arc` so sketches
-    /// and samplers can hash original keys without re-owning the table.
-    #[inline]
-    pub fn decode_table(&self) -> &Arc<Vec<u64>> {
-        &self.decode
+        self.decode.item(item)
     }
 
     /// The original sparse id of dense block `block`.
@@ -123,15 +196,16 @@ impl DenseMap {
     /// Panics if `block` is outside the dense universe.
     #[inline]
     pub fn decode_block(&self, block: BlockId) -> BlockId {
-        BlockId(self.block_decode[block.0 as usize])
+        self.decode.block(block)
     }
 
-    /// The dense → original block-id table (the block-granular analogue of
-    /// [`decode_table`](Self::decode_table)), used by granularity-consistent
-    /// samplers so spatial hashing sees the same block keys as a sparse run.
+    /// The dense → original id translation, cheap to clone, so sketches
+    /// and samplers can hash original keys without re-owning any table.
+    /// Two maps' decoders are equal when they share or equal each other's
+    /// tables and translation.
     #[inline]
-    pub fn block_decode_table(&self) -> &Arc<Vec<u64>> {
-        &self.block_decode
+    pub fn decoder(&self) -> &DenseDecode {
+        &self.decode
     }
 }
 
@@ -147,9 +221,10 @@ pub type DenseUniverse = DenseMap;
 /// `0..` in ascending source order, and their items renumbered `0..` in
 /// ascending source order — both renamings are monotone, so
 /// order-sensitive policy state behaves in a part as it does in the
-/// source. A part's decode tables are the source's composed with its
-/// renaming: they map straight back to the original keys, and every part
-/// keeps the source's [`max_block_size`](BlockMap::max_block_size).
+/// source. A part decodes through the source's tables, which it shares,
+/// composed with its renaming: it maps straight back to the original keys
+/// without copying them (see [`DenseDecode`]), and every part keeps the
+/// source's [`max_block_size`](BlockMap::max_block_size).
 #[derive(Clone, Debug)]
 pub struct DensePartition {
     /// One dense map per part, in part order.
@@ -261,8 +336,9 @@ impl BlockMap {
         BlockMap {
             repr: Repr::Dense(Arc::new(DenseMap {
                 layout: DenseLayout::Strided { block_size },
-                decode,
-                block_decode,
+                n_items: decode.len() as u64,
+                n_blocks: block_decode.len() as u64,
+                decode: DenseDecode::own(decode, block_decode),
                 max_block_size: block_size as usize,
             })),
         }
@@ -290,8 +366,9 @@ impl BlockMap {
                     block_starts,
                     block_items,
                 },
-                decode,
-                block_decode,
+                n_items: decode.len() as u64,
+                n_blocks: block_decode.len() as u64,
+                decode: DenseDecode::own(decode, block_decode),
                 max_block_size,
             })),
         }
@@ -457,47 +534,63 @@ impl BlockMap {
         // makes the block renaming monotone.
         let mut block_part = Vec::with_capacity(n_blocks);
         let mut block_local = Vec::with_capacity(n_blocks);
-        let mut block_decode: Vec<Vec<u64>> = vec![Vec::new(); parts];
+        let mut block_source: Vec<Vec<u32>> = vec![Vec::new(); parts];
         for b in 0..n_blocks {
             let p = part_of(BlockId(b as u64));
             assert!(p < parts, "block {b} sent to part {p} of {parts}");
             block_part.push(p);
-            block_local.push(block_decode[p].len() as u32);
-            block_decode[p].push(d.block_decode[b]);
+            block_local.push(block_source[p].len() as u32);
+            block_source[p].push(b as u32);
         }
-        let mut decode: Vec<Vec<u64>> = vec![Vec::new(); parts];
-        let (layouts, local): (Vec<DenseLayout>, LocalLayout) = match &d.layout {
+        // A part's ids index the source's decode tables through its
+        // translation, so the translation composes with the source's.
+        let source = |b: u32| match &d.decode.via {
+            Via::Own => b,
+            Via::Strided { block_source, .. } | Via::Csr { block_source, .. } => {
+                block_source[b as usize]
+            }
+        };
+        let block_source: Vec<Arc<Vec<u32>>> = block_source
+            .into_iter()
+            .map(|blocks| Arc::new(blocks.into_iter().map(source).collect()))
+            .collect();
+        let (layouts, vias, local): (Vec<DenseLayout>, Vec<Via>, LocalLayout) = match &d.layout {
             DenseLayout::Strided { block_size } => {
-                let bs = *block_size as usize;
-                for (decode, blocks) in decode.iter_mut().zip(&block_decode) {
-                    decode.reserve_exact(blocks.len() * bs);
-                }
-                for (b, &p) in block_part.iter().enumerate() {
-                    decode[p].extend_from_slice(&d.decode[b * bs..(b + 1) * bs]);
-                }
                 let layouts = (0..parts)
                     .map(|_| DenseLayout::Strided {
                         block_size: *block_size,
+                    })
+                    .collect();
+                let vias = block_source
+                    .iter()
+                    .map(|blocks| Via::Strided {
+                        block_size: *block_size,
+                        block_source: Arc::clone(blocks),
                     })
                     .collect();
                 let local = LocalLayout::Strided {
                     block_size: *block_size,
                     block_local,
                 };
-                (layouts, local)
+                (layouts, vias, local)
             }
             DenseLayout::Csr {
                 item_to_block,
                 block_starts,
                 block_items,
             } => {
+                let item_at = |z: usize| match &d.decode.via {
+                    Via::Csr { item_source, .. } => item_source[z],
+                    _ => z as u32,
+                };
                 // Items in ascending source order: a monotone renaming.
                 let mut item_local = Vec::with_capacity(item_to_block.len());
+                let mut item_source: Vec<Vec<u32>> = vec![Vec::new(); parts];
                 let mut local_item_to_block: Vec<Vec<u32>> = vec![Vec::new(); parts];
                 for (z, &b) in item_to_block.iter().enumerate() {
                     let p = block_part[b as usize];
-                    item_local.push(decode[p].len() as u32);
-                    decode[p].push(d.decode[z]);
+                    item_local.push(item_source[p].len() as u32);
+                    item_source[p].push(item_at(z));
                     local_item_to_block[p].push(block_local[b as usize]);
                 }
                 // Each part's blocks list their items in the source group
@@ -513,6 +606,14 @@ impl BlockMap {
                             .map(|z| ItemId(u64::from(item_local[z.0 as usize]))),
                     );
                 }
+                let vias = item_source
+                    .into_iter()
+                    .zip(&block_source)
+                    .map(|(item_source, block_source)| Via::Csr {
+                        item_source: Arc::new(item_source),
+                        block_source: Arc::clone(block_source),
+                    })
+                    .collect();
                 let layouts = local_item_to_block
                     .into_iter()
                     .zip(starts)
@@ -526,18 +627,26 @@ impl BlockMap {
                         }
                     })
                     .collect();
-                (layouts, LocalLayout::Csr { item_local })
+                (layouts, vias, LocalLayout::Csr { item_local })
             }
         };
         let parts = layouts
             .into_iter()
-            .zip(decode)
-            .zip(block_decode)
-            .map(|((layout, decode), block_decode)| BlockMap {
+            .zip(vias)
+            .zip(&block_source)
+            .map(|((layout, via), blocks)| BlockMap {
                 repr: Repr::Dense(Arc::new(DenseMap {
+                    n_items: match &layout {
+                        DenseLayout::Strided { block_size } => blocks.len() as u64 * block_size,
+                        DenseLayout::Csr { item_to_block, .. } => item_to_block.len() as u64,
+                    },
+                    n_blocks: blocks.len() as u64,
                     layout,
-                    decode: Arc::new(decode),
-                    block_decode: Arc::new(block_decode),
+                    decode: DenseDecode {
+                        items: Arc::clone(&d.decode.items),
+                        blocks: Arc::clone(&d.decode.blocks),
+                        via,
+                    },
                     max_block_size: d.max_block_size,
                 })),
             })
@@ -756,6 +865,9 @@ mod tests {
             blocks += pd.n_blocks();
             assert_eq!(part.max_block_size(), source.max_block_size());
             assert_eq!(part.stride(), source.stride());
+            // A part decodes through its source's tables, never a copy.
+            assert!(Arc::ptr_eq(&pd.decode.items, &d.decode.items));
+            assert!(Arc::ptr_eq(&pd.decode.blocks, &d.decode.blocks));
         }
         assert_eq!((items, blocks), (d.n_items(), d.n_blocks()));
         let mut seen: Vec<Vec<bool>> = split
@@ -801,6 +913,13 @@ mod tests {
             }
             // A part with no blocks is an empty universe, not an error.
             check_partition(compiled.map(), 2, |_| 1);
+            // A part partitions again, decoding through the root tables.
+            let part = &compiled
+                .map()
+                .partition_dense(2, |b| (b.0 % 2) as usize)
+                .unwrap()
+                .parts[1];
+            check_partition(part, 3, |b| (crate::mix64(b.0) % 3) as usize);
         }
     }
 
@@ -824,6 +943,12 @@ mod tests {
                 (crate::mix64(b.0) % parts as u64) as usize
             });
         }
+        let part = &compiled
+            .map()
+            .partition_dense(2, |b| (b.0 % 2) as usize)
+            .unwrap()
+            .parts[0];
+        check_partition(part, 3, |b| (crate::mix64(b.0) % 3) as usize);
     }
 
     #[test]

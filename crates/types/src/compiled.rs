@@ -18,7 +18,7 @@
 //! The inverse map is retained: [`CompiledTrace::decode`] reconstructs the
 //! original trace, and the dense [`BlockMap`] it carries exposes
 //! [`decode_item`](crate::block_map::DenseMap::decode_item) /
-//! [`decode_table`](crate::block_map::DenseMap::decode_table) so reports,
+//! [`decoder`](crate::block_map::DenseMap::decoder) so reports,
 //! frequency sketches, and samplers can keep hashing original keys.
 
 use crate::{BlockMap, FxHashMap, GcError, ItemId, Trace};
@@ -70,21 +70,18 @@ impl CompiledTrace {
 
         // The source may itself be dense (re-compilation): compose decode
         // tables so dense ids always map back to the *original* key space.
-        let source_decode = map.dense_universe().map(|d| Arc::clone(d.decode_table()));
+        let source = map.dense_universe().map(|d| d.decoder());
         let decode_raw = |raw: u64| -> u64 {
-            match &source_decode {
-                Some(table) => table[raw as usize],
+            match source {
+                Some(decode) => decode.item(ItemId(raw)).0,
                 None => raw,
             }
         };
-        let source_block_decode = map
-            .dense_universe()
-            .map(|d| Arc::clone(d.block_decode_table()));
         let block_decode: Arc<Vec<u64>> = Arc::new(
             blocks
                 .iter()
-                .map(|&b| match &source_block_decode {
-                    Some(table) => table[b as usize],
+                .map(|&b| match source {
+                    Some(decode) => decode.block(crate::BlockId(b)).0,
                     None => b,
                 })
                 .collect(),

@@ -42,7 +42,7 @@ pub mod rng;
 pub mod runtime_stats;
 pub mod trace;
 
-pub use block_map::{BlockMap, DenseMap, DensePartition, LocalIds};
+pub use block_map::{BlockMap, DenseDecode, DenseMap, DensePartition, LocalIds};
 pub use compiled::{CompiledAccess, CompiledTrace};
 pub use error::{GcError, ParseReason};
 pub use fxmap::{mix64, FxBuildHasher, FxHashMap, FxHashSet};
