@@ -3,8 +3,7 @@
 use super::workload::{workload, Workload};
 use super::Failure;
 use crate::args::Args;
-use gc_cache::gc_sim::checkpoint::{load_json, MrcCheckpoint};
-use gc_cache::gc_sim::mrc::{mrc_bundle, mrc_bundle_compiled, MrcMode, MrcRunConfig};
+use gc_cache::gc_sim::mrc::{mrc_bundle, mrc_bundle_compiled, MrcMode};
 use gc_cache::gc_sim::shards::SamplerConfig;
 use gc_cache::prelude::*;
 use std::io::Write;
@@ -14,10 +13,7 @@ item/block miss-ratio curves + IBLP split grid (Mattson),
 exact or SHARDS-sampled, curves computed in parallel
 --capacity <k> [--sample-rate R | --smax N | --exact]
 [--sample-seed S] [--threads T] [workload flags]
-[--compile] streams dense precompiled ids: exact curves
-only, not combinable with checkpointing
-[--checkpoint <path>] [--resume <path>] persist each curve
-as it completes and resume an interrupted bundle";
+[--compile] stream dense precompiled ids (exact only)";
 
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let capacity: usize = args.require("capacity")?;
@@ -26,8 +22,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let s_max: Option<usize> = args.get("smax")?;
     let exact = args.switch("exact") || (sample_rate.is_none() && s_max.is_none());
     let sample_seed: u64 = args.get_or("sample-seed", 0u64)?;
-    let checkpoint_path = args.get_str("checkpoint").map(std::path::PathBuf::from);
-    let resume_path = args.get_str("resume").map(std::path::PathBuf::from);
     // Under sampling the hash filter dominates and compiling first only
     // costs time and memory, so a sampled run does not read `--compile`
     // and the workload's flag check refuses it.
@@ -56,30 +50,13 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     };
 
     let bundle = if compile {
-        if checkpoint_path.is_some() || resume_path.is_some() {
-            return Err("--compile does not combine with checkpointed MRC bundles".into());
-        }
         let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
         mrc_bundle_compiled(&compiled, capacity, threads)
     } else {
-        let resume: Option<MrcCheckpoint> = resume_path
-            .as_deref()
-            .map(load_json)
-            .transpose()
-            .map_err(|e| e.to_string())?;
-        // Keep checkpointing to the resume file unless a new sink is given.
-        let sink = checkpoint_path.or(resume_path);
-        let cfg = MrcRunConfig {
-            threads,
-            checkpoint_path: sink.as_deref(),
-            resume,
-        };
-        mrc_bundle(&trace, &map, capacity, &mode, &cfg)
+        mrc_bundle(&trace, &map, capacity, &mode, threads)
     }
     .map_err(|e| e.to_string())?;
 
-    // Resumed curves carry no sampler account, so the footer needs both
-    // curves computed by this run.
     if let (MrcMode::Sampled(cfg), Some(item_stats), Some(block_stats)) =
         (&mode, &bundle.item_stats, &bundle.block_stats)
     {

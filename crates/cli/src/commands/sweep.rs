@@ -3,7 +3,6 @@
 use super::workload::{workload, Workload};
 use super::Failure;
 use crate::args::Args;
-use gc_cache::gc_sim::checkpoint::{load_json, SweepCheckpoint};
 use gc_cache::gc_sim::compare::render_table;
 use gc_cache::gc_sim::sweep::{
     run_sweep, run_sweep_compiled, to_csv, OnError, SweepJob, SweepResult, SweepRunConfig,
@@ -16,10 +15,8 @@ compare the standard policy roster across capacities
 --capacities a,b,c [workload flags] [--csv]
 [--compile] replay through the dense-ID compiled engine
 (bit-identical results)
-fault isolation: [--checkpoint <path> --checkpoint-every N]
-[--resume <path>] [--on-error fail|skip]; any of these
-switches to checked CSV output, isolating panicking cells
-and persisting progress for crash-safe resume";
+[--on-error fail|skip] what a cell whose capacity its
+policy refuses does to the run; switches to CSV output";
 
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let capacities: Vec<usize> = args
@@ -28,16 +25,18 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let warmup: usize = args.get_or("warmup", 0usize)?;
     let kinds = PolicyKind::standard_roster(args.get_or("seed", 42u64)?);
     let threads: usize = args.get_or("threads", 0usize)?;
-    let checkpoint_path = args.get_str("checkpoint").map(std::path::PathBuf::from);
-    let resume_path = args.get_str("resume").map(std::path::PathBuf::from);
     let on_error = args.get_str("on-error");
-    let checkpoint_every: usize = args.get_or("checkpoint-every", 25usize)?;
-    let checked = checkpoint_path.is_some() || resume_path.is_some() || on_error.is_some();
     let compile = args.switch("compile");
-    let csv = args.switch("csv");
-    if compile && checked {
-        return Err("--compile does not combine with checkpointed sweeps".into());
-    }
+    let csv = args.switch("csv") || on_error.is_some();
+    let cfg = SweepRunConfig {
+        threads,
+        on_error: match on_error.unwrap_or("fail") {
+            // The ingest policy name is accepted here too; cells have no
+            // sidecar, so it degrades to skip.
+            "quarantine" => OnError::Skip,
+            other => other.parse()?,
+        },
+    };
 
     let Workload { trace, map, .. } = workload(args)?;
     let jobs: Vec<SweepJob> = capacities
@@ -52,41 +51,15 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         .collect();
     let outcome = if compile {
         let compiled = CompiledTrace::compile(&trace, &map).map_err(|e| e.to_string())?;
-        run_sweep_compiled(&jobs, &compiled, threads).map_err(|e| e.to_string())?
+        run_sweep_compiled(&jobs, &compiled, &cfg)
     } else {
-        let on_error: OnError = match on_error.unwrap_or("fail") {
-            // The ingest policy name is accepted here too; cells have no
-            // sidecar, so it degrades to skip.
-            "quarantine" => OnError::Skip,
-            other => other.parse()?,
-        };
-        let resume: Option<SweepCheckpoint> = resume_path
-            .as_deref()
-            .map(load_json)
-            .transpose()
-            .map_err(|e| e.to_string())?;
-        if let Some(ckpt) = &resume {
-            eprintln!(
-                "# resuming: {} of {} cells already recorded",
-                ckpt.cells.len(),
-                ckpt.total_cells
-            );
-        }
-        // Keep checkpointing to the resume file unless a new sink is given.
-        let sink = checkpoint_path.or(resume_path);
-        let cfg = SweepRunConfig {
-            threads,
-            on_error,
-            checkpoint_path: sink.as_deref(),
-            checkpoint_every,
-            resume,
-        };
-        run_sweep(&jobs, &trace, &map, &cfg).map_err(|e| e.to_string())?
-    };
+        run_sweep(&jobs, &trace, &map, &cfg)
+    }
+    .map_err(|e| e.to_string())?;
     for (index, reason) in &outcome.failures {
         eprintln!("# cell {index} failed: {reason}");
     }
-    if csv || checked {
+    if csv {
         write!(out, "{}", to_csv(&outcome, &jobs))?;
         return Ok(());
     }

@@ -391,30 +391,20 @@ fn undersized_capacities_are_errors_not_panics() {
 /// `mrc` on the default workload, byte for byte as the binary printed it
 /// before the plain, checked and compiled bundles became one entry point
 /// (fixtures captured from that binary). Exact curves do not depend on the
-/// engine or on checkpointing; a sampled run prints its sampler footer
-/// with and without a checkpoint; a sampled run does not read `--compile`.
+/// engine; a sampled run prints its sampler footer; a sampled run does not
+/// read `--compile`.
 #[test]
-fn mrc_output_is_pinned_across_engines_and_checkpoints() {
-    let dir = std::env::temp_dir().join(format!("gc-mrc-pin-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let ckpt = |name: &str| dir.join(name).to_str().unwrap().to_string();
-
+fn mrc_output_is_pinned_across_engines() {
     let exact = include_str!("fixtures/mrc_exact_capacity1024.txt");
-    let exact_ckpt = ckpt("exact.json");
-    for extra in [&[][..], &["--compile"], &["--checkpoint", &exact_ckpt]] {
+    for extra in [&[][..], &["--compile"]] {
         let mut argv = vec!["mrc", "--capacity", "1024"];
         argv.extend_from_slice(extra);
         assert_eq!(stdout_of(&run(&argv)), exact, "{argv:?}");
     }
 
     let sampled = include_str!("fixtures/mrc_sampled_capacity1024.txt");
-    let sampled_ckpt = ckpt("sampled.json");
-    for extra in [&[][..], &["--checkpoint", &sampled_ckpt]] {
-        let mut argv = vec!["mrc", "--capacity", "1024", "--sample-rate", "0.01"];
-        argv.extend_from_slice(extra);
-        assert_eq!(stdout_of(&run(&argv)), sampled, "{argv:?}");
-    }
+    let argv = ["mrc", "--capacity", "1024", "--sample-rate", "0.01"];
+    assert_eq!(stdout_of(&run(&argv)), sampled, "{argv:?}");
 
     let out = run(&[
         "mrc",
@@ -431,6 +421,66 @@ fn mrc_output_is_pinned_across_engines_and_checkpoints() {
         "{err}"
     );
     assert!(out.stdout.is_empty());
+}
+
+/// A sweep whose capacity-0 column every policy refuses, under
+/// `--on-error skip`: the surviving rows, the `# cell` trailers and the
+/// per-cell stderr reports, byte for byte as captured from the binary
+/// before sweeps lost their resume layer. The compiled engine skips the
+/// same cells with the same output.
+#[test]
+fn skipped_cells_are_pinned_on_both_engines() {
+    let csv = include_str!("fixtures/sweep_skip_capacities_0_64_256.csv");
+    let stderr = include_str!("fixtures/sweep_skip_capacities_0_64_256.stderr");
+    let argv = [
+        "sweep",
+        "--csv",
+        "--capacities",
+        "0,64,256",
+        "--on-error",
+        "skip",
+    ];
+    for extra in [&[][..], &["--compile"]] {
+        let mut argv = argv.to_vec();
+        argv.extend_from_slice(extra);
+        let out = run(&argv);
+        assert_eq!(stdout_of(&out), csv, "{argv:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), stderr, "{argv:?}");
+    }
+}
+
+/// `sweep` and `mrc` have no checkpoint or resume flags: each is refused
+/// as unknown before any work, printing nothing and creating no file.
+#[test]
+fn sweep_and_mrc_refuse_the_removed_resume_flags() {
+    let dir = std::env::temp_dir().join(format!("gc-removed-flags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let p = dir.join("p");
+    let p = p.to_str().unwrap();
+    let table: [(&str, &[&str], &str); 5] = [
+        ("sweep", &["--capacities", "64"], "checkpoint"),
+        ("sweep", &["--capacities", "64"], "resume"),
+        ("sweep", &["--capacities", "64"], "checkpoint-every"),
+        ("mrc", &["--capacity", "64"], "checkpoint"),
+        ("mrc", &["--capacity", "64"], "resume"),
+    ];
+    for (cmd, valid, flag) in table {
+        let value = if flag == "checkpoint-every" { "5" } else { p };
+        let flag = format!("--{flag}");
+        let mut argv = vec![cmd];
+        argv.extend_from_slice(valid);
+        argv.extend([flag.as_str(), value]);
+        let out = run(&argv);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {err}");
+        assert!(
+            err.contains(&format!("unknown flag {flag} for `{cmd}`")),
+            "{argv:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?} printed before refusing");
+        assert!(!dir.join("p").exists(), "{argv:?} created {p}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

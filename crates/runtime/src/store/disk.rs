@@ -16,17 +16,16 @@
 //!
 //! Records are append-only; re-storing a block appends a new record and
 //! the in-memory index keeps the **last** one (recovery replays the log in
-//! order, so last-wins survives restarts). The checksum reuses the
-//! checkpoint layer's frozen [`StableHasher`] (FNV-1a), the same
-//! fingerprint discipline PR 3 introduced for crash-safe sweep resume.
+//! order, so last-wins survives restarts). The checksum is 64-bit FNV-1a,
+//! hand-rolled and frozen here because `std::hash` promises no stability
+//! across runs or platforms, and a store file must outlive both.
 //!
 //! # Crash safety
 //!
 //! - **Creation is atomic**: [`DiskBackend::create_with`] writes the
 //!   header and every record to a `.tmp` sibling, fsyncs, then renames
 //!   into place — a kill during bulk population can never leave a
-//!   half-built store under the real path (the checkpoint tmp+rename
-//!   discipline, applied to stores).
+//!   half-built store under the real path.
 //! - **Appends are checksummed**: a kill mid-append leaves a torn record
 //!   at the tail. [`DiskBackend::open`] scans the log, validates every
 //!   record's bounds and checksum, and truncates the file at the first
@@ -71,7 +70,6 @@
 use super::BlockStore;
 use crate::backend::{materialize_block, BlockBackend};
 use crate::sync::Mutex;
-use gc_sim::checkpoint::StableHasher;
 use gc_types::{BlockId, BlockMap, FxHashMap, GcError, ItemId};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -128,11 +126,43 @@ pub struct DiskBackend {
     path: PathBuf,
 }
 
-/// FNV-1a checksum of one record's integrity-relevant bytes.
+/// 64-bit FNV-1a over the bytes written to it: the record checksum.
+/// Frozen, since every stored file depends on it.
+struct StableHasher {
+    state: u64,
+}
+
+impl StableHasher {
+    /// The FNV-1a offset basis.
+    fn new() -> Self {
+        StableHasher {
+            state: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state ^= b as u64;
+            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Absorb a `u64`, little-endian.
+    fn write_u64(&mut self, value: u64) {
+        self.write_bytes(&value.to_le_bytes());
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// FNV-1a checksum of one record's integrity-relevant bytes: block id,
+/// item count (widened to `u64`) and items.
 fn record_checksum(block: u64, items: &[u8]) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(block);
-    h.write_usize(items.len() / 8);
+    h.write_u64((items.len() / 8) as u64);
     h.write_bytes(items);
     h.finish()
 }

@@ -14,13 +14,12 @@
 //!   atomic work cursor (Rayon-style dynamic work distribution without
 //!   the dependency), results in job order.
 //! * [`sweep`] — the parallel parameter-sweep harness
-//!   ([`run_sweep`](sweep::run_sweep)), built on the pool: it isolates
-//!   panicking cells and checkpoints progress.
-//! * [`checkpoint`] — JSON checkpoint files for interruptible sweeps and
-//!   MRC bundles, plus the stable config fingerprints that guard resume.
+//!   ([`run_sweep`](sweep::run_sweep)), built on the pool: a cell whose
+//!   capacity its policy refuses fails alone, under
+//!   [`OnError`](sweep::OnError).
 //! * [`compare`] — tabulate one capacity's sweep cells side by side.
 //! * [`mrc`] — Mattson-stack miss-ratio curves (item- and block-granular)
-//!   and the parallel, checkpointable [`mrc_bundle`](mrc::mrc_bundle) with
+//!   and the parallel [`mrc_bundle`](mrc::mrc_bundle) with
 //!   its IBLP split grid.
 //! * [`shards`] — SHARDS-style spatially-hashed reuse-distance sampling:
 //!   approximate MRCs in near-linear time at rates down to 0.1 %, with a
@@ -31,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod checkpoint;
 pub mod compare;
 pub mod engine;
 pub mod hierarchy;
@@ -42,18 +40,15 @@ pub mod shards;
 pub mod stats;
 pub mod sweep;
 
-pub use checkpoint::{
-    MrcCheckpoint, MrcCurveRecord, StableHasher, SweepCellOutcome, SweepCellRecord, SweepCheckpoint,
-};
 pub use engine::{
     simulate, simulate_compiled, simulate_compiled_with_warmup, simulate_with_warmup, SpatialSet,
 };
 pub use hierarchy::{simulate_hierarchy, HierarchyStats};
 pub use mrc::{
     block_mrc, block_mrc_compiled, item_mrc, item_mrc_compiled, mrc_bundle, mrc_bundle_compiled,
-    MissRatioCurve, MrcBundle, MrcMode, MrcRunConfig, SplitCell,
+    MissRatioCurve, MrcBundle, MrcMode, SplitCell,
 };
-pub use pool::{run_indexed, run_indexed_checked, JobError};
+pub use pool::run_indexed;
 pub use probe::ProbeAdapter;
 pub use shards::{
     sampled_block_mrc, sampled_item_mrc, sampled_item_mrc_compiled, SampleStats, SamplerConfig,

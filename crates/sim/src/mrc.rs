@@ -19,14 +19,9 @@
 //! Stack distances are computed with a Fenwick (binary indexed) tree over
 //! access positions — `O(T log T)` total, the standard technique.
 
-use crate::checkpoint::{
-    self, MrcCheckpoint, MrcCurveRecord, StableHasher, FORMAT_VERSION, SINK_POISONED,
-};
-use crate::pool::{self, JobError};
+use crate::pool;
 use crate::shards::{sampled_block_mrc, sampled_item_mrc, SampleStats, SamplerConfig};
 use gc_types::{BlockMap, CompiledTrace, FxHashMap, GcError, Trace};
-use std::path::Path;
-use std::sync::Mutex;
 
 /// A miss-ratio curve: `misses[k]` is the number of LRU misses at cache
 /// size `k` (index 0 holds the trace length: every access misses in a
@@ -360,7 +355,7 @@ pub struct MrcBundle {
     /// Split grid derived from the two curves.
     pub grid: Vec<SplitCell>,
     /// What the sampler did for the item curve; `None` when the curve is
-    /// exact or was resumed from a checkpoint.
+    /// exact.
     pub item_stats: Option<SampleStats>,
     /// What the sampler did for the block curve, as for `item_stats`.
     pub block_stats: Option<SampleStats>,
@@ -402,130 +397,34 @@ fn split_block_size(capacity: usize, map: &BlockMap) -> Result<usize, GcError> {
     Ok(b)
 }
 
-/// Execution options for [`mrc_bundle`]. [`Default`] is a run on one
-/// thread per core with no checkpoint.
-#[derive(Default)]
-pub struct MrcRunConfig<'a> {
-    /// Worker threads (`0` = one per core).
-    pub threads: usize,
-    /// Persist each curve here as soon as its pass completes.
-    pub checkpoint_path: Option<&'a Path>,
-    /// Resume from a previously saved checkpoint; its `config_hash` must
-    /// match this configuration's fingerprint or the run is refused with
-    /// [`GcError::CheckpointMismatch`].
-    pub resume: Option<MrcCheckpoint>,
-}
-
-/// Deterministic fingerprint of everything that affects an MRC bundle's
-/// curves: trace contents, block map, capacity, and mode (including the
-/// sampler configuration and seed, via its `Debug` rendering).
-pub(crate) fn mrc_config_hash(
-    trace: &Trace,
-    map: &BlockMap,
-    capacity: usize,
-    mode: &MrcMode,
-) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_str("mrc-v1");
-    h.write_u64(FORMAT_VERSION as u64);
-    h.write_usize(capacity);
-    h.write_str(&format!("{mode:?}"));
-    h.write_u64(checkpoint::trace_fingerprint(trace));
-    h.write_u64(checkpoint::map_fingerprint(map));
-    h.finish()
-}
-
 /// A curve with the sampler's account of it (`None` when exact).
 type Curve = (MissRatioCurve, Option<SampleStats>);
 
 /// Compute item curve, block curve, and IBLP split grid for `capacity`
-/// lines, running the two curve passes on the shared worker
-/// [`pool`](crate::pool). In `Exact` mode the curves are bit-identical to
-/// [`item_mrc`] / [`block_mrc`].
-///
-/// A panic in either curve pass is caught and surfaced as
-/// [`GcError::CellFailed`] (index `0` = item curve, `1` = block curve)
-/// instead of tearing down the process. With a `checkpoint_path`, each
-/// curve is persisted the moment its pass finishes; an interrupted bundle
-/// resumed from that checkpoint re-runs only the missing curve and returns
-/// a bundle bit-identical to an uninterrupted run.
+/// lines, running the two curve passes on up to `threads` workers of the
+/// shared [`pool`](crate::pool) (`0` = one per core). In `Exact` mode the
+/// curves are bit-identical to [`item_mrc`] / [`block_mrc`].
 ///
 /// # Errors
 ///
 /// [`GcError::CapacityTooSmall`] unless `capacity > B` (a split needs room
-/// for both layers), the checkpoint errors above, and any failure to write
-/// the checkpoint.
+/// for both layers).
 pub fn mrc_bundle(
     trace: &Trace,
     map: &BlockMap,
     capacity: usize,
     mode: &MrcMode,
-    cfg: &MrcRunConfig<'_>,
+    threads: usize,
 ) -> Result<MrcBundle, GcError> {
     let b = split_block_size(capacity, map)?;
-    let mut curves: [Option<Curve>; 2] = [None, None];
-    // The checkpoint, and the full-trace fingerprint it needs, exist only
-    // when one is read or written.
-    let mut sink = None;
-    if cfg.checkpoint_path.is_some() || cfg.resume.is_some() {
-        let hash = mrc_config_hash(trace, map, capacity, mode);
-        let mut ckpt = MrcCheckpoint::new(hash);
-        if let Some(prior) = &cfg.resume {
-            prior.validate(hash)?;
-            for record in prior.curves.iter().filter(|r| r.index < 2) {
-                let curve = MissRatioCurve {
-                    accesses: record.accesses,
-                    misses: record.misses.clone(),
-                };
-                curves[record.index] = Some((curve, None));
-                ckpt.curves.push(record.clone());
-            }
-        }
-        sink = cfg
-            .checkpoint_path
-            .map(|path| Mutex::new((ckpt, path, None::<GcError>)));
-    }
-
-    let pending: Vec<usize> = (0..2).filter(|&i| curves[i].is_none()).collect();
-    let on_complete = |slot: usize, result: &Result<Curve, JobError>| {
-        let (Some(sink), Ok((curve, _))) = (&sink, result) else {
-            return;
-        };
-        let (ckpt, path, write_error) = &mut *sink.lock().expect(SINK_POISONED);
-        ckpt.curves.push(MrcCurveRecord {
-            index: pending[slot],
-            accesses: curve.accesses,
-            misses: curve.misses.clone(),
-        });
-        ckpt.curves.sort_by_key(|c| c.index);
-        if let Err(e) = checkpoint::save_json(&*ckpt, path) {
-            write_error.get_or_insert(e);
-        }
-    };
     let sampled = |(curve, stats): (MissRatioCurve, SampleStats)| (curve, Some(stats));
-    let results =
-        pool::run_indexed_checked(pending.len(), cfg.threads, on_complete, |slot| {
-            match (pending[slot], mode) {
-                (0, MrcMode::Exact) => (item_mrc(trace, capacity), None),
-                (_, MrcMode::Exact) => (block_mrc(trace, map, capacity / b), None),
-                (0, MrcMode::Sampled(s)) => sampled(sampled_item_mrc(trace, capacity, s)),
-                (_, MrcMode::Sampled(s)) => sampled(sampled_block_mrc(trace, map, capacity / b, s)),
-            }
-        });
-    if let Some((_, _, Some(e))) = sink.map(|s| s.into_inner().expect(SINK_POISONED)) {
-        return Err(e);
-    }
-    for (slot, result) in results.into_iter().enumerate() {
-        let index = pending[slot];
-        curves[index] = Some(result.map_err(|e| GcError::CellFailed {
-            index,
-            reason: e.payload,
-        })?);
-    }
-
-    let [Some(item), Some(block)] = curves else {
-        unreachable!("both curves resolved above");
-    };
+    let curves = pool::run_indexed(2, threads, |i| match (i, mode) {
+        (0, MrcMode::Exact) => (item_mrc(trace, capacity), None),
+        (_, MrcMode::Exact) => (block_mrc(trace, map, capacity / b), None),
+        (0, MrcMode::Sampled(s)) => sampled(sampled_item_mrc(trace, capacity, s)),
+        (_, MrcMode::Sampled(s)) => sampled(sampled_block_mrc(trace, map, capacity / b, s)),
+    });
+    let [item, block]: [Curve; 2] = curves.try_into().expect("two curve jobs");
     Ok(MrcBundle::assemble(item, block, capacity, b))
 }
 
@@ -539,10 +438,6 @@ pub fn mrc_bundle(
 ///
 /// [`GcError::CapacityTooSmall`] unless `capacity > B`, as in
 /// [`mrc_bundle`].
-///
-/// # Panics
-///
-/// Panics if a curve pass panics; the compiled path has no checkpoint.
 pub fn mrc_bundle_compiled(
     compiled: &CompiledTrace,
     capacity: usize,
@@ -561,17 +456,6 @@ pub fn mrc_bundle_compiled(
 mod tests {
     use super::*;
     use gc_policies::{BlockLru, ItemLru};
-
-    fn threads(threads: usize) -> MrcRunConfig<'static> {
-        MrcRunConfig {
-            threads,
-            ..MrcRunConfig::default()
-        }
-    }
-
-    fn serial() -> MrcRunConfig<'static> {
-        threads(1)
-    }
 
     fn simulate_lru_misses(trace: &Trace, k: usize) -> u64 {
         let mut lru = ItemLru::new(k);
@@ -669,7 +553,7 @@ mod tests {
         let trace = Trace::from_ids(ids);
         let map = BlockMap::strided(8);
         let capacity = 256;
-        let bundle = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, &serial()).unwrap();
+        let bundle = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, 1).unwrap();
         for cell in bundle.grid {
             let mut iblp = Iblp::new(cell.item_lines, cell.block_lines, map.clone());
             let actual = crate::engine::simulate(&mut iblp, &trace).misses;
@@ -726,7 +610,7 @@ mod tests {
         let map = BlockMap::strided(16);
         let capacity = 512;
 
-        let bundle = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, &threads(2)).unwrap();
+        let bundle = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, 2).unwrap();
         let item = item_mrc(&trace, capacity);
         let block = block_mrc(&trace, &map, capacity / 16);
         let grid = split_grid_from_curves(&item, &block, capacity, 16);
@@ -754,71 +638,14 @@ mod tests {
             MrcMode::Exact,
             MrcMode::Sampled(SamplerConfig::fixed(0.2).with_seed(9)),
         ] {
-            let serial = mrc_bundle(&trace, &map, 256, &mode, &threads(1)).unwrap();
-            let parallel = mrc_bundle(&trace, &map, 256, &mode, &threads(4)).unwrap();
+            let serial = mrc_bundle(&trace, &map, 256, &mode, 1).unwrap();
+            let parallel = mrc_bundle(&trace, &map, 256, &mode, 4).unwrap();
             assert_eq!(serial.item.misses, parallel.item.misses, "{mode:?}");
             assert_eq!(serial.block.misses, parallel.block.misses, "{mode:?}");
             let sampled = mode != MrcMode::Exact;
             assert_eq!(parallel.item_stats.is_some(), sampled, "{mode:?}");
             assert_eq!(parallel.block_stats.is_some(), sampled, "{mode:?}");
         }
-    }
-
-    #[test]
-    fn checked_bundle_resumes_from_partial_checkpoint() {
-        let trace = Trace::from_ids((0..8_000u64).map(|i| (i * 48271) % 900));
-        let map = BlockMap::strided(4);
-        let mode = MrcMode::Exact;
-        let reference = mrc_bundle(&trace, &map, 64, &mode, &serial()).unwrap();
-
-        // A checkpoint holding only the item curve, as if the run was
-        // killed between the two passes.
-        let hash = mrc_config_hash(&trace, &map, 64, &mode);
-        let mut partial = MrcCheckpoint::new(hash);
-        partial.curves.push(MrcCurveRecord {
-            index: 0,
-            accesses: reference.item.accesses,
-            misses: reference.item.misses.clone(),
-        });
-        let cfg = MrcRunConfig {
-            resume: Some(partial),
-            ..MrcRunConfig::default()
-        };
-        let resumed = mrc_bundle(&trace, &map, 64, &mode, &cfg).unwrap();
-        assert_eq!(reference.item.misses, resumed.item.misses);
-        assert_eq!(reference.block.misses, resumed.block.misses);
-        for (a, b) in reference.grid.iter().zip(&resumed.grid) {
-            assert_eq!(a.miss_estimate, b.miss_estimate);
-        }
-    }
-
-    #[test]
-    fn checked_bundle_refuses_mismatched_checkpoint() {
-        let trace = Trace::from_ids((0..500u64).map(|i| i % 40));
-        let map = BlockMap::strided(4);
-        let cfg = MrcRunConfig {
-            resume: Some(MrcCheckpoint::new(0xbad_c0de)),
-            ..MrcRunConfig::default()
-        };
-        let err = mrc_bundle(&trace, &map, 64, &MrcMode::Exact, &cfg).unwrap_err();
-        assert!(matches!(err, GcError::CheckpointMismatch { .. }), "{err}");
-    }
-
-    #[test]
-    fn config_hash_tracks_mode_and_capacity() {
-        let trace = Trace::from_ids((0..500u64).map(|i| i % 40));
-        let map = BlockMap::strided(4);
-        let exact = mrc_config_hash(&trace, &map, 64, &MrcMode::Exact);
-        assert_eq!(exact, mrc_config_hash(&trace, &map, 64, &MrcMode::Exact));
-        assert_ne!(exact, mrc_config_hash(&trace, &map, 128, &MrcMode::Exact));
-        let sampled = MrcMode::Sampled(SamplerConfig::fixed(0.1).with_seed(1));
-        assert_ne!(exact, mrc_config_hash(&trace, &map, 64, &sampled));
-        // Sampler seeds change results, so they must change the hash too.
-        let reseeded = MrcMode::Sampled(SamplerConfig::fixed(0.1).with_seed(2));
-        assert_ne!(
-            mrc_config_hash(&trace, &map, 64, &sampled),
-            mrc_config_hash(&trace, &map, 64, &reseeded)
-        );
     }
 
     #[test]
@@ -845,7 +672,7 @@ mod tests {
         let block_c = block_mrc_compiled(&compiled, 64);
         assert_eq!(block.misses, block_c.misses);
 
-        let sparse = mrc_bundle(&trace, &map, 256, &MrcMode::Exact, &threads(2)).unwrap();
+        let sparse = mrc_bundle(&trace, &map, 256, &MrcMode::Exact, 2).unwrap();
         let dense = mrc_bundle_compiled(&compiled, 256, 2).unwrap();
         assert_eq!(sparse.item.misses, dense.item.misses);
         assert_eq!(sparse.block.misses, dense.block.misses);
@@ -861,7 +688,7 @@ mod tests {
         let map = BlockMap::strided(8);
         let sampler = SamplerConfig::fixed(0.2).with_seed(3);
         let mode = MrcMode::Sampled(sampler.clone());
-        let bundle = mrc_bundle(&trace, &map, 256, &mode, &serial()).unwrap();
+        let bundle = mrc_bundle(&trace, &map, 256, &mode, 1).unwrap();
         let (_, item) = sampled_item_mrc(&trace, 256, &sampler);
         let (_, block) = sampled_block_mrc(&trace, &map, 256 / 8, &sampler);
         let got = bundle.item_stats.expect("fresh item curve");
@@ -870,21 +697,6 @@ mod tests {
         let got = bundle.block_stats.expect("fresh block curve");
         assert_eq!(got.sampled_accesses, block.sampled_accesses);
         assert_eq!(got.distinct_sampled, block.distinct_sampled);
-
-        // A curve served from a checkpoint has no sampler account.
-        let mut partial = MrcCheckpoint::new(mrc_config_hash(&trace, &map, 256, &mode));
-        partial.curves.push(MrcCurveRecord {
-            index: 1,
-            accesses: bundle.block.accesses,
-            misses: bundle.block.misses.clone(),
-        });
-        let cfg = MrcRunConfig {
-            resume: Some(partial),
-            ..serial()
-        };
-        let resumed = mrc_bundle(&trace, &map, 256, &mode, &cfg).unwrap();
-        assert!(resumed.item_stats.is_some() && resumed.block_stats.is_none());
-        assert_eq!(resumed.block.misses, bundle.block.misses);
     }
 
     #[test]
@@ -893,7 +705,7 @@ mod tests {
         let map = BlockMap::strided(16);
         let compiled = CompiledTrace::compile(&trace, &map).unwrap();
         for capacity in [0, 1, 16] {
-            let sparse = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, &serial());
+            let sparse = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, 1);
             let dense = mrc_bundle_compiled(&compiled, capacity, 1);
             for err in [sparse.unwrap_err(), dense.unwrap_err()] {
                 assert_eq!(
@@ -906,7 +718,7 @@ mod tests {
             }
         }
         assert_eq!(
-            mrc_bundle(&trace, &map, 17, &MrcMode::Exact, &serial())
+            mrc_bundle(&trace, &map, 17, &MrcMode::Exact, 1)
                 .unwrap()
                 .grid
                 .len(),

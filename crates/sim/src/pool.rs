@@ -12,23 +12,12 @@
 //! MRC bundle): static striping would leave workers idle behind the
 //! slowest stripe.
 //!
-//! # Fault isolation
-//!
-//! A 500-cell sweep must not lose 499 results because one cell panicked.
-//! [`run_indexed_checked`] wraps every job in
-//! [`catch_unwind`](std::panic::catch_unwind) and returns per-job
-//! `Result`s: a panicking job becomes a [`JobError`] carrying the job
-//! index, the rendered panic payload, and how long the job ran before
-//! dying — the other jobs complete normally and their results are
-//! **bit-identical** to a fault-free run. Its `on_complete` callback sees
-//! each outcome as it lands, which is how sweeps and MRC bundles
-//! checkpoint incrementally. [`run_indexed`] is the infallible wrapper
-//! that panics with the failing job *index* instead of a bare "worker
-//! panicked".
+//! A job that panics is a bug, not an outcome: the panic reaches the
+//! caller once every worker has stopped. A job that can fail for a
+//! reason the caller should see returns a `Result` as its value, as a
+//! sweep cell does when its capacity is refused.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 /// Resolve a user-facing thread-count request against a job count.
 ///
@@ -43,41 +32,6 @@ fn resolve_threads(requested: usize, jobs: usize) -> usize {
     threads.clamp(1, jobs.max(1))
 }
 
-/// A job that panicked. The other jobs of the run are unaffected.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobError {
-    /// Index of the failing job.
-    pub index: usize,
-    /// Rendered panic payload (`&str`/`String` payloads verbatim,
-    /// otherwise a placeholder).
-    pub payload: String,
-    /// How long the job ran before panicking.
-    pub duration: Duration,
-}
-
-impl std::fmt::Display for JobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let JobError {
-            index,
-            payload,
-            duration,
-        } = self;
-        write!(f, "pool job {index} panicked after {duration:?}: {payload}")
-    }
-}
-
-impl std::error::Error for JobError {}
-
-fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 /// Run `job(0..n)` on up to `threads` workers (`0` = one per core) and
 /// return the results in index order.
 ///
@@ -87,44 +41,15 @@ fn panic_payload_string(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// # Panics
 ///
-/// If any `job` invocation panics, panics after all workers finish with a
-/// message naming the failing job index and its panic payload. Use
-/// [`run_indexed_checked`] to keep the surviving results instead.
+/// If any `job` invocation panics, panics with that job's payload after
+/// every worker has stopped.
 pub fn run_indexed<T, F>(n: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_checked(n, threads, |_, _| {}, job)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
-}
-
-/// Fault-isolated variant of [`run_indexed`]: every job runs under
-/// [`catch_unwind`](std::panic::catch_unwind), and the returned vector has
-/// one entry per job — `Ok(result)` or a [`JobError`] carrying the failing
-/// index, its panic payload, and its running time. Successful jobs are
-/// unaffected by failing ones and their results are bit-identical to a
-/// fault-free run.
-///
-/// `on_complete(index, outcome)` runs on the worker thread right after
-/// each job finishes or panics (the checkpoint hook). It is called
-/// concurrently from several workers, so it must synchronize internally,
-/// and it must not panic.
-pub fn run_indexed_checked<T, C, F>(
-    n: usize,
-    threads: usize,
-    on_complete: C,
-    job: F,
-) -> Vec<Result<T, JobError>>
-where
-    T: Send,
-    C: Fn(usize, &Result<T, JobError>) + Sync,
-    F: Fn(usize) -> T + Sync,
-{
     let cursor = AtomicUsize::new(0);
-    // Each worker collects (index, outcome) pairs locally and we scatter
+    // Each worker collects (index, result) pairs locally and we scatter
     // into slots afterwards: contention-free during the run, ordered at
     // the end.
     let worker = || {
@@ -134,15 +59,7 @@ where
             if index >= n {
                 return mine;
             }
-            let start = Instant::now();
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| job(index))).map_err(|payload| JobError {
-                    index,
-                    payload: panic_payload_string(payload.as_ref()),
-                    duration: start.elapsed(),
-                });
-            on_complete(index, &outcome);
-            mine.push((index, outcome));
+            mine.push((index, job(index)));
         }
     };
     let collected = std::thread::scope(|scope| {
@@ -150,19 +67,16 @@ where
             .map(|_| scope.spawn(worker))
             .collect();
         let mut collected = vec![worker()];
-        // Job panics are caught inside the worker; a panic escaping here
-        // means `on_complete` itself panicked, which its contract forbids.
-        collected.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool callback panicked")),
-        );
+        collected.extend(handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }));
         collected
     });
 
-    let mut slots: Vec<Option<Result<T, JobError>>> = (0..n).map(|_| None).collect();
-    for (index, outcome) in collected.into_iter().flatten() {
-        slots[index] = Some(outcome);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (index, result) in collected.into_iter().flatten() {
+        slots[index] = Some(result);
     }
     slots
         .into_iter()
@@ -224,65 +138,6 @@ mod tests {
         assert!(resolve_threads(0, usize::MAX) >= 1);
     }
 
-    /// The headline isolation guarantee: one panicking job out of 64
-    /// leaves the other 63 results bit-identical to a serial, fault-free
-    /// run.
-    #[test]
-    fn one_panic_leaves_63_results_bit_identical() {
-        let compute = |i: usize| -> u64 {
-            let mut acc = i as u64 + 1;
-            for _ in 0..1000 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            acc
-        };
-        let clean: Vec<u64> = (0..64).map(compute).collect();
-        let checked = run_indexed_checked(
-            64,
-            4,
-            |_, _| {},
-            |i| {
-                if i == 17 {
-                    panic!("injected fault in job {i}");
-                }
-                compute(i)
-            },
-        );
-        assert_eq!(checked.len(), 64);
-        for (i, outcome) in checked.iter().enumerate() {
-            if i == 17 {
-                match outcome {
-                    Err(JobError { index, payload, .. }) => {
-                        assert_eq!(*index, 17);
-                        assert!(payload.contains("injected fault"), "{payload}");
-                    }
-                    other => panic!("job 17 should have panicked, got {other:?}"),
-                }
-            } else {
-                assert_eq!(outcome.as_ref().unwrap(), &clean[i], "job {i} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn serial_checked_path_catches_panics_too() {
-        let checked = run_indexed_checked(
-            4,
-            1,
-            |_, _| {},
-            |i| {
-                if i == 2 {
-                    panic!("serial fault");
-                }
-                i * 10
-            },
-        );
-        assert_eq!(checked[0].as_ref().unwrap(), &0);
-        assert_eq!(checked[1].as_ref().unwrap(), &10);
-        assert!(checked[2].is_err());
-        assert_eq!(checked[3].as_ref().unwrap(), &30);
-    }
-
     #[test]
     fn one_worker_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
@@ -290,53 +145,25 @@ mod tests {
         assert!(ids.iter().all(|&id| id == caller));
     }
 
+    /// A panicking job panics the caller with the job's own payload, on a
+    /// spawned worker as on the calling thread.
     #[test]
-    fn run_indexed_panics_with_job_index() {
-        let caught = std::panic::catch_unwind(|| {
-            run_indexed(8, 2, |i| {
-                if i == 5 {
-                    panic!("boom");
-                }
-                i
-            })
-        });
-        let payload = caught.expect_err("should propagate the panic");
-        let message = panic_payload_string(payload.as_ref());
-        assert!(message.contains("job 5"), "{message}");
-        assert!(message.contains("boom"), "{message}");
-    }
-
-    #[test]
-    fn on_complete_sees_every_job_once() {
-        use std::sync::Mutex;
-        let seen = Mutex::new(Vec::new());
-        let on_complete = |idx: usize, outcome: &Result<u64, JobError>| {
-            seen.lock().unwrap().push((idx, outcome.is_ok()));
-        };
-        let results = run_indexed_checked(32, 4, on_complete, |i| {
-            if i == 9 {
-                panic!("die");
-            }
-            i as u64
-        });
-        assert_eq!(results.len(), 32);
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort();
-        assert_eq!(seen.len(), 32);
-        for (pos, (idx, ok)) in seen.iter().enumerate() {
-            assert_eq!(pos, *idx);
-            assert_eq!(*ok, *idx != 9);
+    fn a_panicking_job_panics_the_caller() {
+        for threads in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                run_indexed(8, threads, |i| {
+                    if i == 5 {
+                        panic!("boom in job {i}");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("the job's panic reaches the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert_eq!(message, "boom in job 5", "{threads} threads");
         }
-    }
-
-    #[test]
-    fn job_error_accessors_and_display() {
-        let err = JobError {
-            index: 3,
-            payload: "kaput".into(),
-            duration: Duration::from_millis(7),
-        };
-        assert!(err.to_string().contains("job 3"));
-        assert!(err.to_string().contains("kaput"));
     }
 }

@@ -78,16 +78,6 @@ impl SimStats {
     }
 }
 
-gc_types::json_record!(SimStats {
-    accesses,
-    misses,
-    temporal_hits,
-    spatial_hits,
-    items_loaded,
-    items_evicted,
-    peak_len,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,20 +3,15 @@
 //! Benchmarks sweep (policy × capacity) grids over a shared read-only
 //! trace. Each job is independent, so [`run_sweep`] fans them out over the
 //! shared [`pool`](crate::pool) — std scoped threads pulling job indices
-//! off an atomic cursor, results returned in job order — with each cell
-//! isolated from the others' panics and, optionally, checkpointed for
-//! crash-safe resume.
+//! off an atomic cursor, results returned in job order. A cell whose
+//! capacity its policy refuses fails alone, and [`OnError`] decides
+//! whether that ends the run.
 
-use crate::checkpoint::{
-    self, StableHasher, SweepCellOutcome, SweepCellRecord, SweepCheckpoint, SINK_POISONED,
-};
 use crate::engine::{simulate_compiled_with_warmup, simulate_with_warmup};
-use crate::pool::{self, JobError};
+use crate::pool;
 use crate::stats::SimStats;
 use gc_policies::PolicyKind;
 use gc_types::{BlockMap, CompiledTrace, GcError, Trace};
-use std::path::Path;
-use std::sync::Mutex;
 
 /// One cell of a sweep grid.
 #[derive(Clone, Debug)]
@@ -40,9 +35,9 @@ pub struct SweepResult {
     pub stats: SimStats,
 }
 
-/// Run a single sweep cell — the pure function every execution mode
-/// (isolated, resumed, fault-injected) funnels through, which is what makes
-/// surviving-cell results bit-identical across modes.
+/// Run a single sweep cell — the pure function every sweep funnels
+/// through, which is what makes cell results bit-identical whatever the
+/// thread count or the other cells.
 pub fn run_cell(job: &SweepJob, trace: &Trace, map: &BlockMap) -> SweepResult {
     let mut policy = job.kind.build(job.capacity, map);
     // Materialize the display name before the simulation so the one String
@@ -59,38 +54,15 @@ pub fn run_cell(job: &SweepJob, trace: &Trace, map: &BlockMap) -> SweepResult {
 
 /// [`run_sweep`] over a compiled trace: the one-time compilation pass is
 /// amortized across every cell, each of which builds its policy against
-/// the dense map and streams the flat access array. Results are
-/// bit-identical to [`run_sweep`] on the source trace. Cells fail as under
-/// [`run_sweep`] with [`OnError::Fail`]: the run returns
-/// [`GcError::CellFailed`] for the first failed cell in job order.
+/// the dense map and streams the flat access array. Results, failures
+/// included, are bit-identical to [`run_sweep`] on the source trace.
 pub fn run_sweep_compiled(
     jobs: &[SweepJob],
     compiled: &CompiledTrace,
-    threads: usize,
+    cfg: &SweepRunConfig,
 ) -> Result<SweepOutcome, GcError> {
-    let block_size = compiled.map().max_block_size();
-    let outcomes = pool::run_indexed_checked(
-        jobs.len(),
-        threads,
-        |_, _| {},
-        |idx| {
-            checked_cell(&jobs[idx], block_size, || {
-                run_cell_compiled(&jobs[idx], compiled)
-            })
-        },
-    );
-    let results = outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(index, outcome)| match cell_reason(outcome) {
-            Ok(result) => Ok(Some(result)),
-            Err(reason) => Err(GcError::CellFailed { index, reason }),
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(SweepOutcome {
-        results,
-        failures: Vec::new(),
-        resumed_cells: 0,
+    sweep_cells(jobs, compiled.map(), cfg, |job| {
+        run_cell_compiled(job, compiled)
     })
 }
 
@@ -110,13 +82,6 @@ fn checked_cell(
         }
         _ => Ok(cell()),
     }
-}
-
-/// A cell's result, or why it failed: its refusal or its panic payload.
-fn cell_reason(
-    outcome: Result<Result<SweepResult, String>, JobError>,
-) -> Result<SweepResult, String> {
-    outcome.map_err(|e| e.payload).and_then(|cell| cell)
 }
 
 /// Compiled analogue of [`run_cell`].
@@ -166,12 +131,12 @@ pub fn to_csv(outcome: &SweepOutcome, jobs: &[SweepJob]) -> String {
     out
 }
 
-/// What a sweep does when a cell fails: it panics, or its capacity is
+/// What a sweep does when a cell fails, that is, when its capacity is
 /// below its policy's minimum.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OnError {
-    /// Abort the run with [`GcError::CellFailed`] at the first failed
-    /// cell (after flushing the checkpoint, so completed work survives).
+    /// Abort the run with [`GcError::CellFailed`] naming the first failed
+    /// cell in job order.
     #[default]
     Fail,
     /// Record the failure and keep going; the failed cell is reported
@@ -191,25 +156,14 @@ impl std::str::FromStr for OnError {
     }
 }
 
-/// How to run a sweep. [`Default`] is one thread per core,
-/// [`OnError::Fail`] and no checkpoint.
-#[derive(Default)]
-pub struct SweepRunConfig<'a> {
+/// How to run a sweep. [`Default`] is one thread per core and
+/// [`OnError::Fail`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SweepRunConfig {
     /// Worker threads (`0` = one per core).
     pub threads: usize,
     /// What to do when a cell fails. Default: [`OnError::Fail`].
     pub on_error: OnError,
-    /// Where to write periodic JSON checkpoints (atomically). `None`
-    /// disables checkpointing.
-    pub checkpoint_path: Option<&'a Path>,
-    /// Flush the checkpoint after this many newly completed cells
-    /// (clamped to ≥ 1). Smaller = less lost work on a kill, more I/O.
-    pub checkpoint_every: usize,
-    /// A previously written checkpoint to resume from. Completed cells are
-    /// served from it verbatim; missing and failed cells are re-run. The
-    /// checkpoint is validated against this run's config fingerprint and
-    /// the run is refused on mismatch.
-    pub resume: Option<SweepCheckpoint>,
 }
 
 /// The outcome of a sweep.
@@ -218,12 +172,8 @@ pub struct SweepOutcome {
     /// Per-job results in job order; `None` exactly for failed cells
     /// (only possible under [`OnError::Skip`]).
     pub results: Vec<Option<SweepResult>>,
-    /// `(cell index, reason)` for every failed cell: the capacity error or
-    /// the rendered panic payload.
+    /// `(cell index, reason)` for every failed cell: its capacity error.
     pub failures: Vec<(usize, String)>,
-    /// How many cells were served from the resume checkpoint instead of
-    /// being re-run.
-    pub resumed_cells: usize,
 }
 
 impl SweepOutcome {
@@ -233,173 +183,52 @@ impl SweepOutcome {
     }
 }
 
-/// Deterministic fingerprint of everything that affects sweep cell
-/// results: the job list, the trace contents, and the block map. Thread
-/// count and checkpoint cadence are excluded — they cannot change results.
-pub(crate) fn sweep_config_hash(jobs: &[SweepJob], trace: &Trace, map: &BlockMap) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_str("sweep-v1");
-    h.write_usize(jobs.len());
-    for job in jobs {
-        // Debug keeps seeds and parameters that Display drops.
-        h.write_str(&format!("{:?}", job.kind));
-        h.write_usize(job.capacity);
-        h.write_usize(job.warmup);
-    }
-    h.write_u64(checkpoint::trace_fingerprint(trace));
-    h.write_u64(checkpoint::map_fingerprint(map));
-    h.finish()
-}
-
-/// Incremental checkpoint sink shared by the pool workers.
-struct CheckpointSink<'a> {
-    ckpt: SweepCheckpoint,
-    path: &'a Path,
-    every: usize,
-    since_flush: usize,
-    write_error: Option<GcError>,
-}
-
-impl CheckpointSink<'_> {
-    fn record(&mut self, record: SweepCellRecord) {
-        self.ckpt.cells.push(record);
-        self.since_flush += 1;
-        if self.since_flush >= self.every {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        self.since_flush = 0;
-        self.ckpt.cells.sort_by_key(|c| c.index);
-        if let Err(e) = checkpoint::save_json(&self.ckpt, self.path) {
-            // Keep computing — results are still returned in-memory — but
-            // surface the first persistence failure at the end of the run.
-            self.write_error.get_or_insert(e);
-        }
-    }
-}
-
 /// Run every job against `trace`/`map` on up to
 /// [`threads`](SweepRunConfig::threads) workers.
 ///
 /// Jobs are claimed dynamically, so wildly uneven job costs (a 1 Ki cache
-/// vs a 1 Mi cache) still balance. Every cell runs fault-isolated on the
-/// checked [`pool`] path, so one panicking cell cannot take down the run,
-/// and a cell whose capacity is below its policy's minimum fails with that
-/// error instead of panicking. Under [`OnError::Skip`] the remaining cells complete with results
-/// **bit-identical** to a fault-free run, and under [`OnError::Fail`] the
-/// error names the failing cell index. With a checkpoint path configured,
-/// completed cells are flushed to disk every
-/// [`checkpoint_every`](SweepRunConfig::checkpoint_every) completions
-/// (atomic write), and a later invocation can pass the loaded checkpoint
-/// as [`resume`](SweepRunConfig::resume) to re-run only the missing and
-/// failed cells. Resume output is bit-identical to an uninterrupted run.
+/// vs a 1 Mi cache) still balance. A cell whose capacity is below its
+/// policy's minimum fails with that error instead of panicking. Under
+/// [`OnError::Skip`] the remaining cells complete with results
+/// **bit-identical** to a run without the failed cells, and under
+/// [`OnError::Fail`] the error names the first failed cell index.
 pub fn run_sweep(
     jobs: &[SweepJob],
     trace: &Trace,
     map: &BlockMap,
-    cfg: &SweepRunConfig<'_>,
+    cfg: &SweepRunConfig,
 ) -> Result<SweepOutcome, GcError> {
-    let mut done: Vec<Option<SweepCellOutcome>> = vec![None; jobs.len()];
-    // The checkpoint, and the full-trace fingerprint it needs, exist only
-    // when one is read or written.
-    let mut sink = None;
-    if cfg.checkpoint_path.is_some() || cfg.resume.is_some() {
-        let config_hash = sweep_config_hash(jobs, trace, map);
-        let mut base = match &cfg.resume {
-            Some(ckpt) => {
-                ckpt.validate(config_hash, jobs.len())?;
-                ckpt.clone()
-            }
-            None => SweepCheckpoint::new(config_hash, jobs.len()),
-        };
-        // Completed cells come from the checkpoint; failed cells are
-        // re-run, so drop their records before this run appends fresh
-        // outcomes.
-        base.cells
-            .retain(|c| matches!(c.outcome, SweepCellOutcome::Done { .. }));
-        for cell in &base.cells {
-            done[cell.index] = Some(cell.outcome.clone());
-        }
-        sink = cfg.checkpoint_path.map(|path| {
-            Mutex::new(CheckpointSink {
-                ckpt: base,
-                path,
-                every: cfg.checkpoint_every.max(1),
-                since_flush: 0,
-                write_error: None,
-            })
-        });
-    }
-    let pending: Vec<usize> = (0..jobs.len()).filter(|&i| done[i].is_none()).collect();
-    let resumed_cells = jobs.len() - pending.len();
+    sweep_cells(jobs, map, cfg, |job| run_cell(job, trace, map))
+}
 
-    let on_complete = |slot: usize, outcome: &Result<Result<SweepResult, String>, JobError>| {
-        let Some(sink) = &sink else { return };
-        let index = pending[slot];
-        let outcome = match outcome {
-            Ok(Ok(result)) => SweepCellOutcome::Done {
-                policy_name: result.policy_name.clone(),
-                stats: result.stats.clone(),
-            },
-            Ok(Err(reason)) => SweepCellOutcome::Failed {
-                reason: reason.clone(),
-            },
-            Err(e) => SweepCellOutcome::Failed {
-                reason: e.to_string(),
-            },
-        };
-        let record = SweepCellRecord { index, outcome };
-        sink.lock().expect(SINK_POISONED).record(record);
-    };
+/// The one sweep both engines share: run `cell` for every job on the
+/// pool, refusing undersized capacities against `map`, and assemble the
+/// outcomes in job order under [`SweepRunConfig::on_error`].
+fn sweep_cells(
+    jobs: &[SweepJob],
+    map: &BlockMap,
+    cfg: &SweepRunConfig,
+    cell: impl Fn(&SweepJob) -> SweepResult + Sync,
+) -> Result<SweepOutcome, GcError> {
     let block_size = map.max_block_size();
-    let fresh = pool::run_indexed_checked(pending.len(), cfg.threads, on_complete, |slot| {
-        let job = &jobs[pending[slot]];
-        checked_cell(job, block_size, || run_cell(job, trace, map))
+    let cells = pool::run_indexed(jobs.len(), cfg.threads, |idx| {
+        checked_cell(&jobs[idx], block_size, || cell(&jobs[idx]))
     });
-
-    if let Some(sink) = sink {
-        let mut sink = sink.into_inner().expect(SINK_POISONED);
-        sink.flush();
-        if let Some(e) = sink.write_error {
-            return Err(e);
-        }
-    }
-
-    // Assemble in job order: resumed cells from the checkpoint, fresh
-    // cells from this run.
-    let mut fresh = fresh.into_iter();
-    let mut results: Vec<Option<SweepResult>> = Vec::with_capacity(jobs.len());
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    for (index, job) in jobs.iter().enumerate() {
-        if let Some(SweepCellOutcome::Done { policy_name, stats }) = done[index].take() {
-            results.push(Some(SweepResult {
-                job: job.clone(),
-                policy_name,
-                stats,
-            }));
-            continue;
-        }
-        let slot = fresh
-            .next()
-            .expect("every non-resumed cell has a pool slot");
-        match cell_reason(slot) {
+    let mut results = Vec::with_capacity(cells.len());
+    let mut failures = Vec::new();
+    for (index, cell) in cells.into_iter().enumerate() {
+        match cell {
             Ok(result) => results.push(Some(result)),
+            Err(reason) if cfg.on_error == OnError::Fail => {
+                return Err(GcError::CellFailed { index, reason });
+            }
             Err(reason) => {
-                if cfg.on_error == OnError::Fail {
-                    return Err(GcError::CellFailed { index, reason });
-                }
                 failures.push((index, reason));
                 results.push(None);
             }
         }
     }
-    Ok(SweepOutcome {
-        results,
-        failures,
-        resumed_cells,
-    })
+    Ok(SweepOutcome { results, failures })
 }
 
 #[cfg(test)]
@@ -465,7 +294,11 @@ mod tests {
         let compiled = CompiledTrace::compile(&trace, &map).unwrap();
         let jobs = grid();
         let sparse = sweep(&jobs, &trace, &map, 2);
-        let dense = run_sweep_compiled(&jobs, &compiled, 2).unwrap();
+        let cfg = SweepRunConfig {
+            threads: 2,
+            ..SweepRunConfig::default()
+        };
+        let dense = run_sweep_compiled(&jobs, &compiled, &cfg).unwrap();
         assert_eq!(sparse.results.len(), dense.results.len());
         for (s, d) in sparse.completed().zip(dense.completed()) {
             assert_eq!(s.stats, d.stats, "job {:?}", s.job);
@@ -517,13 +350,12 @@ mod tests {
 
     #[test]
     fn checked_matches_plain_run_bit_identically() {
-        // Running under the checked pool changes nothing: every cell equals
-        // a direct serial `run_cell` of the same job.
+        // Running on the pool with capacity checks changes nothing: every
+        // cell equals a direct serial `run_cell` of the same job.
         let (trace, map) = trace_and_map();
         let jobs = grid();
         let outcome = run_sweep(&jobs, &trace, &map, &SweepRunConfig::default()).unwrap();
         assert!(outcome.failures.is_empty());
-        assert_eq!(outcome.resumed_cells, 0);
         assert_eq!(outcome.completed().count(), jobs.len());
         for (job, c) in jobs.iter().zip(outcome.completed()) {
             let p = run_cell(job, &trace, &map);
@@ -549,9 +381,12 @@ mod tests {
         let cfg = SweepRunConfig {
             threads: 4,
             on_error: OnError::Skip,
-            ..SweepRunConfig::default()
         };
         let outcome = run_sweep(&jobs, &trace, &map, &cfg).unwrap();
+        // The compiled engine skips the same cell with the same reason.
+        let compiled = CompiledTrace::compile(&trace, &map).unwrap();
+        let dense = run_sweep_compiled(&jobs, &compiled, &cfg).unwrap();
+        assert_eq!(to_csv(&outcome, &jobs), to_csv(&dense, &jobs));
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].0, 4);
         assert!(outcome.failures[0].1.contains("capacity"));
@@ -589,94 +424,6 @@ mod tests {
             gc_types::GcError::CellFailed { index, .. } => assert_eq!(index, 1),
             other => panic!("expected CellFailed, got {other}"),
         }
-    }
-
-    #[test]
-    fn resume_from_partial_checkpoint_is_bit_identical() {
-        let (trace, map) = trace_and_map();
-        let jobs = grid();
-        let reference = sweep(&jobs, &trace, &map, 1);
-
-        // Simulate an interrupted run: a checkpoint holding only the first
-        // four cells (as the incremental sink would have flushed them).
-        let hash = sweep_config_hash(&jobs, &trace, &map);
-        let mut partial = SweepCheckpoint::new(hash, jobs.len());
-        for (index, r) in reference.completed().enumerate().take(4) {
-            partial.cells.push(SweepCellRecord {
-                index,
-                outcome: SweepCellOutcome::Done {
-                    policy_name: r.policy_name.clone(),
-                    stats: r.stats.clone(),
-                },
-            });
-        }
-        let cfg = SweepRunConfig {
-            threads: 2,
-            resume: Some(partial),
-            ..SweepRunConfig::default()
-        };
-        let outcome = run_sweep(&jobs, &trace, &map, &cfg).unwrap();
-        assert_eq!(outcome.resumed_cells, 4);
-        assert_eq!(to_csv(&reference, &jobs), to_csv(&outcome, &jobs));
-    }
-
-    #[test]
-    fn resume_reruns_failed_cells() {
-        let (trace, map) = trace_and_map();
-        let jobs = grid();
-        let hash = sweep_config_hash(&jobs, &trace, &map);
-        let mut partial = SweepCheckpoint::new(hash, jobs.len());
-        partial.cells.push(SweepCellRecord {
-            index: 0,
-            outcome: SweepCellOutcome::Failed {
-                reason: "transient".into(),
-            },
-        });
-        let cfg = SweepRunConfig {
-            resume: Some(partial),
-            ..SweepRunConfig::default()
-        };
-        let outcome = run_sweep(&jobs, &trace, &map, &cfg).unwrap();
-        // The failed record was discarded and the cell re-ran cleanly.
-        assert_eq!(outcome.resumed_cells, 0);
-        assert!(outcome.failures.is_empty());
-        assert_eq!(
-            to_csv(&sweep(&jobs, &trace, &map, 1), &jobs),
-            to_csv(&outcome, &jobs)
-        );
-    }
-
-    #[test]
-    fn resume_refuses_mismatched_config() {
-        let (trace, map) = trace_and_map();
-        let jobs = grid();
-        let wrong = SweepCheckpoint::new(0xdead_beef, jobs.len());
-        let cfg = SweepRunConfig {
-            resume: Some(wrong),
-            ..SweepRunConfig::default()
-        };
-        let err = run_sweep(&jobs, &trace, &map, &cfg).unwrap_err();
-        assert!(
-            matches!(err, gc_types::GcError::CheckpointMismatch { .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn config_hash_tracks_jobs_and_trace() {
-        let (trace, map) = trace_and_map();
-        let jobs = grid();
-        let base = sweep_config_hash(&jobs, &trace, &map);
-        assert_eq!(base, sweep_config_hash(&jobs, &trace, &map));
-        let mut more_jobs = jobs.clone();
-        more_jobs.push(SweepJob {
-            kind: PolicyKind::ItemLru,
-            capacity: 999,
-            warmup: 0,
-        });
-        assert_ne!(base, sweep_config_hash(&more_jobs, &trace, &map));
-        let other_trace = Trace::from_ids([1, 2, 3]);
-        assert_ne!(base, sweep_config_hash(&jobs, &other_trace, &map));
     }
 
     #[test]

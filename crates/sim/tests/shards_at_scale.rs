@@ -10,9 +10,7 @@
 //! `sim.mrc_sampled_ns_per_access`.) About 35 s in a debug build, 7 s in
 //! release.
 
-use gc_sim::mrc::{
-    block_mrc, item_mrc, mrc_bundle, MissRatioCurve, MrcBundle, MrcMode, MrcRunConfig, SplitCell,
-};
+use gc_sim::mrc::{block_mrc, item_mrc, mrc_bundle, MissRatioCurve, MrcBundle, MrcMode, SplitCell};
 use gc_sim::shards::SamplerConfig;
 use gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
 use gc_types::{BlockMap, Trace};
@@ -35,11 +33,7 @@ fn median_of_three(mut xs: [f64; 3]) -> f64 {
 }
 
 fn bundle(trace: &Trace, map: &BlockMap, mode: &MrcMode, threads: usize) -> MrcBundle {
-    let cfg = MrcRunConfig {
-        threads,
-        ..MrcRunConfig::default()
-    };
-    mrc_bundle(trace, map, CAPACITY, mode, &cfg).expect("capacity > B")
+    mrc_bundle(trace, map, CAPACITY, mode, threads).expect("capacity > B")
 }
 
 fn assert_same_curves(a: &MrcBundle, b: &MrcBundle, what: &str) {

@@ -10,9 +10,8 @@
 //!   streaming trace readers. A parse error carries enough location
 //!   information (line, column, byte offset) to point at the offending
 //!   record in a multi-gigabyte trace file.
-//! * **Execution errors** — [`GcError::CellFailed`] (a parallel job
-//!   panicked), [`GcError::CheckpointMismatch`] (a resume was attempted
-//!   against a different configuration), and
+//! * **Execution errors** — [`GcError::CellFailed`] (a sweep cell's
+//!   capacity was refused and the error policy was to fail the run) and
 //!   [`GcError::ErrorBudgetExceeded`] (too many bad records for a
 //!   degraded-mode ingest to continue).
 //! * **Serving errors** — [`GcError::Backend`] (a block load failed; the
@@ -23,7 +22,7 @@ use crate::ItemId;
 use std::fmt;
 
 /// Errors produced while constructing or validating GC caching instances,
-/// ingesting traces, or executing fault-isolated runs.
+/// ingesting traces, running sweeps, or serving.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum GcError {
@@ -49,11 +48,6 @@ pub enum GcError {
     },
     /// Invalid parameter for a generator or bound (message explains).
     InvalidParameter(String),
-    /// A trace file could not be parsed (legacy, unstructured form).
-    ///
-    /// Kept so existing `match` arms compile; new code produces the
-    /// structured [`GcError::Parse`] instead.
-    ParseError(String),
     /// An underlying I/O operation failed.
     ///
     /// The original [`std::io::Error`] is not `Clone`/`Eq`, so its kind and
@@ -76,20 +70,12 @@ pub enum GcError {
         /// What exactly failed.
         reason: ParseReason,
     },
-    /// A checkpoint was produced by a different configuration than the one
-    /// being resumed, so its cells cannot be reused.
-    CheckpointMismatch {
-        /// Fingerprint of the configuration being resumed.
-        expected: u64,
-        /// Fingerprint recorded in the checkpoint file.
-        found: u64,
-    },
-    /// A parallel execution cell failed (panicked) and the error policy
-    /// was to fail the run.
+    /// A sweep cell failed, because its capacity is below its policy's
+    /// minimum, and the error policy was to fail the run.
     CellFailed {
         /// Index of the failing cell in the job list.
         index: usize,
-        /// Rendered panic payload.
+        /// The rendered capacity error.
         reason: String,
     },
     /// A degraded-mode ingest saw more bad records than its error budget
@@ -134,11 +120,6 @@ pub enum ParseReason {
         /// What the reader or decoder objected to.
         message: String,
     },
-    /// Any other malformed record.
-    Other {
-        /// Free-form description.
-        message: String,
-    },
 }
 
 impl fmt::Display for ParseReason {
@@ -148,7 +129,6 @@ impl fmt::Display for ParseReason {
                 write!(f, "expected item id, got {token:?}")
             }
             ParseReason::Json { message } => write!(f, "malformed JSON: {message}"),
-            ParseReason::Other { message } => write!(f, "{message}"),
         }
     }
 }
@@ -203,7 +183,6 @@ impl fmt::Display for GcError {
                 "cache capacity {capacity} is below the policy minimum {required}"
             ),
             GcError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
-            GcError::ParseError(msg) => write!(f, "parse error: {msg}"),
             GcError::Io { kind, message } => write!(f, "I/O error ({kind:?}): {message}"),
             GcError::Parse {
                 line,
@@ -220,12 +199,6 @@ impl fmt::Display for GcError {
                 }
                 write!(f, ": {reason}")
             }
-            GcError::CheckpointMismatch { expected, found } => write!(
-                f,
-                "checkpoint belongs to a different configuration \
-                 (config hash {found:#018x}, expected {expected:#018x}); \
-                 refusing to resume"
-            ),
             GcError::CellFailed { index, reason } => {
                 write!(f, "cell {index} failed: {reason}")
             }
@@ -281,9 +254,6 @@ mod tests {
         assert!(GcError::InvalidParameter("x".into())
             .to_string()
             .contains("x"));
-        assert!(GcError::ParseError("bad line".into())
-            .to_string()
-            .contains("bad line"));
     }
 
     #[test]
@@ -342,13 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_and_budget_messages() {
-        assert!(GcError::CheckpointMismatch {
-            expected: 1,
-            found: 2
-        }
-        .to_string()
-        .contains("refusing to resume"));
+    fn cell_and_budget_messages() {
         assert!(GcError::CellFailed {
             index: 12,
             reason: "boom".into()

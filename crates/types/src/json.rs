@@ -1,15 +1,13 @@
 //! The workspace's one JSON layer: a value tree, a reader and a writer.
 //!
-//! Trace files (`gc_trace::io`) and sweep/MRC checkpoints
-//! (`gc_sim::checkpoint`) are the only documents this workspace writes and
-//! reads back; `xtask perf-gate` reads `BENCHMARK.json` and the tracked
+//! Trace files (`gc_trace::io`) are the only documents this workspace
+//! writes and reads back; `xtask perf-gate` reads `BENCHMARK.json` and the tracked
 //! `BENCH_gcbench.json`, and `gc-cache serve --json` writes its report.
 //! All of them go through this module.
 //!
 //! * **Integers are exact.** A number without fraction or exponent is kept
 //!   as [`Value::UInt`] (`u64`) or [`Value::Int`] (negative `i64`), never
-//!   as a float, so a `u64::MAX` item id and a 64-bit `config_hash`
-//!   round-trip bit for bit. An integer outside those ranges is an error,
+//!   as a float, so a `u64::MAX` item id round-trips bit for bit. An integer outside those ranges is an error,
 //!   not an approximation.
 //! * **Errors say where.** Every node remembers the 1-based line and
 //!   column it was read from, so both syntax errors and the typed

@@ -19,8 +19,8 @@
 //!   stats shape: the simulator counters plus fetch-path telemetry
 //!   (single-flight coalescing, admitted-vs-fetched, latency buckets),
 //! * [`fxmap`] — a fast, dependency-free hash map for dense integer keys,
-//! * [`json`] — the JSON value, reader and writer behind trace files and
-//!   checkpoints; [`ItemId`], [`Trace`] and [`BlockMap`] implement its
+//! * [`json`] — the JSON value, reader and writer behind trace files;
+//!   [`ItemId`], [`Trace`] and [`BlockMap`] implement its
 //!   [`ToJson`](json::ToJson)/[`FromJson`](json::FromJson),
 //! * [`rng`] — the seeded splitmix64 generator every trace and randomized
 //!   policy draws from.

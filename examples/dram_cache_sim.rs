@@ -90,8 +90,8 @@ fn main() {
                 warmup: 10_000,
             })
             .collect();
-        let outcome =
-            run_sweep(&jobs, &trace, &map, &SweepRunConfig::default()).expect("no cell panics");
+        let outcome = run_sweep(&jobs, &trace, &map, &SweepRunConfig::default())
+            .expect("every capacity fits its policy");
         let offline = gc_belady_heuristic(&trace, &map, capacity);
         print!("{:<10}", format!("{}Ki", capacity >> 10));
         for r in outcome.completed() {

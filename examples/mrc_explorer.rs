@@ -19,7 +19,7 @@
 //!
 //! [`mrc_bundle`]: gc_cache::gc_sim::mrc::mrc_bundle
 
-use gc_cache::gc_sim::mrc::{mrc_bundle, MrcMode, MrcRunConfig};
+use gc_cache::gc_sim::mrc::{mrc_bundle, MrcMode};
 use gc_cache::gc_sim::shards::SamplerConfig;
 use gc_cache::gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
 use gc_cache::prelude::*;
@@ -48,8 +48,7 @@ fn main() {
     // parallel on the shared pool.
     let capacity = 4096;
     let t0 = Instant::now();
-    let run = MrcRunConfig::default();
-    let exact = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, &run).expect("capacity > B");
+    let exact = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, 0).expect("capacity > B");
     let exact_time = t0.elapsed();
 
     // Pick the rate for the universe: ~31 K distinct items means 10 %
@@ -60,7 +59,7 @@ fn main() {
     let sampler = SamplerConfig::fixed(0.1).with_seed(7);
     let t1 = Instant::now();
     let sampled =
-        mrc_bundle(&trace, &map, capacity, &MrcMode::Sampled(sampler), &run).expect("capacity > B");
+        mrc_bundle(&trace, &map, capacity, &MrcMode::Sampled(sampler), 0).expect("capacity > B");
     let sampled_time = t1.elapsed();
 
     println!("item-LRU MRC (size → miss ratio, exact vs 10% sample):");

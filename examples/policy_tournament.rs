@@ -117,5 +117,5 @@ fn main() {
 
 /// Every job on one thread per core; the roster never panics.
 fn sweep(jobs: &[SweepJob], trace: &Trace, map: &BlockMap) -> SweepOutcome {
-    run_sweep(jobs, trace, map, &SweepRunConfig::default()).expect("no cell panics")
+    run_sweep(jobs, trace, map, &SweepRunConfig::default()).expect("every capacity fits its policy")
 }

@@ -48,8 +48,8 @@ fn main() {
         warmup: 10_000, // excluded from the stats
     })
     .collect();
-    let outcome =
-        run_sweep(&jobs, &trace, &map, &SweepRunConfig::default()).expect("no cell panics");
+    let outcome = run_sweep(&jobs, &trace, &map, &SweepRunConfig::default())
+        .expect("every capacity fits its policy");
     let cells: Vec<&SweepResult> = outcome.completed().collect();
     println!("capacity = {capacity} items, warm-up = 10k requests\n");
     println!("{}", render_table(&cells));

@@ -3,7 +3,7 @@
 //! §6 randomized-family behaviors.
 
 use gc_cache::gc_offline::{bracket_opt, gc_belady_heuristic};
-use gc_cache::gc_sim::mrc::{item_mrc, mrc_bundle, MrcMode, MrcRunConfig};
+use gc_cache::gc_sim::mrc::{item_mrc, mrc_bundle, MrcMode};
 use gc_cache::gc_sim::{simulate, simulate_hierarchy};
 use gc_cache::gc_trace::generators_ext::{affinity_remap, hotspot, pointer_chase, strided};
 use gc_cache::gc_trace::synthetic::{block_runs, block_runs_map, BlockRunConfig};
@@ -54,14 +54,7 @@ fn mrc_chosen_split_beats_balanced_on_spatial_heavy_workload() {
     let trace = block_runs(&cfg);
     let map = block_runs_map(&cfg);
     let capacity = 1024;
-    let bundle = mrc_bundle(
-        &trace,
-        &map,
-        capacity,
-        &MrcMode::Exact,
-        &MrcRunConfig::default(),
-    )
-    .expect("capacity > B");
+    let bundle = mrc_bundle(&trace, &map, capacity, &MrcMode::Exact, 0).expect("capacity > B");
     let best = bundle.best_split().expect("nonempty grid");
     let mut chosen = Iblp::new(best.item_lines, best.block_lines, map.clone());
     let mut balanced = Iblp::balanced(capacity, map);
