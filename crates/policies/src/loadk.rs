@@ -25,17 +25,23 @@ use gc_types::{AccessKind, AccessScratch, BlockId, BlockMap, FxHashMap, FxHashSe
 enum Pending {
     Sparse(FxHashMap<BlockId, FxHashSet<ItemId>>),
     Dense {
-        block_epoch: Vec<u64>,
+        /// Current epoch of each block, never 0.
+        block_epoch: Vec<u32>,
         count: Vec<u32>,
-        item_epoch: Vec<u64>,
+        /// Epoch at which each item last counted toward its block; 0 is
+        /// no epoch.
+        item_epoch: Vec<u32>,
     },
 }
+
+/// The epoch every dense block starts in.
+const EPOCH_FIRST: u32 = 1;
 
 impl Pending {
     fn new(universe: &Universe) -> Self {
         match (universe.n_items(), universe.n_blocks()) {
             (Some(n_items), Some(n_blocks)) => Pending::Dense {
-                block_epoch: vec![1; n_blocks],
+                block_epoch: vec![EPOCH_FIRST; n_blocks],
                 count: vec![0; n_blocks],
                 item_epoch: vec![0; n_items],
             },
@@ -69,16 +75,28 @@ impl Pending {
     }
 
     /// The block was fully loaded: restart its distinct-access count.
-    fn complete(&mut self, block: BlockId) {
+    fn complete(&mut self, block: BlockId, map: &BlockMap) {
         match self {
-            Pending::Sparse(map) => {
-                map.remove(&block);
+            Pending::Sparse(blocks) => {
+                blocks.remove(&block);
             }
             Pending::Dense {
-                block_epoch, count, ..
+                block_epoch,
+                count,
+                item_epoch,
             } => {
                 let b = block.0 as usize;
-                block_epoch[b] += 1;
+                block_epoch[b] = match block_epoch[b].checked_add(1) {
+                    Some(epoch) => epoch,
+                    None => {
+                        // The block's epochs wrapped: zero its items'
+                        // stamps so none can alias a reused epoch.
+                        for z in map.items_of(block) {
+                            item_epoch[z.0 as usize] = 0;
+                        }
+                        EPOCH_FIRST
+                    }
+                };
                 count[b] = 0;
             }
         }
@@ -88,14 +106,31 @@ impl Pending {
         match self {
             Pending::Sparse(map) => map.clear(),
             Pending::Dense {
-                block_epoch, count, ..
+                block_epoch,
+                count,
+                item_epoch,
             } => {
-                // Bumping every block's epoch strands all item stamps in
-                // the past; item_epoch need not be touched.
-                for e in block_epoch.iter_mut() {
-                    *e += 1;
-                }
+                block_epoch.fill(EPOCH_FIRST);
                 count.fill(0);
+                item_epoch.fill(0);
+            }
+        }
+    }
+
+    /// Put every dense block at `epoch`, with odd items last counted in
+    /// the first epoch and even items never counted: a state a long run
+    /// can leave, from which a test reaches the wrap in a few full loads.
+    #[cfg(test)]
+    fn start_at(&mut self, epoch: u32) {
+        if let Pending::Dense {
+            block_epoch,
+            item_epoch,
+            ..
+        } = self
+        {
+            block_epoch.fill(epoch);
+            for (i, stamp) in item_epoch.iter_mut().enumerate() {
+                *stamp = if i % 2 == 1 { EPOCH_FIRST } else { 0 };
             }
         }
     }
@@ -188,7 +223,7 @@ impl GcPolicy for ThresholdLoad {
         out.clear();
         out.loaded.push(item);
         if full_load {
-            self.pending.complete(block);
+            self.pending.complete(block, &self.map);
             for z in self.map.items_of(block) {
                 if z != item && self.items.touch(z.0) {
                     out.loaded.push(z);
@@ -283,6 +318,37 @@ mod tests {
             c.access(ItemId(x % 100));
             assert!(c.len() <= 6);
         }
+    }
+
+    #[test]
+    fn dense_block_epochs_survive_their_wrap() {
+        // One block of 8 items and a = 2. Blocks start one epoch below
+        // the last, so the second full load wraps the block's epoch.
+        let map = BlockMap::strided(8);
+        let ct = gc_types::CompiledTrace::compile(&gc_types::Trace::from_ids(0..8), &map).unwrap();
+        let mut wrapped = ThresholdLoad::new(8, 2, ct.map().clone());
+        wrapped.pending.start_at(u32::MAX - 1);
+        let mut sparse = ThresholdLoad::new(8, 2, map);
+        // Two full loads through items 0 and 1 wrap the epoch; then items
+        // 2 (never counted) and 3 (counted in the first epoch) must count
+        // as two distinct accesses. An epoch that wrapped to 0 would alias
+        // item 2's stamp, and one restarted without zeroing the block's
+        // stamps would alias item 3's.
+        let requests = [0, 1, 0, 1, 2, 3, 4, 5, 6, 7, 7, 2, 0, 3];
+        for (step, &z) in requests.iter().enumerate() {
+            let got = wrapped.access(ItemId(z));
+            assert_eq!(got, sparse.access(ItemId(z)), "step {step}, item {z}");
+            if step == 5 {
+                assert_eq!(got.loaded().len(), 8, "items 2 and 3 load the block");
+            }
+            // Empty the cache so every request is a miss that counts.
+            wrapped.items.clear();
+            sparse.items.clear();
+        }
+        let Pending::Dense { block_epoch, .. } = &wrapped.pending else {
+            panic!("a compiled map builds dense pending state");
+        };
+        assert!(block_epoch[0] < u32::MAX - 1, "the epoch wrapped");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Slab-backed key state: dense `Vec`-indexed indices and sets with
-//! generation checks, plus the sparse hash-map fallbacks.
+//! Slab-backed key state: dense `Vec`-indexed indices and bit sets, plus
+//! the sparse hash-map fallbacks.
 //!
 //! Every policy in this crate keys its replacement state by raw `u64` ids
 //! (items or blocks). Against an arbitrary trace those keys are sparse and
@@ -10,15 +10,18 @@
 //!
 //! * [`KeyIndex`] — `key → u32` position map (the `FxHashMap<u64, u32>`
 //!   shape used by [`LruList`](crate::lru_list::LruList) and the item
-//!   policies' position indices).
-//! * [`KeySet`] — membership set (FIFO presence, marking sets).
+//!   policies' position indices). Dense: 4 bytes per key, the position
+//!   itself, with `u32::MAX` for an absent key.
+//! * [`KeySet`] — membership set (FIFO presence, marking sets). Dense:
+//!   one bit per key.
 //!
-//! The dense variants are **generation-stamped**: each slot carries the
-//! epoch at which it was written, and `clear()` simply bumps the epoch —
-//! O(1) instead of O(n) — while stale slots from earlier generations read
-//! as absent. Debug builds assert that dense keys are in range, which
-//! catches the classic slab bug (an id from one universe probed against
-//! another's index) at the boundary instead of as silent corruption.
+//! A dense structure spans its whole universe, so its bytes per key are
+//! what a policy pays per item of a compiled trace's block closure. That is
+//! why nothing else is stored per key: `clear()` is a fill, which only a
+//! policy's `reset` calls. Debug builds assert that dense keys are in
+//! range, which catches the classic slab bug (an id from one universe
+//! probed against another's index) at the boundary instead of as silent
+//! corruption.
 //!
 //! [`Universe`] captures the dense-or-sparse decision once, from a
 //! [`BlockMap`]: policies take it at construction and ask it for
@@ -27,9 +30,6 @@
 //! hash-map implementation.
 
 use gc_types::{BlockMap, DenseDecode, FxHashMap, FxHashSet};
-
-/// First valid generation; stamp 0 always reads as absent.
-const GEN_FIRST: u32 = 1;
 
 /// The key-space a policy's state is built for: either the open sparse
 /// `u64` space (hash-backed state) or a compiled dense universe of
@@ -119,29 +119,23 @@ impl Universe {
     }
 }
 
-/// `key → u32` position map: hash-backed for sparse keys, a flat
-/// generation-stamped `Vec` for dense keys.
+/// The stored position a dense [`KeyIndex`] slot holds when its key is
+/// absent; [`LruList`](crate::lru_list::LruList) never uses it as a slot.
+const ABSENT: u32 = u32::MAX;
+
+/// `key → u32` position map: hash-backed for sparse keys, a flat `Vec`
+/// of positions for dense keys.
 #[derive(Clone, Debug)]
 pub enum KeyIndex {
     /// Open key space: hash probe per lookup.
     Sparse(FxHashMap<u64, u32>),
     /// Dense `0..n` key space: one array load per lookup.
     Dense {
-        /// Per-key `(position, generation)` slots.
-        slots: Vec<IndexSlot>,
-        /// Current generation; a slot is live iff its stamp matches.
-        generation: u32,
+        /// Per-key positions; `u32::MAX` marks an absent key.
+        slots: Vec<u32>,
         /// Live entries.
         len: usize,
     },
-}
-
-/// One dense [`KeyIndex`] slot: the stored position and the generation
-/// stamp that validates it.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IndexSlot {
-    pos: u32,
-    generation: u32,
 }
 
 impl KeyIndex {
@@ -153,8 +147,7 @@ impl KeyIndex {
     /// An empty dense index over keys `0..n`.
     pub fn dense(n: usize) -> Self {
         KeyIndex::Dense {
-            slots: vec![IndexSlot::default(); n],
-            generation: GEN_FIRST,
+            slots: vec![ABSENT; n],
             len: 0,
         }
     }
@@ -164,11 +157,9 @@ impl KeyIndex {
     pub fn get(&self, key: u64) -> Option<u32> {
         match self {
             KeyIndex::Sparse(map) => map.get(&key).copied(),
-            KeyIndex::Dense {
-                slots, generation, ..
-            } => {
-                let slot = slots.get(key as usize)?;
-                (slot.generation == *generation).then_some(slot.pos)
+            KeyIndex::Dense { slots, .. } => {
+                let pos = *slots.get(key as usize)?;
+                (pos != ABSENT).then_some(pos)
             }
         }
     }
@@ -180,30 +171,25 @@ impl KeyIndex {
     }
 
     /// Store `pos` for `key`, returning the previous position if any.
+    /// A dense index cannot store `u32::MAX`.
     #[inline]
     pub fn insert(&mut self, key: u64, pos: u32) -> Option<u32> {
         match self {
             KeyIndex::Sparse(map) => map.insert(key, pos),
-            KeyIndex::Dense {
-                slots,
-                generation,
-                len,
-            } => {
+            KeyIndex::Dense { slots, len } => {
                 debug_assert!(
                     (key as usize) < slots.len(),
                     "key {key} outside dense universe of {}",
                     slots.len()
                 );
-                let slot = &mut slots[key as usize];
-                let old = (slot.generation == *generation).then_some(slot.pos);
-                *slot = IndexSlot {
-                    pos,
-                    generation: *generation,
-                };
-                if old.is_none() {
+                debug_assert_ne!(pos, ABSENT, "position u32::MAX marks an absent key");
+                let old = std::mem::replace(&mut slots[key as usize], pos);
+                if old == ABSENT {
                     *len += 1;
+                    None
+                } else {
+                    Some(old)
                 }
-                old
             }
         }
     }
@@ -213,18 +199,13 @@ impl KeyIndex {
     pub fn remove(&mut self, key: u64) -> Option<u32> {
         match self {
             KeyIndex::Sparse(map) => map.remove(&key),
-            KeyIndex::Dense {
-                slots,
-                generation,
-                len,
-            } => {
+            KeyIndex::Dense { slots, len } => {
                 let slot = slots.get_mut(key as usize)?;
-                if slot.generation != *generation {
+                if *slot == ABSENT {
                     return None;
                 }
-                slot.generation = 0;
                 *len -= 1;
-                Some(slot.pos)
+                Some(std::mem::replace(slot, ABSENT))
             }
         }
     }
@@ -243,42 +224,31 @@ impl KeyIndex {
         self.len() == 0
     }
 
-    /// Drop all entries. O(1) for dense indices (generation bump).
+    /// Drop all entries. O(n) for dense indices (a fill); policies call it
+    /// only from `reset`.
     pub fn clear(&mut self) {
         match self {
             KeyIndex::Sparse(map) => map.clear(),
-            KeyIndex::Dense {
-                slots,
-                generation,
-                len,
-            } => {
-                *generation = match generation.checked_add(1) {
-                    Some(g) => g,
-                    None => {
-                        // Generation wrapped (2^32 clears): hard-reset the
-                        // stamps so no stale slot can alias the new epoch.
-                        slots.fill(IndexSlot::default());
-                        GEN_FIRST
-                    }
-                };
+            KeyIndex::Dense { slots, len } => {
+                slots.fill(ABSENT);
                 *len = 0;
             }
         }
     }
 }
 
-/// Membership set over `u64` keys: hash-backed or generation-stamped.
+/// Membership set over `u64` keys: hash-backed or a bit set.
 #[derive(Clone, Debug)]
 pub enum KeySet {
     /// Open key space.
     Sparse(FxHashSet<u64>),
-    /// Dense `0..n` key space: one stamp load per probe.
+    /// Dense `0..n` key space: one bit per key.
     Dense {
-        /// Per-key generation stamps; a key is present iff its stamp
-        /// matches the current generation.
-        stamps: Vec<u32>,
-        /// Current generation.
-        generation: u32,
+        /// Bit `k % 64` of word `k / 64` is set iff key `k` is present;
+        /// the last word's bits at and past `n` stay clear.
+        bits: Vec<u64>,
+        /// Universe size `n`.
+        n: usize,
         /// Live entries.
         len: usize,
     },
@@ -293,8 +263,8 @@ impl KeySet {
     /// An empty dense set over keys `0..n`.
     pub fn dense(n: usize) -> Self {
         KeySet::Dense {
-            stamps: vec![0; n],
-            generation: GEN_FIRST,
+            bits: vec![0; n.div_ceil(64)],
+            n,
             len: 0,
         }
     }
@@ -304,9 +274,9 @@ impl KeySet {
     pub fn contains(&self, key: u64) -> bool {
         match self {
             KeySet::Sparse(set) => set.contains(&key),
-            KeySet::Dense {
-                stamps, generation, ..
-            } => stamps.get(key as usize) == Some(generation),
+            KeySet::Dense { bits, .. } => bits
+                .get((key / 64) as usize)
+                .is_some_and(|word| word & (1 << (key % 64)) != 0),
         }
     }
 
@@ -315,21 +285,19 @@ impl KeySet {
     pub fn insert(&mut self, key: u64) -> bool {
         match self {
             KeySet::Sparse(set) => set.insert(key),
-            KeySet::Dense {
-                stamps,
-                generation,
-                len,
-            } => {
+            KeySet::Dense { bits, n, len } => {
+                // The last word has room past `n`: without this check an
+                // out-of-range key would land in its padding bits.
                 debug_assert!(
-                    (key as usize) < stamps.len(),
-                    "key {key} outside dense universe of {}",
-                    stamps.len()
+                    (key as usize) < *n,
+                    "key {key} outside dense universe of {n}"
                 );
-                let stamp = &mut stamps[key as usize];
-                if *stamp == *generation {
+                let word = &mut bits[(key / 64) as usize];
+                let bit = 1 << (key % 64);
+                if *word & bit != 0 {
                     false
                 } else {
-                    *stamp = *generation;
+                    *word |= bit;
                     *len += 1;
                     true
                 }
@@ -342,13 +310,9 @@ impl KeySet {
     pub fn remove(&mut self, key: u64) -> bool {
         match self {
             KeySet::Sparse(set) => set.remove(&key),
-            KeySet::Dense {
-                stamps,
-                generation,
-                len,
-            } => match stamps.get_mut(key as usize) {
-                Some(stamp) if *stamp == *generation => {
-                    *stamp = 0;
+            KeySet::Dense { bits, len, .. } => match bits.get_mut((key / 64) as usize) {
+                Some(word) if *word & (1 << (key % 64)) != 0 => {
+                    *word &= !(1 << (key % 64));
                     *len -= 1;
                     true
                 }
@@ -371,22 +335,13 @@ impl KeySet {
         self.len() == 0
     }
 
-    /// Drop all entries. O(1) for dense sets (generation bump).
+    /// Drop all entries. O(n / 64) for dense sets (a fill); policies call
+    /// it only from `reset`.
     pub fn clear(&mut self) {
         match self {
             KeySet::Sparse(set) => set.clear(),
-            KeySet::Dense {
-                stamps,
-                generation,
-                len,
-            } => {
-                *generation = match generation.checked_add(1) {
-                    Some(g) => g,
-                    None => {
-                        stamps.fill(0);
-                        GEN_FIRST
-                    }
-                };
+            KeySet::Dense { bits, len, .. } => {
+                bits.fill(0);
                 *len = 0;
             }
         }
@@ -429,16 +384,74 @@ mod tests {
     }
 
     #[test]
-    fn index_clear_is_generation_bump() {
-        let mut idx = KeyIndex::dense(8);
-        idx.insert(1, 10);
-        idx.insert(2, 20);
-        idx.clear();
-        assert!(idx.is_empty());
-        assert_eq!(idx.get(1), None, "stale generation must read absent");
-        idx.insert(1, 30);
-        assert_eq!(idx.get(1), Some(30));
-        assert_eq!(idx.get(2), None);
+    fn index_is_reused_after_clear() {
+        for mut idx in index_pair() {
+            for round in 0..3u32 {
+                assert_eq!(idx.insert(1, 10 + round), None, "round {round}");
+                assert_eq!(idx.insert(63, 20 + round), None);
+                assert_eq!(idx.insert(1, 30 + round), Some(10 + round));
+                assert_eq!(idx.len(), 2);
+                idx.clear();
+                assert!(idx.is_empty());
+                assert_eq!(idx.get(1), None, "a cleared key reads absent");
+                assert_eq!(idx.get(63), None);
+                assert_eq!(idx.remove(63), None);
+            }
+            assert_eq!(idx.insert(1, 0), None);
+            assert_eq!(idx.get(1), Some(0), "position 0 is a live position");
+            assert_eq!(idx.remove(1), Some(0));
+            assert!(idx.is_empty());
+        }
+    }
+
+    #[test]
+    fn bit_set_matches_the_sparse_set_across_word_edges() {
+        // 130 keys: two full words and a last word with 62 padding bits.
+        let n = 130u64;
+        let mut sparse = KeySet::sparse();
+        let mut dense = KeySet::dense(n as usize);
+        let edges = [0, 63, 64, 127, 128, n - 1];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..20_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = if x % 3 == 0 {
+                edges[(x / 3 % edges.len() as u64) as usize]
+            } else {
+                x % n
+            };
+            match x % 11 {
+                0..=4 => assert_eq!(sparse.insert(key), dense.insert(key), "insert {key}"),
+                5..=7 => assert_eq!(sparse.remove(key), dense.remove(key), "remove {key}"),
+                8 | 9 => assert_eq!(sparse.contains(key), dense.contains(key), "probe {key}"),
+                _ if step % 97 == 0 => {
+                    sparse.clear();
+                    dense.clear();
+                }
+                _ => {}
+            }
+            assert_eq!(sparse.len(), dense.len());
+        }
+        // Clear, then re-insert every key, the word edges included.
+        sparse.clear();
+        dense.clear();
+        assert!(edges.iter().all(|&k| !dense.contains(k)));
+        for key in (0..n).rev() {
+            assert_eq!(sparse.insert(key), dense.insert(key));
+        }
+        assert_eq!(dense.len(), n as usize);
+        assert!(edges.iter().all(|&k| dense.contains(k)));
+        assert!(!dense.contains(n), "padding bits stay clear");
+        assert!(!dense.contains(191));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside dense universe")]
+    fn bit_set_refuses_a_key_in_its_padding_bits() {
+        // Key 100 has a bit in the last word of a 70-key set.
+        KeySet::dense(70).insert(100);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::core::{block_of, Served};
 use crate::owner::{BatchJob, Msg, ReplySlot};
 use crate::runtime::{FetchStats, GcRuntime};
 use crate::sync::Arc;
-use gc_types::{BlockId, CompiledTrace, FxHashMap, GcError, ItemId};
+use gc_types::{CompiledTrace, FxHashMap, GcError, ItemId};
 
 /// A per-worker batched request handle over a [`GcRuntime`].
 ///
@@ -167,9 +167,9 @@ impl<'rt> Session<'rt> {
     /// The runtime must have been built against the same dense map the
     /// trace was compiled with (a clone or identical recompilation also
     /// passes) — dense ids are only meaningful against the map that
-    /// assigned them. Routing drops the block lookup: blocks were
-    /// precomputed at compile time, and each access costs one shard hash
-    /// (a miss still looks its block up in the map, as on every path).
+    /// assigned them. Routing reads each access's block off the dense map
+    /// (a shift for a strided map, one array load for a CSR map), then
+    /// costs one shard hash.
     /// Policy-visible stats are bit-identical to [`Session::run`] over the
     /// decoded trace on a 1-shard runtime, and to the same dense stream at
     /// any shard count (multi-shard routing hashes block *ids*, which
@@ -195,11 +195,13 @@ impl<'rt> Session<'rt> {
         let owned: Vec<bool> = (0..self.rt.shards())
             .map(|s| s % workers == worker)
             .collect();
+        let map = compiled.map();
         let mut served = 0u64;
         for a in compiled.accesses() {
-            let shard = self.rt.shard_index(BlockId(u64::from(a.block)));
+            let item = ItemId(u64::from(a.item));
+            let shard = self.rt.shard_index(block_of(map, item)?);
             if owned[shard] {
-                self.enqueue(shard, ItemId(u64::from(a.item)))?;
+                self.enqueue(shard, item)?;
                 served += 1;
             }
         }
@@ -491,8 +493,8 @@ mod tests {
     fn compiled_run_matches_dense_stream_across_configs() {
         // On a runtime built against the dense map, the compiled path and
         // a sparse replay of the dense id stream must produce identical
-        // counters in every execution variant — the precomputed blocks and
-        // routes are an optimization, never a behavior change.
+        // counters in every execution variant — routing off the dense map
+        // is an optimization, never a behavior change.
         let map = BlockMap::strided(4);
         let ids: Vec<u64> = (0..500u64).map(|i| ((i * 29) % 120) * 1_009).collect();
         let trace = gc_types::Trace::from_ids(ids);

@@ -21,7 +21,7 @@
 
 use crate::pool;
 use crate::shards::{sampled_block_mrc, sampled_item_mrc, SampleStats, SamplerConfig};
-use gc_types::{BlockMap, CompiledTrace, FxHashMap, GcError, Trace};
+use gc_types::{BlockMap, CompiledTrace, FxHashMap, GcError, ItemId, Trace};
 
 /// A miss-ratio curve: `misses[k]` is the number of LRU misses at cache
 /// size `k` (index 0 holds the trace length: every access misses in a
@@ -278,13 +278,17 @@ pub fn block_mrc(trace: &Trace, map: &BlockMap, max_slots: usize) -> MissRatioCu
     )
 }
 
-/// [`block_mrc`] over a compiled trace: streams the precomputed per-access
-/// block column — no per-access `block_of` divide or hash probe — and uses
-/// the dense `Vec` last-position table. Bit-identical to [`block_mrc`] on
-/// the source trace and map.
+/// [`block_mrc`] over a compiled trace: derives each access's dense block
+/// from the dense map (a shift for a strided map, one array load for a
+/// CSR map — never a hash probe) and uses the dense `Vec` last-position
+/// table. Bit-identical to [`block_mrc`] on the source trace and map.
 pub fn block_mrc_compiled(compiled: &CompiledTrace, max_slots: usize) -> MissRatioCurve {
+    let map = compiled.map();
     mrc_over_dense_ids(
-        compiled.accesses().iter().map(|a| a.block),
+        compiled
+            .accesses()
+            .iter()
+            .map(|a| map.block_of(ItemId(u64::from(a.item))).0 as u32),
         compiled.len(),
         compiled.n_blocks() as usize,
         max_slots,

@@ -78,64 +78,57 @@ pub struct DenseMap {
 /// The way from a dense map's ids back to the original keys. Cloning is
 /// cheap: every table is shared behind an [`Arc`].
 ///
-/// A compiled map indexes its own decode tables. A part of a
-/// [`DensePartition`] shares its source's tables and keeps only a
-/// translation into the source's ids: 4 bytes per block for a strided
-/// part, plus 4 bytes per item for a CSR part.
+/// Blocks decode through a table of original block ids. A strided map
+/// keeps no per-item table: its blocks are whole `B`-runs of the original
+/// key space, so dense item `i` decodes arithmetically to
+/// `blocks[i / B] * B + i % B`. A CSR map keeps one original id per item.
+/// A part of a [`DensePartition`] shares its source's tables and keeps
+/// only a translation into the source's ids: 4 bytes per block, plus
+/// 4 bytes per item for a CSR part.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DenseDecode {
-    /// Original item id of every item the tables are indexed by.
-    items: Arc<Vec<u64>>,
     /// Original block id of every block the tables are indexed by.
     blocks: Arc<Vec<u64>>,
-    via: Via,
+    /// This map's block id → its index into `blocks`; `None` when the
+    /// map's own ids index the table (a compiled map, not a part).
+    block_source: Option<Arc<Vec<u32>>>,
+    items: ItemDecode,
 }
 
-/// How a dense map's own ids index [`DenseDecode`]'s tables.
+/// How [`DenseDecode`] finds an item's original id.
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum Via {
-    /// The tables are indexed by the map's own ids.
-    Own,
-    /// A strided part: local block → source block; an item keeps its
-    /// offset in its block.
-    Strided {
-        block_size: u64,
-        block_source: Arc<Vec<u32>>,
-    },
-    /// A CSR part: local item → source item, local block → source block.
-    Csr {
-        item_source: Arc<Vec<u32>>,
-        block_source: Arc<Vec<u32>>,
+enum ItemDecode {
+    /// Offset `i % B` of the original block of `i / B`: no table.
+    Strided { block_size: u64 },
+    /// Original item id of every item the table is indexed by, reached
+    /// through `item_source` (this map's item → table index) for a part.
+    Table {
+        items: Arc<Vec<u64>>,
+        item_source: Option<Arc<Vec<u32>>>,
     },
 }
 
 impl DenseDecode {
-    fn own(items: Arc<Vec<u64>>, blocks: Arc<Vec<u64>>) -> Self {
-        DenseDecode {
-            items,
-            blocks,
-            via: Via::Own,
-        }
-    }
-
     /// The original sparse id of dense item `item`.
     ///
     /// # Panics
     /// Panics if `item` is outside the dense universe.
     #[inline]
     pub fn item(&self, item: ItemId) -> ItemId {
-        let at = match &self.via {
-            Via::Own => item.0,
-            Via::Strided {
-                block_size,
-                block_source,
-            } => {
-                let block = stride_block(item, *block_size).0;
-                u64::from(block_source[block as usize]) * block_size + (item.0 - block * block_size)
+        match &self.items {
+            ItemDecode::Strided { block_size } => {
+                let block = stride_block(item, *block_size);
+                let offset = item.0 - block.0 * block_size;
+                ItemId(self.block(block).0 * block_size + offset)
             }
-            Via::Csr { item_source, .. } => u64::from(item_source[item.0 as usize]),
-        };
-        ItemId(self.items[at as usize])
+            ItemDecode::Table { items, item_source } => {
+                let at = match item_source {
+                    Some(source) => u64::from(source[item.0 as usize]),
+                    None => item.0,
+                };
+                ItemId(items[at as usize])
+            }
+        }
     }
 
     /// The original sparse id of dense block `block`.
@@ -144,13 +137,16 @@ impl DenseDecode {
     /// Panics if `block` is outside the dense universe.
     #[inline]
     pub fn block(&self, block: BlockId) -> BlockId {
-        let at = match &self.via {
-            Via::Own => block.0,
-            Via::Strided { block_source, .. } | Via::Csr { block_source, .. } => {
-                u64::from(block_source[block.0 as usize])
-            }
-        };
-        BlockId(self.blocks[at as usize])
+        BlockId(self.blocks[self.block_at(block.0)])
+    }
+
+    /// The index of this map's block `block` into the block table.
+    #[inline]
+    fn block_at(&self, block: u64) -> usize {
+        match &self.block_source {
+            Some(source) => source[block as usize] as usize,
+            None => block as usize,
+        }
     }
 }
 
@@ -323,22 +319,21 @@ impl BlockMap {
     }
 
     /// Build a dense strided map (compilation of a strided source): dense
-    /// item `i` belongs to dense block `i / block_size`, and `decode` maps
-    /// each dense id back to its original sparse id.
-    pub(crate) fn dense_strided(
-        block_size: u64,
-        decode: Arc<Vec<u64>>,
-        block_decode: Arc<Vec<u64>>,
-    ) -> Self {
+    /// item `i` belongs to dense block `i / block_size`, and
+    /// `block_decode` maps each dense block back to its original sparse
+    /// id. Items decode arithmetically through it (see [`DenseDecode`]).
+    pub(crate) fn dense_strided(block_size: u64, block_decode: Arc<Vec<u64>>) -> Self {
         debug_assert!(block_size > 0);
-        debug_assert_eq!(decode.len() as u64 % block_size, 0);
-        debug_assert_eq!(block_decode.len() as u64, decode.len() as u64 / block_size);
         BlockMap {
             repr: Repr::Dense(Arc::new(DenseMap {
                 layout: DenseLayout::Strided { block_size },
-                n_items: decode.len() as u64,
+                n_items: block_decode.len() as u64 * block_size,
                 n_blocks: block_decode.len() as u64,
-                decode: DenseDecode::own(decode, block_decode),
+                decode: DenseDecode {
+                    blocks: block_decode,
+                    block_source: None,
+                    items: ItemDecode::Strided { block_size },
+                },
                 max_block_size: block_size as usize,
             })),
         }
@@ -368,7 +363,14 @@ impl BlockMap {
                 },
                 n_items: decode.len() as u64,
                 n_blocks: block_decode.len() as u64,
-                decode: DenseDecode::own(decode, block_decode),
+                decode: DenseDecode {
+                    blocks: block_decode,
+                    block_source: None,
+                    items: ItemDecode::Table {
+                        items: decode,
+                        item_source: None,
+                    },
+                },
                 max_block_size,
             })),
         }
@@ -544,44 +546,46 @@ impl BlockMap {
         }
         // A part's ids index the source's decode tables through its
         // translation, so the translation composes with the source's.
-        let source = |b: u32| match &d.decode.via {
-            Via::Own => b,
-            Via::Strided { block_source, .. } | Via::Csr { block_source, .. } => {
-                block_source[b as usize]
-            }
-        };
         let block_source: Vec<Arc<Vec<u32>>> = block_source
             .into_iter()
-            .map(|blocks| Arc::new(blocks.into_iter().map(source).collect()))
+            .map(|blocks| {
+                let at = |b: u32| d.decode.block_at(u64::from(b)) as u32;
+                Arc::new(blocks.into_iter().map(at).collect())
+            })
             .collect();
-        let (layouts, vias, local): (Vec<DenseLayout>, Vec<Via>, LocalLayout) = match &d.layout {
+        let (layouts, item_decodes, local): (Vec<_>, Vec<_>, LocalLayout) = match &d.layout {
             DenseLayout::Strided { block_size } => {
                 let layouts = (0..parts)
                     .map(|_| DenseLayout::Strided {
                         block_size: *block_size,
                     })
                     .collect();
-                let vias = block_source
-                    .iter()
-                    .map(|blocks| Via::Strided {
+                let item_decodes = (0..parts)
+                    .map(|_| ItemDecode::Strided {
                         block_size: *block_size,
-                        block_source: Arc::clone(blocks),
                     })
                     .collect();
                 let local = LocalLayout::Strided {
                     block_size: *block_size,
                     block_local,
                 };
-                (layouts, vias, local)
+                (layouts, item_decodes, local)
             }
             DenseLayout::Csr {
                 item_to_block,
                 block_starts,
                 block_items,
             } => {
-                let item_at = |z: usize| match &d.decode.via {
-                    Via::Csr { item_source, .. } => item_source[z],
-                    _ => z as u32,
+                let ItemDecode::Table {
+                    items: table,
+                    item_source: source_items,
+                } = &d.decode.items
+                else {
+                    unreachable!("a CSR map decodes items through a table")
+                };
+                let item_at = |z: usize| match source_items {
+                    Some(source) => source[z],
+                    None => z as u32,
                 };
                 // Items in ascending source order: a monotone renaming.
                 let mut item_local = Vec::with_capacity(item_to_block.len());
@@ -593,8 +597,8 @@ impl BlockMap {
                     item_source[p].push(item_at(z));
                     local_item_to_block[p].push(block_local[b as usize]);
                 }
-                // Each part's blocks list their items in the source group
-                // order, renamed.
+                // Each part's blocks list their items in the source
+                // group order, renamed.
                 let mut starts: Vec<Vec<u32>> = vec![Vec::new(); parts];
                 let mut items: Vec<Vec<ItemId>> = vec![Vec::new(); parts];
                 for (b, &p) in block_part.iter().enumerate() {
@@ -606,12 +610,11 @@ impl BlockMap {
                             .map(|z| ItemId(u64::from(item_local[z.0 as usize]))),
                     );
                 }
-                let vias = item_source
+                let item_decodes = item_source
                     .into_iter()
-                    .zip(&block_source)
-                    .map(|(item_source, block_source)| Via::Csr {
-                        item_source: Arc::new(item_source),
-                        block_source: Arc::clone(block_source),
+                    .map(|item_source| ItemDecode::Table {
+                        items: Arc::clone(table),
+                        item_source: Some(Arc::new(item_source)),
                     })
                     .collect();
                 let layouts = local_item_to_block
@@ -627,25 +630,27 @@ impl BlockMap {
                         }
                     })
                     .collect();
-                (layouts, vias, LocalLayout::Csr { item_local })
+                (layouts, item_decodes, LocalLayout::Csr { item_local })
             }
         };
         let parts = layouts
             .into_iter()
-            .zip(vias)
-            .zip(&block_source)
-            .map(|((layout, via), blocks)| BlockMap {
+            .zip(item_decodes)
+            .zip(block_source)
+            .map(|((layout, items), block_source)| BlockMap {
                 repr: Repr::Dense(Arc::new(DenseMap {
                     n_items: match &layout {
-                        DenseLayout::Strided { block_size } => blocks.len() as u64 * block_size,
+                        DenseLayout::Strided { block_size } => {
+                            block_source.len() as u64 * block_size
+                        }
                         DenseLayout::Csr { item_to_block, .. } => item_to_block.len() as u64,
                     },
-                    n_blocks: blocks.len() as u64,
+                    n_blocks: block_source.len() as u64,
                     layout,
                     decode: DenseDecode {
-                        items: Arc::clone(&d.decode.items),
                         blocks: Arc::clone(&d.decode.blocks),
-                        via,
+                        block_source: Some(block_source),
+                        items,
                     },
                     max_block_size: d.max_block_size,
                 })),
@@ -765,8 +770,7 @@ mod tests {
     #[test]
     fn compiled_strided_lookup_stops_at_the_end_of_the_universe() {
         for stride in [4u64, 6] {
-            let decode = Arc::new((0..3 * stride).collect::<Vec<u64>>());
-            let m = BlockMap::dense_strided(stride, decode, Arc::new(vec![0, 1, 2]));
+            let m = BlockMap::dense_strided(stride, Arc::new(vec![0, 1, 2]));
             assert_eq!(m.try_block_of(ItemId(3 * stride - 1)), Some(BlockId(2)));
             assert_eq!(m.try_block_of(ItemId(3 * stride)), None);
             assert_eq!(m.try_block_of(ItemId(1_000_000)), None);
@@ -866,8 +870,14 @@ mod tests {
             assert_eq!(part.max_block_size(), source.max_block_size());
             assert_eq!(part.stride(), source.stride());
             // A part decodes through its source's tables, never a copy.
-            assert!(Arc::ptr_eq(&pd.decode.items, &d.decode.items));
             assert!(Arc::ptr_eq(&pd.decode.blocks, &d.decode.blocks));
+            match (&pd.decode.items, &d.decode.items) {
+                (ItemDecode::Table { items: a, .. }, ItemDecode::Table { items: b, .. }) => {
+                    assert!(Arc::ptr_eq(a, b))
+                }
+                (ItemDecode::Strided { .. }, ItemDecode::Strided { .. }) => {}
+                other => panic!("part and source decode items differently: {other:?}"),
+            }
         }
         assert_eq!((items, blocks), (d.n_items(), d.n_blocks()));
         let mut seen: Vec<Vec<bool>> = split
@@ -920,6 +930,78 @@ mod tests {
                 .unwrap()
                 .parts[1];
             check_partition(part, 3, |b| (crate::mix64(b.0) % 3) as usize);
+        }
+    }
+
+    /// The per-item decode table a strided compilation used to keep:
+    /// every touched source block's `B`-run, in ascending block order.
+    fn reference_item_table(trace: &crate::Trace, stride: u64) -> Vec<u64> {
+        let mut blocks: Vec<u64> = trace.iter().map(|z| z.0 / stride).collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        blocks
+            .iter()
+            .flat_map(|&b| b * stride..(b + 1) * stride)
+            .collect()
+    }
+
+    /// `map`'s item decode agrees with `table` on its whole universe.
+    fn assert_decodes_like(map: &BlockMap, table: &[u64]) {
+        let d = map.dense_universe().unwrap();
+        assert!(matches!(d.decode.items, ItemDecode::Strided { .. }));
+        assert_eq!(d.n_items(), table.len() as u64);
+        for (i, &want) in table.iter().enumerate() {
+            assert_eq!(d.decode_item(ItemId(i as u64)), ItemId(want), "item {i}");
+        }
+    }
+
+    #[test]
+    fn strided_decode_matches_a_per_item_table() {
+        for stride in [1u64, 4, 6, 16] {
+            let trace = crate::Trace::from_ids(
+                (0..60u64).map(|j| (j * 7_919 + j % 3) * stride + j % stride),
+            );
+            let table = reference_item_table(&trace, stride);
+            // A compiled strided map.
+            let ct =
+                crate::CompiledTrace::compile(&trace, &BlockMap::strided(stride as usize)).unwrap();
+            assert_decodes_like(ct.map(), &table);
+            // The same map compiled again, through a trace that touches
+            // only some of its blocks: the table restricted to them.
+            let dense = crate::Trace::from_requests(ct.iter_items().step_by(3).collect());
+            let ct2 = crate::CompiledTrace::compile(&dense, ct.map()).unwrap();
+            let table2: Vec<u64> = reference_item_table(&dense, stride)
+                .iter()
+                .map(|&z| table[z as usize])
+                .collect();
+            assert_decodes_like(ct2.map(), &table2);
+            // A partition of a partition: each part's table is the
+            // source's, permuted through the local renaming.
+            let split = ct.map().partition_dense(2, |b| (b.0 % 2) as usize).unwrap();
+            for (p, part) in split.parts.iter().enumerate() {
+                let n = part.dense_universe().unwrap().n_items() as usize;
+                let mut part_table = vec![u64::MAX; n];
+                for g in 0..table.len() as u64 {
+                    if (ct.map().block_of(ItemId(g)).0 % 2) as usize == p {
+                        part_table[split.local.item(ItemId(g)).0 as usize] = table[g as usize];
+                    }
+                }
+                let inner = part
+                    .partition_dense(3, |b| (crate::mix64(b.0) % 3) as usize)
+                    .unwrap();
+                for (q, inner_part) in inner.parts.iter().enumerate() {
+                    let n = inner_part.dense_universe().unwrap().n_items() as usize;
+                    let mut inner_table = vec![u64::MAX; n];
+                    for g in 0..part_table.len() as u64 {
+                        let block = part.block_of(ItemId(g));
+                        if (crate::mix64(block.0) % 3) as usize == q {
+                            inner_table[inner.local.item(ItemId(g)).0 as usize] =
+                                part_table[g as usize];
+                        }
+                    }
+                    assert_decodes_like(inner_part, &inner_table);
+                }
+            }
         }
     }
 

@@ -1,11 +1,13 @@
-//! Trace compilation: dense-ID renaming plus precomputed per-access blocks.
+//! Trace compilation: dense-ID renaming of a trace and its block map.
 //!
 //! A [`CompiledTrace`] is the hot-loop form of a [`Trace`]: one pre-pass
 //! renames the sparse `u64` key space into dense ids `0..n_items` (the
 //! *block closure* of the trace — every item of every touched block gets a
-//! dense id, so co-loads stay representable) and precomputes each access's
-//! block id, leaving a flat `Vec<CompiledAccess>` that simulators stream
-//! over without re-hashing or re-dividing per request.
+//! dense id, so co-loads stay representable), leaving a flat
+//! `Vec<CompiledAccess>` of dense item ids that simulators stream over
+//! without re-hashing per request. A consumer that needs an access's block
+//! asks the dense map ([`BlockMap::block_of`]): a shift or divide for a
+//! strided map, one array load for a CSR map.
 //!
 //! The renaming is **monotone**: sorting the closure's sparse ids and
 //! ranking them preserves every `<`/`==` comparison between item ids, so
@@ -19,20 +21,22 @@
 //! original trace, and the dense [`BlockMap`] it carries exposes
 //! [`decode_item`](crate::block_map::DenseMap::decode_item) /
 //! [`decoder`](crate::block_map::DenseMap::decoder) so reports,
-//! frequency sketches, and samplers can keep hashing original keys.
+//! frequency sketches, and samplers can keep hashing original keys. A
+//! strided map keeps only its block table (8 bytes per block) and decodes
+//! items arithmetically; a CSR map also keeps one original id per item.
 
-use crate::{BlockMap, FxHashMap, GcError, ItemId, Trace};
+use crate::{BlockMap, FxHashMap, FxHashSet, GcError, ItemId, Trace};
 use std::sync::Arc;
 
-/// One compiled request: the dense item id and its (dense) block id.
+/// One compiled request: the dense item id.
 ///
-/// Eight bytes per access — eight accesses per cache line.
+/// Four bytes per access — sixteen accesses per cache line. The access's
+/// dense block is `map.block_of(item)` on the trace's
+/// [`map`](CompiledTrace::map).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompiledAccess {
     /// Dense item id (`0..n_items`).
     pub item: u32,
-    /// Dense block id (`0..n_blocks`) of `item`.
-    pub block: u32,
 }
 
 /// A trace compiled into dense-ID form. See the module docs.
@@ -45,38 +49,27 @@ pub struct CompiledTrace {
 
 impl CompiledTrace {
     /// Compile `trace` against `map`: rename the block closure of the
-    /// trace into dense ids and precompute per-access blocks.
+    /// trace into dense ids.
     ///
     /// Returns an error if the trace requests an item outside an explicit
     /// map, or if the closure exceeds `u32` id space.
     pub fn compile(trace: &Trace, map: &BlockMap) -> Result<CompiledTrace, GcError> {
-        // Pass 1: per-access source block ids + the set of touched blocks.
-        let mut block_rank: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut access_blocks: Vec<u64> = Vec::with_capacity(trace.len());
+        // Pass 1: the set of touched source blocks, in ascending order.
+        let mut touched: FxHashSet<u64> = FxHashSet::default();
         for item in trace.iter() {
             let block = map.try_block_of(item).ok_or_else(|| {
                 GcError::InvalidParameter(format!(
                     "trace item {item} is not in any block of the map"
                 ))
             })?;
-            access_blocks.push(block.0);
-            block_rank.entry(block.0).or_insert(0);
+            touched.insert(block.0);
         }
-        let mut blocks: Vec<u64> = block_rank.keys().copied().collect();
+        let mut blocks: Vec<u64> = touched.into_iter().collect();
         blocks.sort_unstable();
-        for (rank, &source_block) in blocks.iter().enumerate() {
-            *block_rank.get_mut(&source_block).expect("just collected") = rank as u32;
-        }
 
         // The source may itself be dense (re-compilation): compose decode
         // tables so dense ids always map back to the *original* key space.
         let source = map.dense_universe().map(|d| d.decoder());
-        let decode_raw = |raw: u64| -> u64 {
-            match source {
-                Some(decode) => decode.item(ItemId(raw)).0,
-                None => raw,
-            }
-        };
         let block_decode: Arc<Vec<u64>> = Arc::new(
             blocks
                 .iter()
@@ -90,29 +83,25 @@ impl CompiledTrace {
         if let Some(stride) = map.stride() {
             // Strided source: the closure of each touched block is a full
             // `stride`-run, so dense ids stay strided — `block_of` remains
-            // a divide (or shift) and the layout costs zero memory.
+            // a divide (or shift), and items decode through the block
+            // table, so the layout costs no per-item memory.
             let n_items = blocks.len() as u64 * stride;
             check_id_space(n_items)?;
-            let mut decode = Vec::with_capacity(n_items as usize);
-            for &source_block in &blocks {
-                let base = source_block * stride;
-                decode.extend((base..base + stride).map(decode_raw));
-            }
+            let block_rank: FxHashMap<u64, u32> = blocks
+                .iter()
+                .enumerate()
+                .map(|(rank, &b)| (b, rank as u32))
+                .collect();
             let accesses = trace
                 .iter()
-                .zip(&access_blocks)
-                .map(|(item, &source_block)| {
-                    let rank = block_rank[&source_block];
-                    CompiledAccess {
-                        item: rank * stride as u32 + (item.0 % stride) as u32,
-                        block: rank,
-                    }
+                .map(|item| CompiledAccess {
+                    item: block_rank[&(item.0 / stride)] * stride as u32 + (item.0 % stride) as u32,
                 })
                 .collect();
             Ok(CompiledTrace {
                 name: trace.name.clone(),
                 accesses,
-                map: BlockMap::dense_strided(stride, Arc::new(decode), block_decode),
+                map: BlockMap::dense_strided(stride, block_decode),
             })
         } else {
             // Explicit source: CSR layout preserving each block's group
@@ -122,14 +111,20 @@ impl CompiledTrace {
                 closure.extend(map.items_of(crate::BlockId(source_block)).map(|z| z.0));
             }
             check_id_space(closure.len() as u64)?;
-            let mut sorted = closure.clone();
+            let mut sorted = closure;
             sorted.sort_unstable();
             let rename: FxHashMap<u64, u32> = sorted
                 .iter()
                 .enumerate()
                 .map(|(rank, &id)| (id, rank as u32))
                 .collect();
-            let decode: Vec<u64> = sorted.iter().map(|&id| decode_raw(id)).collect();
+            let decode: Vec<u64> = sorted
+                .iter()
+                .map(|&id| match source {
+                    Some(decode) => decode.item(ItemId(id)).0,
+                    None => id,
+                })
+                .collect();
 
             let mut item_to_block = vec![0u32; sorted.len()];
             let mut block_starts = Vec::with_capacity(blocks.len() + 1);
@@ -146,10 +141,8 @@ impl CompiledTrace {
 
             let accesses = trace
                 .iter()
-                .zip(&access_blocks)
-                .map(|(item, &source_block)| CompiledAccess {
+                .map(|item| CompiledAccess {
                     item: rename[&item.0],
-                    block: block_rank[&source_block],
                 })
                 .collect();
             Ok(CompiledTrace {
@@ -257,7 +250,6 @@ fn check_id_space(n_items: u64) -> Result<(), GcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BlockId;
 
     #[test]
     fn strided_compilation_is_dense_and_monotone() {
@@ -289,12 +281,13 @@ mod tests {
         let map = BlockMap::strided(4);
         let trace = Trace::from_ids([0, 5, 9, 1, 400]);
         let ct = CompiledTrace::compile(&trace, &map).unwrap();
-        for a in ct.accesses() {
-            assert_eq!(
-                ct.map().block_of(ItemId(u64::from(a.item))),
-                BlockId(u64::from(a.block))
-            );
-        }
+        // Source blocks 0, 1, 2, 0, 100 rank as 0, 1, 2, 0, 3.
+        let blocks: Vec<u64> = ct
+            .accesses()
+            .iter()
+            .map(|a| ct.map().block_of(ItemId(u64::from(a.item))).0)
+            .collect();
+        assert_eq!(blocks, vec![0, 1, 2, 0, 3]);
     }
 
     #[test]
@@ -346,19 +339,15 @@ mod tests {
         // Every access's dense block decodes to the source map's block of
         // the original item.
         for (a, item) in ct.accesses().iter().zip(trace.iter()) {
-            assert_eq!(
-                ct.decode_block(BlockId(u64::from(a.block))),
-                map.block_of(item)
-            );
+            let block = ct.map().block_of(ItemId(u64::from(a.item)));
+            assert_eq!(ct.decode_block(block), map.block_of(item));
         }
         // Re-compilation composes block decode tables too.
         let dense_trace = Trace::from_requests(ct.iter_items().collect());
         let ct2 = CompiledTrace::compile(&dense_trace, ct.map()).unwrap();
         for (a, item) in ct2.accesses().iter().zip(trace.iter()) {
-            assert_eq!(
-                ct2.decode_block(BlockId(u64::from(a.block))),
-                map.block_of(item)
-            );
+            let block = ct2.map().block_of(ItemId(u64::from(a.item)));
+            assert_eq!(ct2.decode_block(block), map.block_of(item));
         }
     }
 

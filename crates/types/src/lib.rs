@@ -11,7 +11,7 @@
 //!   most `B` items,
 //! * [`Trace`] — a sequence of item requests,
 //! * [`CompiledTrace`] / [`CompiledAccess`] — the dense-ID compiled form
-//!   of a trace (hot loops stream over precomputed `(item, block)` pairs),
+//!   of a trace (hot loops stream over 4-byte dense item ids),
 //! * [`AccessResult`] / [`HitKind`] — the per-access outcome vocabulary
 //!   shared between policies and the simulator, plus the zero-allocation
 //!   [`AccessKind`] / [`AccessScratch`] pair used by the hot path,

@@ -89,8 +89,9 @@ proptest! {
     }
 
     /// Dense-ID compilation round-trips over strided maps: decoding the
-    /// compiled trace reproduces the original, per-access block ids match
-    /// the compiled map, and the rename is monotone.
+    /// compiled trace reproduces the original, each access's dense block
+    /// decodes to the source block of its request, and the rename is
+    /// monotone.
     #[test]
     fn compiled_trace_roundtrip_strided(
         ids in prop::collection::vec(0u64..100_000, 0..400),
@@ -102,11 +103,9 @@ proptest! {
         prop_assert_eq!(ct.decode(), trace.clone());
         prop_assert_eq!(ct.len(), trace.len());
         for (a, item) in ct.accesses().iter().zip(trace.iter()) {
-            // Per-access block ids agree with the compiled map...
-            prop_assert_eq!(
-                ct.map().block_of(ItemId(u64::from(a.item))).0,
-                u64::from(a.block)
-            );
+            // Each access's dense block is its request's source block...
+            let block = ct.map().block_of(ItemId(u64::from(a.item)));
+            prop_assert_eq!(ct.decode_block(block), map.block_of(item));
             // ...and dense ids decode back to the original request.
             prop_assert_eq!(ct.decode_item(ItemId(u64::from(a.item))), item);
         }
@@ -144,15 +143,13 @@ proptest! {
         let ct = gc_types::CompiledTrace::compile(&trace, &map).unwrap();
         prop_assert_eq!(ct.decode(), trace.clone());
         for (a, item) in ct.accesses().iter().zip(trace.iter()) {
-            prop_assert_eq!(
-                ct.map().block_of(ItemId(u64::from(a.item))).0,
-                u64::from(a.block)
-            );
+            let block = ct.map().block_of(ItemId(u64::from(a.item)));
+            prop_assert_eq!(ct.decode_block(block), map.block_of(item));
             prop_assert_eq!(ct.decode_item(ItemId(u64::from(a.item))), item);
             // Same co-load set after decoding (group order preserved).
             let dense_items: Vec<ItemId> = ct
                 .map()
-                .items_of(gc_types::BlockId(u64::from(a.block)))
+                .items_of(block)
                 .map(|z| ct.decode_item(z))
                 .collect();
             let sparse_items: Vec<ItemId> = map.items_of(map.block_of(item)).collect();

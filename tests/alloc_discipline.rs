@@ -24,6 +24,11 @@
 //! single-flight table, which recycles flights nobody joined, and folds
 //! its inline histograms. A compiled explicit map at three shards takes
 //! the same path through per-shard CSR universes.
+//!
+//! The same allocator also counts live heap bytes, which pins what the
+//! dense state costs per key: a compiled trace keeps 4 bytes per access
+//! and 8 per block (no per-item decode table for a strided map), and an
+//! IBLP over a compiled universe 4 bytes per item and per block.
 
 use gc_cache::gc_runtime::{BlockStore, DiskBackend, MemBackend};
 use gc_cache::prelude::*;
@@ -36,10 +41,20 @@ thread_local! {
     /// its own libtest thread) never count each other's allocations into a
     /// measured window.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Per-thread live heap bytes: allocated minus freed on this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
+fn add_live(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
 struct CountingAlloc;
@@ -50,15 +65,24 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        add_live(layout.size() as i64);
         System.alloc(layout)
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        add_live(layout.size() as i64);
+        System.alloc_zeroed(layout)
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        add_live(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -352,4 +376,55 @@ fn session_over_explicit_shard_universes_is_alloc_free() {
             "3 explicit shards, {fetch} fetch: {window} heap allocations in a steady-state window"
         );
     }
+}
+
+/// A trace over 65 536 blocks of a 16-item strided map, whose compilation
+/// is a 1 048 576-item dense universe: one access per block in ascending
+/// order, then `extra` accesses scattered over the blocks.
+fn wide_strided_trace(extra: usize) -> Trace {
+    let blocks = 65_536u64;
+    let scattered = thrash_trace(extra, blocks * 16);
+    Trace::from_ids(
+        (0..blocks)
+            .map(|b| b * 16 + b % 16)
+            .chain(scattered.iter().map(|z| z.0)),
+    )
+}
+
+#[test]
+fn a_compiled_access_is_four_bytes() {
+    assert_eq!(std::mem::size_of::<gc_cache::gc_types::CompiledAccess>(), 4);
+}
+
+#[test]
+fn compiling_a_strided_trace_keeps_no_per_item_table() {
+    let trace = wide_strided_trace(200_000);
+    let before = live_bytes();
+    let compiled = CompiledTrace::compile(&trace, &BlockMap::strided(16)).unwrap();
+    let retained = live_bytes() - before;
+    let (accesses, blocks) = (compiled.len() as i64, compiled.n_blocks() as i64);
+    assert_eq!(compiled.n_items(), 1 << 20);
+    assert!(
+        retained <= 4 * accesses + 8 * blocks + 1024,
+        "compiling {accesses} accesses over {blocks} blocks retained {retained} B"
+    );
+}
+
+#[test]
+fn iblp_over_a_wide_universe_costs_four_bytes_per_item_and_block() {
+    let compiled = CompiledTrace::compile(&wide_strided_trace(0), &BlockMap::strided(16)).unwrap();
+    let (items, blocks) = (compiled.n_items() as i64, compiled.n_blocks() as i64);
+    assert!(items >= 1 << 20);
+    let capacity = 4096i64;
+    let before = live_bytes();
+    let policy = Iblp::balanced(capacity as usize, compiled.map().clone());
+    let grown = live_bytes() - before;
+    // Each layer reserves a 16-byte slab slot per line it can hold; 64 B
+    // per line of capacity covers both layers and their fixed parts.
+    let per_capacity = 64 * capacity;
+    assert!(
+        grown <= 4 * items + 4 * blocks + per_capacity,
+        "{}: {grown} B for {items} items, {blocks} blocks",
+        policy.name()
+    );
 }
